@@ -142,27 +142,62 @@ def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray)
     return float(np.linalg.norm(drift @ cov + cov @ drift.T + diffusion))
 
 
+def solve_lyapunov_stack(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``solve_lyapunov`` over (N, n, n) drifts already known to be stable.
+
+    One Kronecker solve for the whole stack, the same symmetrisation and the
+    same residual bound per matrix. Returns the covariances and their
+    residuals ||Q V + V Q^T + D||_F.
+
+    Raises
+    ------
+    SingularSystem
+        If the linear solve is rank-deficient or any matrix fails the
+        residual bound.
+    """
+    q = np.asarray(drift, dtype=float)
+    d = np.asarray(diffusion, dtype=float)
+    count, n = q.shape[:2]
+    eye = np.eye(n)
+    # kron(I, Q) + kron(Q, I), entry [(i, a), (j, b)] = I_ij Q_ab + Q_ij I_ab
+    coeff = (eye[None, :, None, :, None] * q[:, None, :, None, :]
+             + q[:, :, None, :, None] * eye[None, None, :, None, :]).reshape(count, n * n, n * n)
+    try:
+        vec = np.linalg.solve(coeff, -d.reshape(count, n * n, 1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    cov = vec.reshape(count, n, n)
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+
+    residual = np.linalg.norm(q @ cov + cov @ q.swapaxes(-1, -2) + d, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(d, axis=(-2, -1)))
+    if np.any(residual > LYAPUNOV_RESIDUAL_TOL * scale):
+        raise SingularSystem("steady-state solve failed the residual bound")
+    return cov, residual
+
+
 def symplectic_eigenvalues(cov: np.ndarray, check_positive: bool = True) -> np.ndarray:
     """Symplectic spectrum of a 2n x 2n symmetric matrix, ascending.
 
     Computed as the absolute values of the eigenvalues of i Omega V, which
     come in +/- pairs; each pair is averaged. With ``check_positive=False``
-    the input may be an unphysical partial-transpose matrix.
+    the input may be an unphysical partial-transpose matrix. A stack of
+    matrices (..., 2n, 2n) gives one spectrum per matrix in one eigen-solve.
     """
     v = np.asarray(cov, dtype=float)
-    n = v.shape[0] // 2
+    n = v.shape[-1] // 2
     if check_positive:
         try:
             np.linalg.cholesky(v)
         except np.linalg.LinAlgError as exc:
             raise NonPositiveInput("matrix is not positive definite") from exc
     eigs = np.linalg.eigvals(1j * _cached_symplectic_form(n) @ v)
-    mags = np.sort(np.abs(eigs))
-    pairs = mags.reshape(n, 2)
-    gaps = pairs[:, 1] - pairs[:, 0]
-    if np.any(gaps > PAIRING_TOL * np.maximum(1.0, pairs[:, 1])):
+    mags = np.sort(np.abs(eigs), axis=-1)
+    pairs = mags.reshape(mags.shape[:-1] + (n, 2))
+    gaps = pairs[..., 1] - pairs[..., 0]
+    if np.any(gaps > PAIRING_TOL * np.maximum(1.0, pairs[..., 1])):
         raise ValueError("failed to pair +/- symplectic eigenvalues")
-    return np.sort(pairs.mean(axis=1))
+    return np.sort(0.5 * (pairs[..., 0] + pairs[..., 1]), axis=-1)
 
 
 def partial_transpose(cov: np.ndarray, modes) -> np.ndarray:
@@ -172,7 +207,7 @@ def partial_transpose(cov: np.ndarray, modes) -> np.ndarray:
     of the positivity-under-partial-transpose test.
     """
     v = np.asarray(cov, dtype=float)
-    n = v.shape[0] // 2
+    n = v.shape[-1] // 2
     _check_modes(modes, n)
     flip = np.ones(2 * n)
     for m in modes:
@@ -193,25 +228,26 @@ def schur_complement_steered(cov: np.ndarray, split: Bipartition) -> np.ndarray:
     """Conditional covariance of party_b after a Gaussian measurement on party_a.
 
     Returns Y - Z^T X^-1 Z where X, Y, Z are the party_a, party_b and cross
-    blocks of the covariance matrix.
+    blocks of the covariance matrix. A stack (..., 2n, 2n) gives one
+    conditional state per matrix, with one condition check and one solve.
 
     Raises
     ------
     SingularBlock
-        If the party_a block has condition number above CONDITION_CUTOFF.
+        If a party_a block has condition number above CONDITION_CUTOFF.
     """
     v = np.asarray(cov, dtype=float)
-    n = v.shape[0] // 2
+    n = v.shape[-1] // 2
     _check_modes(split.party_a + split.party_b, n)
-    ia = quadrature_indices(split.party_a)
-    ib = quadrature_indices(split.party_b)
-    x = v[np.ix_(ia, ia)]
-    y = v[np.ix_(ib, ib)]
-    z = v[np.ix_(ia, ib)]
-    if np.linalg.cond(x) > CONDITION_CUTOFF:
+    ia = np.array(quadrature_indices(split.party_a))
+    ib = np.array(quadrature_indices(split.party_b))
+    x = v[..., ia[:, None], ia]
+    y = v[..., ib[:, None], ib]
+    z = v[..., ia[:, None], ib]
+    if np.any(np.linalg.cond(x) > CONDITION_CUTOFF):
         raise SingularBlock("steering-party block is numerically singular")
-    comp = y - z.T @ np.linalg.solve(x, z)
-    return 0.5 * (comp + comp.T)
+    comp = y - z.swapaxes(-1, -2) @ np.linalg.solve(x, z)
+    return 0.5 * (comp + comp.swapaxes(-1, -2))
 
 
 def check_physicality(cov: np.ndarray) -> tuple[bool, float]:

@@ -243,14 +243,23 @@ def build_drift_diffusion(params: SystemParams) -> DriftDiffusion:
     return DriftDiffusion(build_drift(params, d), build_diffusion(params, d))
 
 
-def assert_stable(drift: np.ndarray) -> None:
-    """Raise UnstableDrift unless all drift eigenvalues are safely damped.
+def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue real part of each drift matrix, and whether it is stable.
 
-    The margin is relative to the Frobenius norm so the gate is scale-free.
+    Stable means safely damped: the largest real part lies below
+    -STABILITY_TOL ||Q||_F, a margin relative to the Frobenius norm so the
+    gate is scale-free. Takes one matrix or a stack (..., n, n).
     """
-    max_real = float(np.max(np.linalg.eigvals(np.asarray(drift, dtype=float)).real))
-    if max_real >= -STABILITY_TOL * float(np.linalg.norm(drift)):
-        raise UnstableDrift(max_real)
+    q = np.asarray(drift, dtype=float)
+    max_real = np.linalg.eigvals(q).real.max(axis=-1)
+    return max_real, max_real < -STABILITY_TOL * np.linalg.norm(q, axis=(-2, -1))
+
+
+def assert_stable(drift: np.ndarray) -> None:
+    """Raise UnstableDrift unless all drift eigenvalues are safely damped."""
+    max_real, stable = hurwitz_gate(drift)
+    if not stable:
+        raise UnstableDrift(float(max_real))
 
 
 # --- parameter ingestion -----------------------------------------------------

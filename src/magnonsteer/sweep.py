@@ -1,24 +1,34 @@
 """Single-point evaluation, parameter sweeps, presets and CSV emission.
 
-Grid points are independent; the runner may evaluate them with any degree of
-thread concurrency (capped by the MAGNONSTEER_THREADS environment variable)
-and always assembles rows in deterministic axis order, so identical sweep
-specifications produce byte-identical CSV files.
+A sweep evaluates its grid in blocks of at most _BLOCK_SIZE points. Each
+point is derived and built on its own; the block then goes through one
+stacked Hurwitz gate, one stacked steady-state solve, one stacked symplectic
+spectrum and the batched measures kernel, which computes only the requested
+outputs. ``run_point`` is the same pipeline with a block of one. Rows are
+assembled in deterministic axis order, so identical sweep specifications
+produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+# assert_stable, check_physicality and lyapunov_residual are not called here
+# any more; they stay importable from this module because the benchmark's
+# tracer (perfbench/spans.py) wraps the per-point stages by name here.
 from .errors import NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableDrift
-from .gaussian import check_physicality, lyapunov_residual, solve_lyapunov
-from .measures import MEASURE_KEYS, CorrelationReport, correlation_report
-from .model import (
+from .gaussian import (  # noqa: F401
+    check_physicality,
+    lyapunov_residual,
+    solve_lyapunov,
+    solve_lyapunov_stack,
+    symplectic_eigenvalues,
+)
+from .measures import MEASURE_KEYS, CorrelationReport, correlation_report, measure_columns
+from .model import (  # noqa: F401
     SystemParams,
     assert_stable,
     build_diffusion,
@@ -26,10 +36,13 @@ from .model import (
     default_params,
     derive,
     effective_coupling,
+    hurwitz_gate,
     params_from_dict,
 )
 
-THREADS_ENV = "MAGNONSTEER_THREADS"
+# Points per stacked block. Larger blocks amortise more call overhead but
+# raise the peak memory of the stacked 36x36 solves.
+_BLOCK_SIZE = 64
 
 DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
 
@@ -110,26 +123,39 @@ class PointResult:
         return flat
 
 
+def _steady_states(points: list[SystemParams]):
+    """Derive and build each point, then gate, solve and check them stacked.
+
+    Returns the largest drift eigenvalue real part and the stability flag of
+    every point, and for the stable points, in order, their covariances,
+    Lyapunov residuals and smallest symplectic eigenvalues.
+    """
+    drift = np.empty((len(points), 6, 6))
+    diffusion = np.empty_like(drift)
+    for k, params in enumerate(points):
+        derived = derive(params)
+        drift[k] = build_drift(params, derived)
+        diffusion[k] = build_diffusion(params, derived)
+    max_real, stable = hurwitz_gate(drift)
+    cov, residual = solve_lyapunov_stack(drift[stable], diffusion[stable])
+    nu_min = symplectic_eigenvalues(cov, check_positive=False)[:, 0]
+    return max_real, stable, cov, residual, nu_min
+
+
 def run_point(params: SystemParams) -> PointResult:
     """Derive, build, solve and measure one parameter point.
 
     An unstable drift matrix is reported as a structured result with
     status "unstable" rather than raised.
     """
-    derived = derive(params)
-    drift = build_drift(params, derived)
-    diffusion = build_diffusion(params, derived)
-    try:
-        assert_stable(drift)
-        cov = solve_lyapunov(drift, diffusion)
-    except UnstableDrift as exc:
-        return PointResult(status="unstable", max_real_part=exc.max_real_part)
-    _, nu_min = check_physicality(cov)
+    max_real, stable, cov, residual, nu_min = _steady_states([params])
+    if not stable[0]:
+        return PointResult(status="unstable", max_real_part=float(max_real[0]))
     return PointResult(
         status="ok",
-        report=correlation_report(cov),
-        lyap_residual=lyapunov_residual(drift, cov, diffusion),
-        min_symplectic_eig=nu_min,
+        report=correlation_report(cov[0]),
+        lyap_residual=float(residual[0]),
+        min_symplectic_eig=float(nu_min[0]),
     )
 
 
@@ -137,14 +163,6 @@ def steady_state_covariance(params: SystemParams) -> np.ndarray:
     """Steady-state covariance matrix for one parameter point."""
     derived = derive(params)
     return solve_lyapunov(build_drift(params, derived), build_diffusion(params, derived))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def grid_points(spec: SweepSpec) -> list[SystemParams]:
@@ -166,26 +184,23 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     Unstable points are emitted with status "unstable" and blank measure
     values instead of raising.
     """
+    axes = [spec.axis1.param] + ([spec.axis2.param] if spec.axis2 is not None else [])
+    keys = spec.outputs + DIAGNOSTIC_KEYS
+    blank = (None,) * len(keys)
     points = grid_points(spec)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(point) for point in points]
-
     rows = []
-    for params, result in zip(points, results):
-        row = {spec.axis1.param: getattr(params, spec.axis1.param)}
-        if spec.axis2 is not None:
-            row[spec.axis2.param] = getattr(params, spec.axis2.param)
-        flat = result.to_flat_dict()
-        for key in spec.outputs:
-            row[key] = flat.get(key)
-        for key in DIAGNOSTIC_KEYS:
-            row[key] = flat.get(key)
-        row["status"] = result.status
-        rows.append(row)
+    for start in range(0, len(points), _BLOCK_SIZE):
+        block = points[start:start + _BLOCK_SIZE]
+        _, stable, cov, residual, nu_min = _steady_states(block)
+        columns = measure_columns(cov, spec.outputs)
+        columns["lyap_residual"] = residual.tolist()
+        columns["min_symplectic_eig"] = nu_min.tolist()
+        solved = zip(*(columns[key] for key in keys))  # one tuple per stable point
+        for params, ok in zip(block, stable):
+            row = {axis: getattr(params, axis) for axis in axes}
+            row.update(zip(keys, next(solved) if ok else blank))
+            row["status"] = "ok" if ok else "unstable"
+            rows.append(row)
     return rows
 
 

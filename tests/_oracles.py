@@ -11,6 +11,15 @@ import numpy as np
 
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# symmetric 4x4 with sigma^2 < 4 det V, found by search; triggers the
+# unphysical-input guard
+UNPHYSICAL_4X4 = np.array([
+    [1.899437, -0.959325, 1.018551, 0.653814],
+    [-0.959325, 0.151665, -0.124648, -0.228466],
+    [1.018551, -0.124648, 3.723302, 0.661407],
+    [0.653814, -0.228466, 0.661407, 0.107169],
+])
+
 
 def omega(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), OMEGA_1)

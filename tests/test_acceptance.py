@@ -323,8 +323,7 @@ def test_criterion_8_two_mode_squeezed_oracles():
     assert worst_steer <= 1e-9
 
 
-def test_criterion_9_preset_performance(monkeypatch):
-    monkeypatch.setenv("MAGNONSTEER_THREADS", "1")
+def test_criterion_9_preset_performance():
     start = time.monotonic()
     rows = run_sweep(preset("fig3a"))
     elapsed = time.monotonic() - start

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from magnonsteer.cli import main
+from magnonsteer.model import DIFFUSION_MODES
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +124,19 @@ class TestValidateOracle:
         assert payload["passed"] is True
         assert payload["trials"] == 25
         assert payload["max_relative_deviation"] <= 1e-8
+
+    def test_every_diffusion_mode_is_checked(self, capsys):
+        code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "7",
+                               "--seed", "3")
+        assert code == 0
+        payload = json.loads(out)
+        by_mode = payload["by_mode"]
+        assert list(by_mode) == list(DIFFUSION_MODES)
+        assert [by_mode[mode]["trials"] for mode in DIFFUSION_MODES] == [3, 2, 2]
+        for mode in DIFFUSION_MODES:
+            assert 0.0 < by_mode[mode]["max_relative_deviation"] <= 1e-8
+        assert payload["max_relative_deviation"] == max(
+            entry["max_relative_deviation"] for entry in by_mode.values())
 
 
 class TestVersion:

@@ -24,21 +24,12 @@ from magnonsteer import (
 from magnonsteer.measures import MEASURE_KEYS
 
 from _oracles import (
+    UNPHYSICAL_4X4,
     brute_steering,
     random_physical_cm,
     tmsv_cm,
     vacuum_cm,
 )
-
-# symmetric 4x4 with sigma^2 < 4 det V, found by search; triggers the
-# unphysical-input guard
-UNPHYSICAL_4X4 = np.array([
-    [1.899437, -0.959325, 1.018551, 0.653814],
-    [-0.959325, 0.151665, -0.124648, -0.228466],
-    [1.018551, -0.124648, 3.723302, 0.661407],
-    [0.653814, -0.228466, 0.661407, 0.107169],
-])
-
 
 class TestLogNegativityTwoMode:
     def test_vacuum_is_separable(self):
