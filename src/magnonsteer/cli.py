@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import analytic_covariance
-from .errors import MagnonSteerError, NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableDrift
+from .errors import MagnonSteerError, NoCrossing, NonMonotone, SpecError, UnstableDrift
 from .model import DIFFUSION_MODES, derive, params_from_dict
 from .sweep import (
     PRESET_IDS,
@@ -63,10 +63,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload = result.to_flat_dict()
     if result.status != "ok":
         payload["max_real_part"] = result.max_real_part
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_UNSTABLE
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+    return EXIT_OK if result.status == "ok" else EXIT_UNSTABLE
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -186,9 +184,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"status": "unstable", "max_real_part": exc.max_real_part}),
               file=sys.stderr)
         return EXIT_UNSTABLE
-    except (SpecError, UnknownPreset) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except MagnonSteerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

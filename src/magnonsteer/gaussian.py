@@ -21,6 +21,9 @@ LYAPUNOV_RESIDUAL_TOL = 1e-10
 PAIRING_TOL = 1e-9
 CONDITION_CUTOFF = 1e12
 
+# Stability margin relative to ||Q||_F, scale-free across rad/s magnitudes
+STABILITY_TOL = 1e-9
+
 
 @lru_cache(maxsize=None)
 def _cached_symplectic_form(n_modes: int) -> np.ndarray:
@@ -96,17 +99,27 @@ def quadrature_indices(modes) -> list[int]:
     return [q for m in modes for q in (2 * m, 2 * m + 1)]
 
 
+def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue real part of each drift matrix, and whether it is stable.
+
+    Stable means safely damped: the largest real part lies below
+    -STABILITY_TOL ||Q||_F, a margin relative to the Frobenius norm so the
+    gate is scale-free. Takes one matrix or a stack (..., n, n).
+    """
+    q = np.asarray(drift, dtype=float)
+    max_real = np.linalg.eigvals(q).real.max(axis=-1)
+    return max_real, max_real < -STABILITY_TOL * np.linalg.norm(q, axis=(-2, -1))
+
+
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Solve Q V + V Q^T = -D for the steady-state covariance V.
 
-    Uses the Kronecker vectorisation (I (x) Q + Q (x) I) vec(V) = -vec(D),
-    exact for the small dense systems handled here. The output is symmetrised
-    and its residual checked against LYAPUNOV_RESIDUAL_TOL.
+    The one-matrix case of ``solve_lyapunov_stack``, behind ``hurwitz_gate``.
 
     Raises
     ------
     UnstableDrift
-        If any eigenvalue of the drift matrix has a non-negative real part.
+        If ``hurwitz_gate`` finds the drift matrix not safely damped.
     SingularSystem
         If the linear solve is rank-deficient or fails the residual bound.
     """
@@ -117,36 +130,26 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
         raise ValueError("drift and diffusion must be square and equally sized")
     if not np.allclose(d, d.T, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(d).max())):
         raise ValueError("diffusion matrix must be symmetric")
-
-    max_real = float(np.max(np.linalg.eigvals(q).real))
-    if max_real >= 0.0:
-        raise UnstableDrift(max_real)
-
-    eye = np.eye(n)
-    coeff = np.kron(eye, q) + np.kron(q, eye)
-    try:
-        vec = np.linalg.solve(coeff, -d.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    cov = vec.reshape(n, n)
-    cov = 0.5 * (cov + cov.T)
-
-    scale = max(1.0, float(np.linalg.norm(d)))
-    if lyapunov_residual(q, cov, d) > LYAPUNOV_RESIDUAL_TOL * scale:
-        raise SingularSystem("steady-state solve failed the residual bound")
-    return cov
+    max_real, stable = hurwitz_gate(q)
+    if not stable:
+        raise UnstableDrift(float(max_real))
+    cov, _ = solve_lyapunov_stack(q[None], d[None])
+    return cov[0]
 
 
-def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray) -> float:
-    """Frobenius norm of Q V + V Q^T + D."""
-    return float(np.linalg.norm(drift @ cov + cov @ drift.T + diffusion))
+def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray):
+    """Frobenius norm of Q V + V Q^T + D, one per matrix of a stack (..., n, n)."""
+    return np.linalg.norm(drift @ cov + cov @ drift.swapaxes(-1, -2) + diffusion,
+                          axis=(-2, -1))
 
 
 def solve_lyapunov_stack(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``solve_lyapunov`` over (N, n, n) drifts already known to be stable.
+    """Solve Q V + V Q^T = -D for each of (N, n, n) drifts already known to be stable.
 
-    One Kronecker solve for the whole stack, the same symmetrisation and the
-    same residual bound per matrix. Returns the covariances and their
+    Uses the Kronecker vectorisation (I (x) Q + Q (x) I) vec(V) = -vec(D),
+    exact for the small dense systems handled here, in one solve for the
+    whole stack. Each output is symmetrised and its residual checked against
+    LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F). Returns the covariances and their
     residuals ||Q V + V Q^T + D||_F.
 
     Raises
@@ -169,7 +172,7 @@ def solve_lyapunov_stack(drift: np.ndarray, diffusion: np.ndarray) -> tuple[np.n
     cov = vec.reshape(count, n, n)
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
 
-    residual = np.linalg.norm(q @ cov + cov @ q.swapaxes(-1, -2) + d, axis=(-2, -1))
+    residual = lyapunov_residual(q, cov, d)
     scale = np.maximum(1.0, np.linalg.norm(d, axis=(-2, -1)))
     if np.any(residual > LYAPUNOV_RESIDUAL_TOL * scale):
         raise SingularSystem("steady-state solve failed the residual bound")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import SpecError, UnstableDrift
+from .gaussian import hurwitz_gate
 
 # CODATA 2018
 HBAR = 1.054571817e-34      # J s
@@ -28,9 +29,6 @@ TWO_PI = 2.0 * math.pi
 MODE_LABELS = ("c", "q", "m")
 
 DIFFUSION_MODES = ("paper", "consistent", "input_output")
-
-# Stability margin relative to ||Q||_F, scale-free across rad/s magnitudes
-STABILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,6 @@ class DerivedQuantities:
     N_c: float          # thermal occupations
     N_q: float
     N_m: float
-
-
-@dataclass(frozen=True)
-class DriftDiffusion:
-    """The (drift, diffusion) pair defining the linear steady-state problem."""
-
-    drift: np.ndarray
-    diffusion: np.ndarray
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
@@ -173,7 +163,7 @@ def derive(params: SystemParams) -> DerivedQuantities:
     if k_fb <= 0:
         warnings.warn(
             f"feedback damping is non-positive ({k_fb:.3e} rad/s); "
-            "no steady state exists for these (epsilon, theta)",
+            "whether a steady state exists is decided by the Hurwitz gate",
             stacklevel=2,
         )
     return DerivedQuantities(
@@ -238,25 +228,8 @@ def build_diffusion(params: SystemParams, derived: DerivedQuantities | None = No
     return np.diag([d_c, d_c, d_q, d_q, d_m, d_m])
 
 
-def build_drift_diffusion(params: SystemParams) -> DriftDiffusion:
-    d = derive(params)
-    return DriftDiffusion(build_drift(params, d), build_diffusion(params, d))
-
-
-def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue real part of each drift matrix, and whether it is stable.
-
-    Stable means safely damped: the largest real part lies below
-    -STABILITY_TOL ||Q||_F, a margin relative to the Frobenius norm so the
-    gate is scale-free. Takes one matrix or a stack (..., n, n).
-    """
-    q = np.asarray(drift, dtype=float)
-    max_real = np.linalg.eigvals(q).real.max(axis=-1)
-    return max_real, max_real < -STABILITY_TOL * np.linalg.norm(q, axis=(-2, -1))
-
-
 def assert_stable(drift: np.ndarray) -> None:
-    """Raise UnstableDrift unless all drift eigenvalues are safely damped."""
+    """Raise UnstableDrift unless ``hurwitz_gate`` finds the drift safely damped."""
     max_real, stable = hurwitz_gate(drift)
     if not stable:
         raise UnstableDrift(float(max_real))
@@ -300,6 +273,8 @@ def params_from_dict(document: dict) -> SystemParams:
     to set the qubit coupling as a multiple of the derived effective
     optomagnonic coupling.
     """
+    if not isinstance(document, dict):
+        raise SpecError("parameter document must be a JSON object")
     known = {f.name for f in fields(SystemParams)} | {"g_q_ratio"}
     unknown = set(document) - known
     if unknown:
@@ -335,8 +310,6 @@ def params_from_json(text: str) -> SystemParams:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON parameter document: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SpecError("parameter document must be a JSON object")
     return params_from_dict(document)
 
 

@@ -4,7 +4,9 @@ A sweep evaluates its grid in blocks of at most _BLOCK_SIZE points. Each
 point is derived and built on its own; the block then goes through one
 stacked Hurwitz gate, one stacked steady-state solve, one stacked symplectic
 spectrum and the batched measures kernel, which computes only the requested
-outputs. ``run_point`` is the same pipeline with a block of one. Rows are
+outputs. ``run_point`` is the same pipeline with a block of one, and
+``find_threshold`` runs its grid through it in blocks and each bisection
+step as a block of one, computing only the scanned measure. Rows are
 assembled in deterministic axis order, so identical sweep specifications
 produce byte-identical CSV files.
 """
@@ -12,6 +14,7 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,6 +25,7 @@ import numpy as np
 from .errors import NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableDrift
 from .gaussian import (  # noqa: F401
     check_physicality,
+    hurwitz_gate,
     lyapunov_residual,
     solve_lyapunov,
     solve_lyapunov_stack,
@@ -36,7 +40,6 @@ from .model import (  # noqa: F401
     default_params,
     derive,
     effective_coupling,
-    hurwitz_gate,
     params_from_dict,
 )
 
@@ -67,9 +70,16 @@ class Axis:
         if self.param not in SWEEPABLE:
             raise SpecError(f"cannot sweep over {self.param!r}; "
                             f"choose one of {SWEEPABLE}")
+        if not isinstance(self.values, (list, tuple)):
+            raise SpecError("axis values must be a list of numbers")
+        object.__setattr__(self, "values",
+                           tuple(_number(v, "axis value") for v in self.values))
         if self.values:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
             return
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise SpecError(f"axis count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "start", _number(self.start, "axis start"))
+        object.__setattr__(self, "stop", _number(self.stop, "axis stop"))
         if self.count < 2:
             raise SpecError("axis count must be at least 2")
         if not self.start < self.stop:
@@ -79,6 +89,12 @@ class Axis:
         if self.values:
             return np.asarray(self.values, dtype=float)
         return np.linspace(self.start, self.stop, self.count)
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -142,6 +158,25 @@ def _steady_states(points: list[SystemParams]):
     return max_real, stable, cov, residual, nu_min
 
 
+def _evaluate_blocks(points: list[SystemParams], outputs: tuple[str, ...]):
+    """Run the points through the pipeline in blocks of at most _BLOCK_SIZE.
+
+    Yields, per point in order, its largest drift eigenvalue real part and
+    its values of ``outputs + DIAGNOSTIC_KEYS``, or None in place of the
+    values if the point is unstable.
+    """
+    keys = outputs + DIAGNOSTIC_KEYS
+    for start in range(0, len(points), _BLOCK_SIZE):
+        max_real, stable, cov, residual, nu_min = _steady_states(
+            points[start:start + _BLOCK_SIZE])
+        columns = measure_columns(cov, outputs)
+        columns["lyap_residual"] = residual.tolist()
+        columns["min_symplectic_eig"] = nu_min.tolist()
+        solved = zip(*(columns[key] for key in keys))  # one tuple per stable point
+        for real, ok in zip(max_real.tolist(), stable.tolist()):
+            yield real, (next(solved) if ok else None)
+
+
 def run_point(params: SystemParams) -> PointResult:
     """Derive, build, solve and measure one parameter point.
 
@@ -189,18 +224,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     blank = (None,) * len(keys)
     points = grid_points(spec)
     rows = []
-    for start in range(0, len(points), _BLOCK_SIZE):
-        block = points[start:start + _BLOCK_SIZE]
-        _, stable, cov, residual, nu_min = _steady_states(block)
-        columns = measure_columns(cov, spec.outputs)
-        columns["lyap_residual"] = residual.tolist()
-        columns["min_symplectic_eig"] = nu_min.tolist()
-        solved = zip(*(columns[key] for key in keys))  # one tuple per stable point
-        for params, ok in zip(block, stable):
-            row = {axis: getattr(params, axis) for axis in axes}
-            row.update(zip(keys, next(solved) if ok else blank))
-            row["status"] = "ok" if ok else "unstable"
-            rows.append(row)
+    for params, (_, values) in zip(points, _evaluate_blocks(points, spec.outputs)):
+        row = {axis: getattr(params, axis) for axis in axes}
+        row.update(zip(keys, blank if values is None else values))
+        row["status"] = "unstable" if values is None else "ok"
+        rows.append(row)
     return rows
 
 
@@ -231,10 +259,12 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     The measure must be monotone-to-zero along axis1 inside the scanned
     window: scanning in the given direction it is positive, reaches zero
     once, and stays zero. The grid crossing is refined by bisection to
-    1/256 of the grid step.
+    1/256 of the grid step. Only the scanned measure is computed.
 
     Raises
     ------
+    UnstableDrift
+        If a point on the grid or a bisection step is unstable.
     NoCrossing
         If the measure never reaches zero (or is zero everywhere) in the
         window.
@@ -252,13 +282,16 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     if direction == "rising":
         grid = grid[::-1]
 
-    def evaluate(value: float) -> float:
-        result = run_point(spec.base.replace(**{spec.axis1.param: float(value)}))
-        if result.status != "ok":
-            raise UnstableDrift(result.max_real_part)
-        return float(result.to_flat_dict()[measure])
+    def evaluate(axis_values) -> list[float]:
+        points = [spec.base.replace(**{spec.axis1.param: float(v)}) for v in axis_values]
+        measured = []
+        for max_real, values in _evaluate_blocks(points, (measure,)):
+            if values is None:
+                raise UnstableDrift(max_real)
+            measured.append(float(values[0]))
+        return measured
 
-    values = np.array([evaluate(v) for v in grid])
+    values = np.array(evaluate(grid))
     positive = values > 0.0
     if not positive[0]:
         raise NoCrossing("measure is zero at the start of the window")
@@ -272,7 +305,7 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     resolution = abs(hi - lo) / 256.0
     while abs(hi - lo) > resolution:
         mid = 0.5 * (lo + hi)
-        if evaluate(mid) > 0.0:
+        if evaluate([mid])[0] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -374,11 +407,13 @@ def spec_from_dict(document: dict) -> SweepSpec:
         raise SpecError(f"unknown sweep keys: {sorted(unknown)}")
     if "axis1" not in document:
         raise SpecError("sweep specification requires axis1")
+    outputs = document.get("outputs", [])
+    if not isinstance(outputs, list) or not all(isinstance(k, str) for k in outputs):
+        raise SpecError("sweep outputs must be a list of measure keys")
     base = params_from_dict(document.get("base", {}))
     axis1 = _axis_from_dict(document["axis1"])
     axis2 = _axis_from_dict(document["axis2"]) if document.get("axis2") else None
-    outputs = tuple(document.get("outputs", ()))
-    return SweepSpec(base=base, axis1=axis1, axis2=axis2, outputs=outputs,
+    return SweepSpec(base=base, axis1=axis1, axis2=axis2, outputs=tuple(outputs),
                      preset_id=document.get("preset_id"))
 
 
@@ -389,7 +424,4 @@ def _axis_from_dict(document: dict) -> Axis:
     unknown = set(document) - allowed
     if unknown:
         raise SpecError(f"unknown axis keys: {sorted(unknown)}")
-    kwargs = dict(document)
-    if "values" in kwargs:
-        kwargs["values"] = tuple(kwargs["values"])
-    return Axis(**kwargs)
+    return Axis(**document)

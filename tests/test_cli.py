@@ -84,6 +84,29 @@ class TestSweep:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("change, named", [
+        ({"axis1": {"param": "temperature", "start": 0, "stop": 0.1, "count": 3.5}},
+         "axis count"),
+        ({"axis1": {"param": "temperature", "start": "0", "stop": 0.1, "count": 3}},
+         "axis start"),
+        ({"axis1": {"param": "temperature", "values": [0.0, "x"]}}, "axis value"),
+        ({"axis1": {"param": "temperature", "values": 0.1}}, "axis values"),
+        ({"outputs": "LN_qm"}, "outputs"),
+        ({"base": [0.5]}, "parameter document"),
+    ])
+    def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
+        document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
+                              "count": 3},
+                    "outputs": ["LN_qm"]}
+        document.update(change)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert named in err
+
 
 class TestPreset:
     def test_preset_to_stdout(self, capsys):

@@ -20,6 +20,7 @@ from magnonsteer import (
     symplectic_form,
 )
 from magnonsteer.analytic import analytic_covariance
+from magnonsteer.gaussian import STABILITY_TOL, hurwitz_gate, solve_lyapunov_stack
 
 from _oracles import (
     direct_symplectic_spectrum,
@@ -67,13 +68,41 @@ class TestSolveLyapunov:
             solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_marginally_stable_drift(self):
-        # a decay rate 14 orders below the rest leaves the linear system too
+        # a decay rate 14 orders below the rest lies inside the Hurwitz gate's
+        # margin; past the gate, it leaves the linear system too
         # ill-conditioned to meet the residual bound
         rng = np.random.default_rng(0)
         basis, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         drift = basis @ np.diag([-1e-14, -1, -1, -1, -1, -1]) @ basis.T
-        with pytest.raises(SingularSystem):
+        assert not hurwitz_gate(drift)[1]
+        with pytest.raises(UnstableDrift):
             solve_lyapunov(drift, np.eye(6))
+        with pytest.raises(SingularSystem):
+            solve_lyapunov_stack(drift[None], np.eye(6)[None])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unstable_exactly_where_the_gate_says(self, seed):
+        # random drifts shifted so their largest real part steps across the
+        # gate's margin, -STABILITY_TOL ||Q||_F, and on to zero and beyond
+        rng = np.random.default_rng(200 + seed)
+        base = rng.normal(size=(6, 6))
+        edge = float(np.max(np.linalg.eigvals(base).real))
+        margin = STABILITY_TOL * float(np.linalg.norm(base - edge * np.eye(6)))
+        decaying_but_rejected = 0
+        for c in np.linspace(-3.0, 1.0, 9):
+            drift = base - (edge - c * margin) * np.eye(6)
+            max_real, stable = hurwitz_gate(drift)
+            try:
+                solve_lyapunov(drift, np.eye(6))
+                rejected = False
+            except SingularSystem:
+                rejected = False
+            except UnstableDrift as exc:
+                rejected = True
+                assert exc.max_real_part == float(max_real)
+            assert rejected == (not stable)
+            decaying_but_rejected += bool(rejected and max_real < 0)
+        assert decaying_but_rejected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_residual_bound_random_stable_systems(self, seed):
@@ -86,6 +115,10 @@ class TestSolveLyapunov:
         assert np.array_equal(cov, cov.T)
         scale = max(1.0, np.linalg.norm(diffusion))
         assert lyapunov_residual(drift, cov, diffusion) <= 1e-10 * scale
+        # the stacked residual is the per-matrix one, element by element
+        stacked = lyapunov_residual(drift[None], cov[None], diffusion[None])
+        assert stacked.shape == (1,)
+        assert stacked[0] == lyapunov_residual(drift, cov, diffusion)
 
 
 class TestSymplecticEigenvalues:

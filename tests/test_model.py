@@ -11,13 +11,13 @@ from magnonsteer import (
     assert_stable,
     build_diffusion,
     build_drift,
-    build_drift_diffusion,
     default_params,
     derive,
     effective_coupling,
     optomagnonic_coupling,
     params_from_dict,
     params_from_json,
+    run_point,
     steady_state_covariance,
     thermal_occupation,
 )
@@ -134,6 +134,18 @@ class TestDerive:
         params = default_params(epsilon=0.6, theta=0.0)
         with pytest.warns(UserWarning, match="feedback damping"):
             derive(params)
+
+    def test_negative_feedback_damping_can_still_have_a_steady_state(self):
+        # k_fb < 0, yet the drift passes the Hurwitz gate: the warning names
+        # the damping and leaves the verdict to the gate
+        params = default_params(epsilon=0.5475, theta=5.8686, temperature=0.045,
+                                g_q_ratio=2.94)
+        with pytest.warns(UserWarning, match="feedback damping") as record:
+            assert derive(params).k_fb < 0
+            result = run_point(params)
+        assert result.status == "ok"
+        assert result.min_symplectic_eig > 0.5
+        assert all("no steady state" not in str(w.message) for w in record)
 
 
 class TestBuildDrift:
@@ -270,8 +282,7 @@ class TestInputOutputMode:
 
 class TestStability:
     def test_default_point_is_stable(self):
-        pair = build_drift_diffusion(default_params(epsilon=0.0))
-        assert_stable(pair.drift)
+        assert_stable(build_drift(default_params(epsilon=0.0)))
 
     def test_identity_drift_is_stable(self):
         assert_stable(-np.eye(6))

@@ -8,19 +8,27 @@ from magnonsteer import (
     Axis,
     NoCrossing,
     NonMonotone,
+    SingularSystem,
     SpecError,
     SweepSpec,
     UnknownPreset,
+    UnstableDrift,
+    build_diffusion,
+    build_drift,
     default_params,
+    derive,
     effective_coupling,
     find_threshold,
     format_csv,
     preset,
     run_point,
     run_sweep,
+    solve_lyapunov,
     spec_from_dict,
+    steady_state_covariance,
 )
-from magnonsteer.sweep import PRESET_IDS, PointResult, grid_points
+from magnonsteer.gaussian import STABILITY_TOL, hurwitz_gate
+from magnonsteer.sweep import PRESET_IDS, grid_points
 import magnonsteer.sweep as sweep_module
 
 
@@ -68,6 +76,59 @@ class TestRunPoint:
         assert result.status == "unstable"
         assert result.report is None
         assert result.max_real_part > 0
+
+
+class TestOneSteadyStatePath:
+    def test_run_point_unstable_exactly_where_solve_lyapunov_is(self):
+        # find the reflectivity at theta = 0 where the drift crosses the
+        # Hurwitz gate's margin, then step across it by a fifth of the margin
+        def past_margin(epsilon):
+            drift = build_drift(default_params(epsilon=epsilon, theta=0.0))
+            max_real, _ = hurwitz_gate(drift)
+            return max_real + STABILITY_TOL * np.linalg.norm(drift) >= 0
+
+        lo, hi = 0.45, 0.5
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if past_margin(mid) else (mid, hi)
+        seen = set()
+        for step in range(-4, 7):
+            params = default_params(epsilon=lo + step * 0.5e-9, theta=0.0)
+            derived = derive(params)
+            drift = build_drift(params, derived)
+            max_real, stable = hurwitz_gate(drift)
+            try:
+                solve_lyapunov(drift, build_diffusion(params, derived))
+                solved = "ok"
+            except UnstableDrift:
+                solved = "unstable"
+            except SingularSystem:
+                solved = "singular"
+            try:
+                status = run_point(params).status
+            except SingularSystem:
+                status = "singular"
+            assert status == solved
+            assert (solved == "unstable") == (not stable)
+            seen.add((solved, bool(max_real < 0)))
+        assert ("unstable", True) in seen  # decaying, but inside the margin
+        assert ("unstable", False) in seen
+        assert any(solved != "unstable" for solved, _ in seen)
+
+    @pytest.mark.filterwarnings("ignore:feedback damping is non-positive")
+    def test_steady_state_covariance_is_the_pipeline_covariance(self):
+        rng = np.random.default_rng(11)
+        points = [default_params(epsilon=float(rng.uniform(0.0, 0.95)),
+                                 theta=float(rng.uniform(0.0, 2.0 * math.pi)),
+                                 temperature=float(rng.uniform(0.0, 1.0)),
+                                 g_q_ratio=float(rng.uniform(0.5, 3.0)),
+                                 diffusion_mode=("paper", "consistent", "input_output")[k % 3])
+                  for k in range(60)]
+        _, stable, cov, _, _ = sweep_module._steady_states(points)
+        solved = [params for params, ok in zip(points, stable) if ok]
+        assert len(solved) >= 30
+        for params, expected in zip(solved, cov):
+            assert np.array_equal(steady_state_covariance(params), expected)
 
 
 class TestAxisAndSpec:
@@ -224,15 +285,11 @@ class TestFindThreshold:
     def test_revival_raises_nonmonotone(self, monkeypatch):
         profile = {0.0: 1.0, 0.1: 0.0, 0.2: 1.0, 0.3: 0.0}
 
-        def fake_run_point(params):
-            report = run_point(default_params(epsilon=0.0)).report
-            value = profile[round(params.temperature, 3)]
-            patched = dict(report.ln_pairs, qm=value)
-            object.__setattr__(report, "ln_pairs", patched)
-            return PointResult(status="ok", report=report,
-                               lyap_residual=0.0, min_symplectic_eig=0.5)
+        def fake_evaluate_blocks(points, outputs):
+            for params in points:
+                yield -1.0, (profile[round(params.temperature, 3)], 0.0, 0.5)
 
-        monkeypatch.setattr(sweep_module, "run_point", fake_run_point)
+        monkeypatch.setattr(sweep_module, "_evaluate_blocks", fake_evaluate_blocks)
         spec = SweepSpec(base=default_params(epsilon=0.0),
                          axis1=Axis("temperature", 0.0, 0.3, 4),
                          outputs=("LN_qm",))
