@@ -22,7 +22,6 @@ from .errors import (
 )
 from .gaussian import (
     Bipartition,
-    CovarianceMatrix,
     check_physicality,
     extract_submatrix,
     lyapunov_residual,
@@ -30,21 +29,15 @@ from .gaussian import (
     schur_complement_steered,
     solve_lyapunov,
     symplectic_eigenvalues,
-    symplectic_form,
 )
 from .measures import (
     CorrelationReport,
     classify_steering,
-    contangle,
     correlation_report,
     gaussian_steering,
     log_negativity_1v2,
     log_negativity_2mode,
     log_negativity_2mode_pt,
-    min_residual_contangle,
-    residual_contangle,
-    steering_asymmetry,
-    steering_monogamy_residuals,
 )
 from .model import (
     DerivedQuantities,
@@ -79,7 +72,6 @@ __all__ = [
     "Axis",
     "Bipartition",
     "CorrelationReport",
-    "CovarianceMatrix",
     "DegenerateDenominator",
     "DerivedQuantities",
     "MagnonSteerError",
@@ -101,7 +93,6 @@ __all__ = [
     "build_drift",
     "check_physicality",
     "classify_steering",
-    "contangle",
     "correlation_report",
     "default_params",
     "derive",
@@ -114,22 +105,17 @@ __all__ = [
     "log_negativity_2mode",
     "log_negativity_2mode_pt",
     "lyapunov_residual",
-    "min_residual_contangle",
     "optomagnonic_coupling",
     "params_from_dict",
     "params_from_json",
     "partial_transpose",
     "preset",
-    "residual_contangle",
     "run_point",
     "run_sweep",
     "schur_complement_steered",
     "solve_lyapunov",
     "spec_from_dict",
     "steady_state_covariance",
-    "steering_asymmetry",
-    "steering_monogamy_residuals",
     "symplectic_eigenvalues",
-    "symplectic_form",
     "thermal_occupation",
 ]

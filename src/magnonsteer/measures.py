@@ -24,7 +24,6 @@ from .errors import NegativeDiscriminant
 from .gaussian import (
     Bipartition,
     VACUUM_VARIANCE,
-    extract_submatrix,
     partial_transpose,
     quadrature_indices,
     schur_complement_steered,
@@ -108,36 +107,6 @@ def log_negativity_1v2(cov6: np.ndarray, pivot: int):
     return _log_negativity_transposed(partial_transpose(v, [pivot]))
 
 
-def contangle(log_negativity: float) -> float:
-    """Squared logarithmic negativity, the continuous-variable tangle."""
-    if log_negativity < 0:
-        raise ValueError("logarithmic negativity must be non-negative")
-    return log_negativity**2
-
-
-def residual_contangle(cov6: np.ndarray, pivot: int) -> float:
-    """Tripartite residual C_{i|jk} - C_{i|j} - C_{i|k} for one pivot mode.
-
-    May be negative; its sign is the monogamy statement itself.
-    """
-    others = [m for m in range(3) if m != pivot]
-    c_one_two = contangle(log_negativity_1v2(cov6, pivot))
-    c_pairs = 0.0
-    for other in others:
-        pair = sorted((pivot, other))
-        sub = extract_submatrix(cov6, pair)
-        c_pairs += contangle(log_negativity_2mode(sub))
-    return c_one_two - c_pairs
-
-
-def min_residual_contangle(cov6: np.ndarray) -> float:
-    """Minimum residual contangle over the three pivots.
-
-    A strictly positive value witnesses genuine tripartite entanglement.
-    """
-    return min(residual_contangle(cov6, pivot) for pivot in range(3))
-
-
 def gaussian_steering(cov: np.ndarray, split: Bipartition):
     """Steerability of party_b by Gaussian measurements on party_a.
 
@@ -148,13 +117,6 @@ def gaussian_steering(cov: np.ndarray, split: Bipartition):
     nu = symplectic_eigenvalues(schur_complement_steered(cov, split), check_positive=False)
     logs = np.log(2.0 * nu, where=nu < VACUUM_VARIANCE, out=np.zeros_like(nu))
     return _clamp(-logs.sum(axis=-1))
-
-
-def steering_asymmetry(cov: np.ndarray, mode_a: int, mode_b: int) -> float:
-    """Absolute difference of the two directed steering measures of a pair."""
-    forward = gaussian_steering(cov, Bipartition((mode_a,), (mode_b,)))
-    backward = gaussian_steering(cov, Bipartition((mode_b,), (mode_a,)))
-    return abs(forward - backward)
 
 
 def classify_steering(g_ab: float, g_ba: float, tol: float = CLASS_TOL) -> str:
@@ -170,29 +132,6 @@ def classify_steering(g_ab: float, g_ba: float, tol: float = CLASS_TOL) -> str:
     if b_steers and not a_steers:
         return "one_way_ba"
     return "two_way_symmetric" if abs(g_ab - g_ba) <= tol else "two_way_asymmetric"
-
-
-def steering_monogamy_residuals(cov6: np.ndarray, pivot: int) -> tuple[float, float]:
-    """Monogamy residuals of the pivot mode against the remaining pair.
-
-    Returns (out_residual, in_residual):
-      out = G(pivot -> pair) - G(pivot -> i) - G(pivot -> j)
-      in  = G(pair -> pivot) - G(i -> pivot) - G(j -> pivot)
-    Both are returned signed; the caller decides on violation reporting.
-    """
-    i, j = (m for m in range(3) if m != pivot)
-    pair = (i, j)
-    out_res = (
-        gaussian_steering(cov6, Bipartition((pivot,), pair))
-        - gaussian_steering(cov6, Bipartition((pivot,), (i,)))
-        - gaussian_steering(cov6, Bipartition((pivot,), (j,)))
-    )
-    in_res = (
-        gaussian_steering(cov6, Bipartition(pair, (pivot,)))
-        - gaussian_steering(cov6, Bipartition((i,), (pivot,)))
-        - gaussian_steering(cov6, Bipartition((j,), (pivot,)))
-    )
-    return out_res, in_res
 
 
 # --- full report -------------------------------------------------------------
@@ -348,7 +287,7 @@ def _combine(key: str, base: dict[str, np.ndarray]):
     """One output column from the LN_ and G_ columns it is computed from."""
     if key in base:
         return base[key]
-    if key == "R_min":
+    if key == "R_min":  # positive: genuine tripartite entanglement
         return np.minimum.reduce([_combine(f"R_{p}", base) for p in MODE_LABELS])
     kind = key.partition("_")[0]
     first, *others = (base[src] for src in _sources(key))
@@ -356,9 +295,11 @@ def _combine(key: str, base: dict[str, np.ndarray]):
         return np.abs(first - others[0])
     if kind == "class":
         return [classify_steering(ab, ba) for ab, ba in zip(first.tolist(), others[0].tolist())]
-    if kind == "R":  # residual contangle: C_{i|jk} - C_{i|j} - C_{i|k}
+    if kind == "R":  # residual contangle C_{i|jk} - C_{i|j} - C_{i|k}, C = LN^2
         return first**2 - others[0]**2 - others[1]**2
-    return first - others[0] - others[1]  # steering monogamy residual
+    # steering monogamy residual G(i -> jk) - G(i -> j) - G(i -> k) (out) or
+    # G(jk -> i) - G(j -> i) - G(k -> i) (in); kept signed, like R_*
+    return first - others[0] - others[1]
 
 
 def measure_columns(covs: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:

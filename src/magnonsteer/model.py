@@ -26,8 +26,6 @@ SPEED_OF_LIGHT = 299792458.0  # m / s
 
 TWO_PI = 2.0 * math.pi
 
-MODE_LABELS = ("c", "q", "m")
-
 DIFFUSION_MODES = ("paper", "consistent", "input_output")
 
 
@@ -55,6 +53,9 @@ class SystemParams:
     diffusion_mode: str = "paper"
 
     def __post_init__(self):
+        for name in NUMERIC_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"parameter {name} must be finite")
         for name in ("omega_c", "omega_q", "B0", "gyromagnetic_ratio",
                      "kappa_c", "kappa_m", "gamma_q", "verdet",
                      "refractive_index", "spin_density", "sphere_radius"):
@@ -76,6 +77,9 @@ class SystemParams:
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
+
+
+NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "diffusion_mode")
 
 
 @dataclass(frozen=True)
@@ -287,7 +291,6 @@ def params_from_dict(document: dict) -> SystemParams:
         merged.pop("g_q_ratio")
     merged.update(document)
 
-    ratio = merged.pop("g_q_ratio", None)
     values = {}
     for key, raw in merged.items():
         if key == "diffusion_mode":
@@ -299,9 +302,10 @@ def params_from_dict(document: dict) -> SystemParams:
             raise SpecError(f"parameter {key} must be a number") from exc
         values[key] = val * TWO_PI if key in _HZ_KEYS else val
 
+    ratio = values.pop("g_q_ratio", None)
     if ratio is not None:
         base = SystemParams(g_q=0.0, **{k: v for k, v in values.items() if k != "g_q"})
-        values["g_q"] = float(ratio) * effective_coupling(base)
+        values["g_q"] = ratio * effective_coupling(base)
     return SystemParams(**values)
 
 

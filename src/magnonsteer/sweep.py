@@ -33,6 +33,7 @@ from .gaussian import (  # noqa: F401
 )
 from .measures import MEASURE_KEYS, CorrelationReport, correlation_report, measure_columns
 from .model import (  # noqa: F401
+    NUMERIC_FIELDS,
     SystemParams,
     assert_stable,
     build_diffusion,
@@ -51,10 +52,6 @@ DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
 
 PRESET_IDS = ("fig3a", "fig3b", "fig2", "fig5", "fig6", "fig10", "fig11")
 
-# every numeric SystemParams field can be swept; axis values are in the
-# internal units of the named field (the JSON Hz convention does not apply)
-SWEEPABLE = tuple(f.name for f in fields(SystemParams) if f.name != "diffusion_mode")
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -67,9 +64,11 @@ class Axis:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.param not in SWEEPABLE:
+        # every numeric SystemParams field can be swept; axis values are in the
+        # internal units of the named field (the JSON Hz convention does not apply)
+        if self.param not in NUMERIC_FIELDS:
             raise SpecError(f"cannot sweep over {self.param!r}; "
-                            f"choose one of {SWEEPABLE}")
+                            f"choose one of {NUMERIC_FIELDS}")
         if not isinstance(self.values, (list, tuple)):
             raise SpecError("axis values must be a list of numbers")
         object.__setattr__(self, "values",
@@ -142,9 +141,11 @@ class PointResult:
 def _steady_states(points: list[SystemParams]):
     """Derive and build each point, then gate, solve and check them stacked.
 
-    Returns the largest drift eigenvalue real part and the stability flag of
-    every point, and for the stable points, in order, their covariances,
-    Lyapunov residuals and smallest symplectic eigenvalues.
+    Returns the largest drift eigenvalue real part and the solved flag of
+    every point, and for the solved points, in order, their covariances,
+    Lyapunov residuals and smallest symplectic eigenvalues. A point is
+    solved if it passes the Hurwitz gate and its steady state meets the
+    residual bound; any other point is reported unstable.
     """
     drift = np.empty((len(points), 6, 6))
     diffusion = np.empty_like(drift)
@@ -153,7 +154,9 @@ def _steady_states(points: list[SystemParams]):
         drift[k] = build_drift(params, derived)
         diffusion[k] = build_diffusion(params, derived)
     max_real, stable = hurwitz_gate(drift)
-    cov, residual = solve_lyapunov_stack(drift[stable], diffusion[stable])
+    cov, residual, passed = solve_lyapunov_stack(drift[stable], diffusion[stable])
+    stable[stable] = passed
+    cov, residual = cov[passed], residual[passed]
     nu_min = symplectic_eigenvalues(cov, check_positive=False)[:, 0]
     return max_real, stable, cov, residual, nu_min
 
@@ -180,8 +183,9 @@ def _evaluate_blocks(points: list[SystemParams], outputs: tuple[str, ...]):
 def run_point(params: SystemParams) -> PointResult:
     """Derive, build, solve and measure one parameter point.
 
-    An unstable drift matrix is reported as a structured result with
-    status "unstable" rather than raised.
+    An unstable drift matrix, or a steady state that fails the residual
+    bound, is reported as a structured result with status "unstable" rather
+    than raised.
     """
     max_real, stable, cov, residual, nu_min = _steady_states([params])
     if not stable[0]:

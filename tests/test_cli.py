@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# parameter documents that are valid JSON (NaN and Infinity included) but
+# not valid parameters, with the parameter the error must name
+MALFORMED_PARAMS = [
+    ({"temperature": math.nan}, "temperature"),
+    ({"kappa_c": math.nan}, "kappa_c"),
+    ({"g_q": math.nan}, "g_q"),
+    ({"temperature": math.inf}, "temperature"),
+    ({"g_q_ratio": "x"}, "g_q_ratio"),
+]
 
 
 class TestSolve:
@@ -48,10 +60,12 @@ class TestSolve:
 
     def test_bad_params_exit_code(self, capsys, tmp_path):
         params = tmp_path / "params.json"
-        params.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run_cli(capsys, "solve", "--params", str(params))
-        assert code == 3
-        assert "unknown parameter keys" in err
+        for document, named in [({"bogus": 1}, "unknown parameter keys")] + MALFORMED_PARAMS:
+            params.write_text(json.dumps(document))
+            code, out, err = run_cli(capsys, "solve", "--params", str(params))
+            assert code == 3, document
+            assert out == "", document
+            assert err.startswith("error: ") and named in err, document
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--params", "/nonexistent.json")
@@ -93,7 +107,8 @@ class TestSweep:
         ({"axis1": {"param": "temperature", "values": 0.1}}, "axis values"),
         ({"outputs": "LN_qm"}, "outputs"),
         ({"base": [0.5]}, "parameter document"),
-    ])
+        ({"axis1": {"param": "temperature", "values": [0.0, math.nan]}}, "temperature"),
+    ] + [({"base": document}, named) for document, named in MALFORMED_PARAMS])
     def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
         document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
                               "count": 3},

@@ -3,7 +3,6 @@ import pytest
 
 from magnonsteer import (
     Bipartition,
-    CovarianceMatrix,
     NonPositiveInput,
     SingularBlock,
     SingularSystem,
@@ -17,13 +16,18 @@ from magnonsteer import (
     solve_lyapunov,
     steady_state_covariance,
     symplectic_eigenvalues,
-    symplectic_form,
 )
 from magnonsteer.analytic import analytic_covariance
-from magnonsteer.gaussian import STABILITY_TOL, hurwitz_gate, solve_lyapunov_stack
+from magnonsteer.gaussian import (
+    STABILITY_TOL,
+    _cached_symplectic_form,
+    hurwitz_gate,
+    solve_lyapunov_stack,
+)
 
 from _oracles import (
     direct_symplectic_spectrum,
+    omega,
     random_physical_cm,
     random_symplectic,
     tmsv_cm,
@@ -34,13 +38,10 @@ from _oracles import (
 class TestSymplecticForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_defining_relations(self, n):
-        omega = symplectic_form(n)
-        assert np.array_equal(omega @ omega, -np.eye(2 * n))
-        assert np.array_equal(omega.T, -omega)
-
-    def test_rejects_nonpositive_mode_count(self):
-        with pytest.raises(ValueError):
-            symplectic_form(0)
+        form = _cached_symplectic_form(n)
+        assert np.array_equal(form @ form, -np.eye(2 * n))
+        assert np.array_equal(form.T, -form)
+        assert np.array_equal(form, omega(n))
 
 
 class TestSolveLyapunov:
@@ -77,8 +78,8 @@ class TestSolveLyapunov:
         assert not hurwitz_gate(drift)[1]
         with pytest.raises(UnstableDrift):
             solve_lyapunov(drift, np.eye(6))
-        with pytest.raises(SingularSystem):
-            solve_lyapunov_stack(drift[None], np.eye(6)[None])
+        _, _, passed = solve_lyapunov_stack(drift[None], np.eye(6)[None])
+        assert not passed[0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unstable_exactly_where_the_gate_says(self, seed):
@@ -142,7 +143,7 @@ class TestSymplecticEigenvalues:
 
     def test_rejects_unpairable_spectrum(self):
         # a matrix whose i-Omega spectrum is real and unpaired
-        unpaired = symplectic_form(2).T @ np.diag([1.0, 2.0, 3.0, 4.0])
+        unpaired = omega(2).T @ np.diag([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError, match="pair"):
             symplectic_eigenvalues(unpaired, check_positive=False)
 
@@ -151,8 +152,7 @@ class TestSymplecticEigenvalues:
         rng = np.random.default_rng(100 + seed)
         cov = random_physical_cm(rng, 3)
         sympl = random_symplectic(rng, 3)
-        assert np.allclose(sympl @ symplectic_form(3) @ sympl.T,
-                           symplectic_form(3), atol=1e-10)
+        assert np.allclose(sympl @ omega(3) @ sympl.T, omega(3), atol=1e-10)
         before = symplectic_eigenvalues(cov)
         after = symplectic_eigenvalues(sympl @ cov @ sympl.T)
         assert np.allclose(before, after, atol=1e-10)
@@ -244,10 +244,6 @@ class TestBipartition:
         with pytest.raises(ValueError):
             Bipartition((0, 0), (1,))
 
-    def test_swapped(self):
-        split = Bipartition((0,), (1, 2))
-        assert split.swapped() == Bipartition((1, 2), (0,))
-
 
 class TestExtractSubmatrix:
     def test_all_modes_identity(self):
@@ -272,34 +268,6 @@ class TestExtractSubmatrix:
     def test_rejects_repeated_modes(self):
         with pytest.raises(ValueError):
             extract_submatrix(vacuum_cm(3), [0, 0])
-
-
-class TestCovarianceMatrix:
-    def test_labels_and_submatrix(self):
-        cov = CovarianceMatrix(steady_state_covariance(default_params(epsilon=0.0)),
-                               ("c", "q", "m"))
-        assert cov.n_modes == 3
-        assert cov.mode_index("m") == 2
-        sub = cov.submatrix(("q", "m"))
-        assert sub.mode_labels == ("q", "m")
-        assert np.array_equal(sub.matrix, extract_submatrix(cov.matrix, [1, 2]))
-
-    def test_submatrix_preserves_requested_order(self):
-        rng = np.random.default_rng(5)
-        cov = CovarianceMatrix(random_physical_cm(rng, 3), ("c", "q", "m"))
-        swapped = cov.submatrix(("m", "c"))
-        direct = extract_submatrix(cov.matrix, [2, 0])
-        assert np.array_equal(swapped.matrix, direct)
-        assert swapped.matrix[0, 0] == cov.matrix[4, 4]
-
-    def test_default_labels(self):
-        assert CovarianceMatrix(vacuum_cm(2)).mode_labels == ("m0", "m1")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CovarianceMatrix(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            CovarianceMatrix(vacuum_cm(2), ("a",))
 
 
 class TestCheckPhysicality:

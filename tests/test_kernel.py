@@ -18,11 +18,9 @@ from magnonsteer import (
     log_negativity_1v2,
     log_negativity_2mode,
     preset,
-    residual_contangle,
     run_point,
     run_sweep,
     steady_state_covariance,
-    steering_monogamy_residuals,
     symplectic_eigenvalues,
 )
 from magnonsteer.measures import MEASURE_KEYS, measure_columns
@@ -34,7 +32,11 @@ LABELS = "cqm"
 
 
 def reference_measures(cov: np.ndarray) -> dict:
-    """Every MEASURE_KEYS value of one covariance, from the per-matrix helpers."""
+    """Every MEASURE_KEYS value of one covariance, from the per-matrix helpers.
+
+    The derived measures (asymmetry, class, R_*, mono_*) are formed here from
+    these LN and G values, independently of the kernel's own combination.
+    """
     index = {lbl: k for k, lbl in enumerate(LABELS)}
 
     def modes(labels):
@@ -43,9 +45,12 @@ def reference_measures(cov: np.ndarray) -> dict:
     def rest(label):
         return "".join(lbl for lbl in LABELS if lbl != label)
 
+    def pair(a, b):
+        return "".join(sorted(a + b, key=LABELS.index))
+
     flat = {}
-    for pair in ("cq", "cm", "qm"):
-        flat[f"LN_{pair}"] = log_negativity_2mode(extract_submatrix(cov, modes(pair)))
+    for ab in ("cq", "cm", "qm"):
+        flat[f"LN_{ab}"] = log_negativity_2mode(extract_submatrix(cov, modes(ab)))
     for p in LABELS:
         flat[f"LN_{p}_{rest(p)}"] = log_negativity_1v2(cov, index[p])
         for party_a, party_b in ((p, rest(p)), (rest(p), p)):
@@ -53,12 +58,16 @@ def reference_measures(cov: np.ndarray) -> dict:
                 cov, Bipartition(modes(party_a), modes(party_b)))
         for q in rest(p):
             flat[f"G_{p}_to_{q}"] = gaussian_steering(cov, Bipartition(modes(p), modes(q)))
-        flat[f"R_{p}"] = residual_contangle(cov, index[p])
-        flat[f"mono_out_{p}"], flat[f"mono_in_{p}"] = steering_monogamy_residuals(cov, index[p])
     for a, b in ("cq", "cm", "qm"):
         g_ab, g_ba = flat[f"G_{a}_to_{b}"], flat[f"G_{b}_to_{a}"]
         flat[f"asym_{a}{b}"] = abs(g_ab - g_ba)
         flat[f"class_{a}{b}"] = classify_steering(g_ab, g_ba)
+    for p in LABELS:
+        i, j = rest(p)
+        flat[f"R_{p}"] = (flat[f"LN_{p}_{i}{j}"]**2 - flat[f"LN_{pair(p, i)}"]**2
+                          - flat[f"LN_{pair(p, j)}"]**2)
+        flat[f"mono_out_{p}"] = flat[f"G_{p}_to_{i}{j}"] - flat[f"G_{p}_to_{i}"] - flat[f"G_{p}_to_{j}"]
+        flat[f"mono_in_{p}"] = flat[f"G_{i}{j}_to_{p}"] - flat[f"G_{i}_to_{p}"] - flat[f"G_{j}_to_{p}"]
     flat["R_min"] = min(flat[f"R_{p}"] for p in LABELS)
     assert set(flat) == set(MEASURE_KEYS)
     return flat

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnonsteer import (
     Bipartition,
     NegativeDiscriminant,
     classify_steering,
-    contangle,
     correlation_report,
     default_params,
     extract_submatrix,
@@ -15,13 +15,9 @@ from magnonsteer import (
     log_negativity_1v2,
     log_negativity_2mode,
     log_negativity_2mode_pt,
-    min_residual_contangle,
-    residual_contangle,
     steady_state_covariance,
-    steering_asymmetry,
-    steering_monogamy_residuals,
 )
-from magnonsteer.measures import MEASURE_KEYS
+from magnonsteer.measures import CLASS_TOL, MEASURE_KEYS
 
 from _oracles import (
     UNPHYSICAL_4X4,
@@ -30,6 +26,24 @@ from _oracles import (
     tmsv_cm,
     vacuum_cm,
 )
+
+
+def flat_report(cov):
+    return correlation_report(cov).to_flat_dict()
+
+
+def tmsv_with_spectator(r):
+    """Two-mode squeezed vacuum of the first two modes, vacuum third mode."""
+    return np.block([
+        [tmsv_cm(r), np.zeros((4, 2))],
+        [np.zeros((2, 4)), vacuum_cm(1)],
+    ])
+
+
+R_KEYS = ("R_c", "R_q", "R_m", "R_min")
+MONO_KEYS = tuple(k for k in MEASURE_KEYS if k.startswith("mono_"))
+PAIRS = ("cq", "cm", "qm")
+
 
 class TestLogNegativityTwoMode:
     def test_vacuum_is_separable(self):
@@ -69,10 +83,7 @@ class TestLogNegativityOneVsTwo:
 
     def test_tmsv_with_spectator(self):
         r = 0.5
-        cov = np.block([
-            [tmsv_cm(r), np.zeros((4, 2))],
-            [np.zeros((2, 4)), vacuum_cm(1)],
-        ])
+        cov = tmsv_with_spectator(r)
         assert log_negativity_1v2(cov, 0) == pytest.approx(2 * r, abs=1e-12)
         assert log_negativity_1v2(cov, 2) == 0.0
 
@@ -81,38 +92,22 @@ class TestLogNegativityOneVsTwo:
         assert log_negativity_1v2(cov, 2) > 0
 
 
-class TestContangle:
-    def test_values(self):
-        assert contangle(0.0) == 0.0
-        assert contangle(1.0) == 1.0
-        r = 0.3
-        assert contangle(log_negativity_2mode(tmsv_cm(r))) == pytest.approx(
-            4 * r**2, abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            contangle(-0.1)
-
-
 class TestResidualContangle:
     def test_vacuum(self):
-        for pivot in range(3):
-            assert residual_contangle(vacuum_cm(3), pivot) == 0.0
-        assert min_residual_contangle(vacuum_cm(3)) == 0.0
+        flat = flat_report(vacuum_cm(3))
+        for key in R_KEYS:
+            assert flat[key] == 0.0
 
     def test_bipartite_only_state_has_no_residual(self):
-        cov = np.block([
-            [tmsv_cm(0.5), np.zeros((4, 2))],
-            [np.zeros((2, 4)), vacuum_cm(1)],
-        ])
-        for pivot in range(3):
-            assert residual_contangle(cov, pivot) == pytest.approx(0.0, abs=1e-9)
+        flat = flat_report(tmsv_with_spectator(0.5))
+        for key in R_KEYS:
+            assert flat[key] == pytest.approx(0.0, abs=1e-9)
 
     def test_monogamy_holds_without_feedback(self):
         for temperature in (0.0, 0.05, 0.3):
             cov = steady_state_covariance(
                 default_params(epsilon=0.0, temperature=temperature))
-            assert min_residual_contangle(cov) >= -1e-10
+            assert flat_report(cov)["R_min"] >= -1e-10
 
 
 class TestGaussianSteering:
@@ -138,10 +133,7 @@ class TestGaussianSteering:
                 brute_steering(cov, *split), abs=1e-10)
 
     def test_spectator_mode_does_not_contribute(self):
-        cov = np.block([
-            [tmsv_cm(0.5), np.zeros((4, 2))],
-            [np.zeros((2, 4)), vacuum_cm(1)],
-        ])
+        cov = tmsv_with_spectator(0.5)
         one_to_one = gaussian_steering(cov, Bipartition((0,), (1,)))
         one_to_two = gaussian_steering(cov, Bipartition((0,), (1, 2)))
         assert one_to_two == pytest.approx(one_to_one, abs=1e-12)
@@ -166,22 +158,27 @@ class TestGaussianSteering:
 
 class TestSteeringAsymmetry:
     def test_symmetric_tmsv(self):
-        assert steering_asymmetry(tmsv_cm(0.5), 0, 1) == 0.0
+        flat = flat_report(tmsv_with_spectator(0.5))
+        assert flat["G_c_to_q"] > 0
+        for pair in PAIRS:
+            assert flat[f"asym_{pair}"] == 0.0
 
     def test_equals_absolute_difference(self):
         rng = np.random.default_rng(77)
-        cov = random_physical_cm(rng, 2)
-        forward = gaussian_steering(cov, Bipartition((0,), (1,)))
-        backward = gaussian_steering(cov, Bipartition((1,), (0,)))
-        assert steering_asymmetry(cov, 0, 1) == pytest.approx(
-            abs(forward - backward), abs=1e-14)
+        cov = random_physical_cm(rng, 3)
+        flat = flat_report(cov)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            forward = gaussian_steering(cov, Bipartition((a,), (b,)))
+            backward = gaussian_steering(cov, Bipartition((b,), (a,)))
+            assert flat[f"asym_{'cqm'[a]}{'cqm'[b]}"] == pytest.approx(
+                abs(forward - backward), abs=1e-14)
 
     def test_bounded_by_ln_two_without_feedback(self):
         for temperature in (0.0, 0.1, 0.3):
-            cov = steady_state_covariance(
-                default_params(epsilon=0.0, temperature=temperature))
-            for a, b in ((0, 1), (0, 2), (1, 2)):
-                assert steering_asymmetry(cov, a, b) <= math.log(2) + 1e-9
+            flat = flat_report(steady_state_covariance(
+                default_params(epsilon=0.0, temperature=temperature)))
+            for pair in PAIRS:
+                assert flat[f"asym_{pair}"] <= math.log(2) + 1e-9
 
 
 class TestClassifySteering:
@@ -203,24 +200,23 @@ class TestClassifySteering:
 
 class TestSteeringMonogamy:
     def test_vacuum(self):
-        for pivot in range(3):
-            assert steering_monogamy_residuals(vacuum_cm(3), pivot) == (0.0, 0.0)
+        flat = flat_report(vacuum_cm(3))
+        for key in MONO_KEYS:
+            assert flat[key] == 0.0
 
     def test_holds_without_feedback(self):
         for temperature in (0.0, 0.1, 0.4):
-            cov = steady_state_covariance(
-                default_params(epsilon=0.0, temperature=temperature))
-            for pivot in range(3):
-                out_res, in_res = steering_monogamy_residuals(cov, pivot)
-                assert out_res >= -1e-10
-                assert in_res >= -1e-10
+            flat = flat_report(steady_state_covariance(
+                default_params(epsilon=0.0, temperature=temperature)))
+            for key in MONO_KEYS:
+                assert flat[key] >= -1e-10
 
     def test_trivial_at_high_temperature(self):
-        cov = steady_state_covariance(
+        flat = flat_report(steady_state_covariance(
             default_params(epsilon=0.86, temperature=10.0,
-                           diffusion_mode="consistent"))
-        for pivot in range(3):
-            assert steering_monogamy_residuals(cov, pivot) == (0.0, 0.0)
+                           diffusion_mode="consistent")))
+        for key in MONO_KEYS:
+            assert flat[key] == 0.0
 
 
 class TestCorrelationReport:
@@ -235,7 +231,7 @@ class TestCorrelationReport:
         assert flat["LN_qm"] == log_negativity_2mode(extract_submatrix(cov, [1, 2]))
         assert flat["G_q_to_c"] == gaussian_steering(cov, Bipartition((1,), (0,)))
         assert flat["G_qm_to_c"] == gaussian_steering(cov, Bipartition((1, 2), (0,)))
-        assert flat["R_min"] == min_residual_contangle(cov)
+        assert flat["R_min"] == min(flat["R_c"], flat["R_q"], flat["R_m"])
         assert flat["class_qm"] in ("no_way", "one_way_ab", "one_way_ba",
                                     "two_way_asymmetric", "two_way_symmetric")
 
@@ -244,12 +240,22 @@ class TestCorrelationReport:
         rng = np.random.default_rng(300 + seed)
         cov = random_physical_cm(rng, 3)
         flat = correlation_report(cov).to_flat_dict()
+
+        def ln(*modes):
+            return log_negativity_2mode(extract_submatrix(cov, sorted(modes)))
+
+        def g(party_a, party_b):
+            return gaussian_steering(cov, Bipartition(party_a, party_b))
+
         for pivot, label in enumerate("cqm"):
-            out_res, in_res = steering_monogamy_residuals(cov, pivot)
+            i, j = (m for m in range(3) if m != pivot)
+            # contangle C = LN^2: R_i = C_{i|jk} - C_{i|j} - C_{i|k}
+            residual = log_negativity_1v2(cov, pivot)**2 - ln(pivot, i)**2 - ln(pivot, j)**2
+            out_res = g((pivot,), (i, j)) - g((pivot,), (i,)) - g((pivot,), (j,))
+            in_res = g((i, j), (pivot,)) - g((i,), (pivot,)) - g((j,), (pivot,))
             assert flat[f"mono_out_{label}"] == pytest.approx(out_res, abs=1e-14)
             assert flat[f"mono_in_{label}"] == pytest.approx(in_res, abs=1e-14)
-            assert flat[f"R_{label}"] == pytest.approx(
-                residual_contangle(cov, pivot), abs=1e-14)
+            assert flat[f"R_{label}"] == pytest.approx(residual, abs=1e-14)
 
     def test_mode_relabelling_covariance(self):
         # permuting the modes of the state and renaming the measures must agree
@@ -275,3 +281,20 @@ class TestCorrelationReport:
     def test_zero_clamp(self):
         barely = tmsv_cm(1e-13)
         assert log_negativity_2mode(barely) == 0.0
+
+
+class TestUniversalBounds:
+    """Criterion 7's bounds on random physical three-mode states."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), nu_max=st.floats(0.5, 4.0))
+    def test_physical_states_obey_the_bounds(self, seed, nu_max):
+        cov = random_physical_cm(np.random.default_rng(seed), 3, nu_max)
+        flat = flat_report(cov)
+        for pair in PAIRS:
+            a, b = pair
+            assert flat[f"asym_{pair}"] <= math.log(2) + 1e-9
+            if max(flat[f"G_{a}_to_{b}"], flat[f"G_{b}_to_{a}"]) > CLASS_TOL:
+                assert flat[f"LN_{pair}"] > 0
+        for key in MONO_KEYS:
+            assert flat[key] >= -1e-10

@@ -104,11 +104,10 @@ class TestOneSteadyStatePath:
                 solved = "unstable"
             except SingularSystem:
                 solved = "singular"
-            try:
-                status = run_point(params).status
-            except SingularSystem:
-                status = "singular"
-            assert status == solved
+            # a steady state that fails the residual bound is a row status,
+            # where solve_lyapunov raises
+            status = run_point(params).status
+            assert status == ("unstable" if solved == "singular" else solved)
             assert (solved == "unstable") == (not stable)
             seen.add((solved, bool(max_real < 0)))
         assert ("unstable", True) in seen  # decaying, but inside the margin
@@ -222,6 +221,27 @@ class TestRunSweep:
         assert rows[-1]["status"] == "unstable"
         assert rows[-1]["LN_qm"] is None
         assert rows[0]["status"] == "ok"
+
+    def test_failed_residual_bound_is_an_unstable_row(self):
+        # the last point passes the Hurwitz gate by a hair, and its steady
+        # state misses the residual bound; the other rows are unaffected
+        spec = SweepSpec(base=default_params(theta=0.0),
+                         axis1=Axis("epsilon", values=(0.1, 0.2, 0.4947298263)),
+                         outputs=("LN_qm",))
+        rows = run_sweep(spec)
+        assert [row["status"] for row in rows] == ["ok", "ok", "unstable"]
+        assert rows[0]["LN_qm"] > 0 and rows[1]["LN_qm"] > 0
+        assert rows[2]["LN_qm"] is None and rows[2]["lyap_residual"] is None
+        params = grid_points(spec)[2]
+        derived = derive(params)
+        drift = build_drift(params, derived)
+        max_real, stable = hurwitz_gate(drift)
+        assert stable
+        result = run_point(params)
+        assert result.status == "unstable"
+        assert result.max_real_part == float(max_real) < 0
+        with pytest.raises(SingularSystem, match="residual bound"):
+            solve_lyapunov(drift, build_diffusion(params, derived))
 
     def test_deterministic_across_runs(self):
         spec = small_spec(count=6)
