@@ -10,10 +10,10 @@ from .analytic import analytic_covariance
 from .errors import (
     DegenerateDenominator,
     MagnonSteerError,
-    NegativeDiscriminant,
     NoCrossing,
     NonMonotone,
     NonPositiveInput,
+    NotPhaseCovariant,
     SingularBlock,
     SingularSystem,
     SpecError,
@@ -21,23 +21,14 @@ from .errors import (
     UnstableDrift,
 )
 from .gaussian import (
-    Bipartition,
     check_physicality,
-    extract_submatrix,
     lyapunov_residual,
-    partial_transpose,
-    schur_complement_steered,
     solve_lyapunov,
-    symplectic_eigenvalues,
 )
 from .measures import (
     CorrelationReport,
     classify_steering,
     correlation_report,
-    gaussian_steering,
-    log_negativity_1v2,
-    log_negativity_2mode,
-    log_negativity_2mode_pt,
 )
 from .model import (
     DerivedQuantities,
@@ -70,15 +61,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "Bipartition",
     "CorrelationReport",
     "DegenerateDenominator",
     "DerivedQuantities",
     "MagnonSteerError",
-    "NegativeDiscriminant",
     "NoCrossing",
     "NonMonotone",
     "NonPositiveInput",
+    "NotPhaseCovariant",
     "PointResult",
     "SingularBlock",
     "SingularSystem",
@@ -97,25 +87,17 @@ __all__ = [
     "default_params",
     "derive",
     "effective_coupling",
-    "extract_submatrix",
     "find_threshold",
     "format_csv",
-    "gaussian_steering",
-    "log_negativity_1v2",
-    "log_negativity_2mode",
-    "log_negativity_2mode_pt",
     "lyapunov_residual",
     "optomagnonic_coupling",
     "params_from_dict",
     "params_from_json",
-    "partial_transpose",
     "preset",
     "run_point",
     "run_sweep",
-    "schur_complement_steered",
     "solve_lyapunov",
     "spec_from_dict",
     "steady_state_covariance",
-    "symplectic_eigenvalues",
     "thermal_occupation",
 ]

@@ -63,6 +63,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload = result.to_flat_dict()
     if result.status != "ok":
         payload["max_real_part"] = result.max_real_part
+        payload["reason"] = result.reason
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if result.status == "ok" else EXIT_UNSTABLE
 
@@ -181,7 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UnstableDrift as exc:
-        print(json.dumps({"status": "unstable", "max_real_part": exc.max_real_part}),
+        print(json.dumps({"status": "unstable", "max_real_part": exc.max_real_part,
+                          "reason": exc.reason}),
               file=sys.stderr)
         return EXIT_UNSTABLE
     except MagnonSteerError as exc:

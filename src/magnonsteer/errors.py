@@ -6,17 +6,20 @@ class MagnonSteerError(Exception):
 
 
 class UnstableDrift(MagnonSteerError):
-    """The drift matrix is not Hurwitz-stable, no steady state exists.
+    """No steady state was accepted at this point.
 
-    Carries the largest eigenvalue real part in ``max_real_part``.
+    Carries the largest drift eigenvalue real part in ``max_real_part`` and
+    the check that rejected the point in ``reason``: "gate" if the drift is
+    not safely Hurwitz-stable, "residual" if its steady state failed the
+    residual bound.
     """
 
-    def __init__(self, max_real_part: float):
+    def __init__(self, max_real_part: float, reason: str = "gate"):
         self.max_real_part = max_real_part
-        super().__init__(
-            f"drift matrix is not Hurwitz-stable "
-            f"(max eigenvalue real part {max_real_part:.6e})"
-        )
+        self.reason = reason
+        what = ("drift matrix is not Hurwitz-stable" if reason == "gate"
+                else "steady-state solve failed the residual bound")
+        super().__init__(f"{what} (max eigenvalue real part {max_real_part:.6e})")
 
 
 class SingularSystem(MagnonSteerError):
@@ -31,8 +34,8 @@ class SingularBlock(MagnonSteerError):
     """A block that must be inverted is numerically singular."""
 
 
-class NegativeDiscriminant(MagnonSteerError):
-    """The two-mode symplectic discriminant is negative: unphysical input."""
+class NotPhaseCovariant(MagnonSteerError):
+    """A covariance couples the x' and p' quadratures, so its blocks do not split."""
 
 
 class DegenerateDenominator(MagnonSteerError):

@@ -1,62 +1,46 @@
-"""Symplectic linear algebra for Gaussian states in the vacuum-1/2 convention.
+"""Linear algebra for the phase-covariant three-mode Gaussian states of the model.
 
-Quadratures are ordered (X_1, Y_1, X_2, Y_2, ...) with X = (a + a^dag)/sqrt(2),
-so every physical covariance matrix has symplectic eigenvalues >= 1/2. All
-matrices are dense row-major 2n x 2n arrays of 64-bit floats.
+Quadratures are ordered (X_c, Y_c, X_q, Y_q, X_m, Y_m) with X = (a + a^dag)/sqrt(2),
+so every physical covariance matrix has symplectic eigenvalues >= 1/2.
+
+The model's drift and diffusion never couple x' = (X_c, Y_q, Y_m) with
+p' = (Y_c, -X_q, -X_m), and (x'_k, p'_k) is a canonical pair of mode k. Every
+steady state is therefore a direct sum of two real symmetric 3x3 blocks, V_x
+on x' and V_p on p'. A stack of N block pairs is stored as one array
+(N, 2, ..., n, n), V_x before V_p. The symplectic eigenvalues are the
+singular values of B^T T A, with A and B the Cholesky factors of V_x and
+V_p and T = I; partially transposing mode k flips the sign of its x' or p'
+quadrature, which puts -1 at position k of the diagonal of T either way.
+No route here forms nu^2, whose rounding error is far larger than nu's at
+the sub-vacuum states of the model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .errors import NonPositiveInput, SingularBlock, SingularSystem, UnstableDrift
+from .errors import NonPositiveInput, NotPhaseCovariant, SingularSystem, UnstableDrift
 
 VACUUM_VARIANCE = 0.5
 
 PHYSICALITY_TOL = 1e-10
 LYAPUNOV_RESIDUAL_TOL = 1e-10
-PAIRING_TOL = 1e-9
 CONDITION_CUTOFF = 1e12
+
+# Largest x'p' entry of a covariance accepted as roundoff, relative to its
+# largest entry
+PHASE_COVARIANCE_TOL = 1e-12
 
 # Stability margin relative to ||Q||_F, scale-free across rad/s magnitudes
 STABILITY_TOL = 1e-9
 
-
-@lru_cache(maxsize=None)
-def _cached_symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2n x 2n symplectic form, a direct sum of [[0, 1], [-1, 0]]; read-only."""
-    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    omega.setflags(write=False)
-    return omega
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """An ordered split of mode indices into a steering and a steered party."""
-
-    party_a: tuple[int, ...]
-    party_b: tuple[int, ...]
-
-    def __post_init__(self):
-        a, b = tuple(self.party_a), tuple(self.party_b)
-        object.__setattr__(self, "party_a", a)
-        object.__setattr__(self, "party_b", b)
-        if not a or not b:
-            raise ValueError("both parties must be non-empty")
-        if len(set(a)) != len(a) or len(set(b)) != len(b):
-            raise ValueError("repeated mode index within a party")
-        if set(a) & set(b):
-            raise ValueError("parties must be disjoint")
-        if any(i < 0 for i in a + b):
-            raise ValueError("mode indices must be non-negative")
-
-
-def quadrature_indices(modes) -> list[int]:
-    """Row/column indices of the (X, Y) pairs for the given mode indices."""
-    return [q for m in modes for q in (2 * m, 2 * m + 1)]
+# Rows of x' and p' in the quadrature ordering, and the signs of p'
+_X_ROWS = np.array([0, 3, 5])
+_P_ROWS = np.array([1, 2, 4])
+_ROWS = np.array([_X_ROWS, _P_ROWS])[:, :, None]
+_COLS = _ROWS.swapaxes(-1, -2)
+_SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
+_SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
 
 
 def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +89,11 @@ def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray)
                           axis=(-2, -1))
 
 
+def residual_bound(diffusion: np.ndarray):
+    """The largest accepted Lyapunov residual, LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F)."""
+    return LYAPUNOV_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(diffusion, axis=(-2, -1)))
+
+
 def solve_lyapunov_stack(drift: np.ndarray,
                          diffusion: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve Q V + V Q^T = -D for each of (N, n, n) drifts already known to be stable.
@@ -112,8 +101,8 @@ def solve_lyapunov_stack(drift: np.ndarray,
     Uses the Kronecker vectorisation (I (x) Q + Q (x) I) vec(V) = -vec(D),
     exact for the small dense systems handled here, in one solve for the
     whole stack. Each output is symmetrised and its residual checked against
-    LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F). Returns the covariances, their
-    residuals ||Q V + V Q^T + D||_F and whether each meets the bound.
+    ``residual_bound``. Returns the covariances, their residuals
+    ||Q V + V Q^T + D||_F and whether each meets the bound.
 
     Raises
     ------
@@ -135,98 +124,75 @@ def solve_lyapunov_stack(drift: np.ndarray,
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
 
     residual = lyapunov_residual(q, cov, d)
-    scale = np.maximum(1.0, np.linalg.norm(d, axis=(-2, -1)))
-    return cov, residual, residual <= LYAPUNOV_RESIDUAL_TOL * scale
+    return cov, residual, residual <= residual_bound(d)
 
 
-def symplectic_eigenvalues(cov: np.ndarray, check_positive: bool = True) -> np.ndarray:
-    """Symplectic spectrum of a 2n x 2n symmetric matrix, ascending.
+def split_blocks(matrix: np.ndarray) -> np.ndarray:
+    """The x' and p' diagonal blocks of (..., 6, 6) matrices, as (..., 2, 3, 3).
 
-    Computed as the absolute values of the eigenvalues of i Omega V, which
-    come in +/- pairs; each pair is averaged. With ``check_positive=False``
-    the input may be an unphysical partial-transpose matrix. A stack of
-    matrices (..., 2n, 2n) gives one spectrum per matrix in one eigen-solve.
+    Reads only those blocks: use ``covariance_blocks`` for a covariance that
+    is not known to be phase-covariant.
     """
-    v = np.asarray(cov, dtype=float)
-    n = v.shape[-1] // 2
-    if check_positive:
-        try:
-            np.linalg.cholesky(v)
-        except np.linalg.LinAlgError as exc:
-            raise NonPositiveInput("matrix is not positive definite") from exc
-    eigs = np.linalg.eigvals(1j * _cached_symplectic_form(n) @ v)
-    mags = np.sort(np.abs(eigs), axis=-1)
-    pairs = mags.reshape(mags.shape[:-1] + (n, 2))
-    gaps = pairs[..., 1] - pairs[..., 0]
-    if np.any(gaps > PAIRING_TOL * np.maximum(1.0, pairs[..., 1])):
-        raise ValueError("failed to pair +/- symplectic eigenvalues")
-    return np.sort(0.5 * (pairs[..., 0] + pairs[..., 1]), axis=-1)
+    return np.asarray(matrix, dtype=float)[..., _ROWS, _COLS] * _SIGNS
 
 
-def partial_transpose(cov: np.ndarray, modes) -> np.ndarray:
-    """Sign-flip the Y quadrature of each listed mode: returns P V P.
-
-    The result is covariance-shaped but may be unphysical; that is the point
-    of the positivity-under-partial-transpose test.
-    """
-    v = np.asarray(cov, dtype=float)
-    n = v.shape[-1] // 2
-    _check_modes(modes, n)
-    flip = np.ones(2 * n)
-    for m in modes:
-        flip[2 * m + 1] = -1.0
-    return flip[:, None] * v * flip[None, :]
+def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The (..., 6, 6) matrices with blocks (..., 2, 3, 3) on x' and p', zero between."""
+    b = np.asarray(blocks, dtype=float)
+    out = np.zeros(b.shape[:-3] + (6, 6))
+    out[..., _ROWS, _COLS] = b * _SIGNS
+    return out
 
 
-def extract_submatrix(cov: np.ndarray, modes) -> np.ndarray:
-    """Rows and columns of the selected quadrature pairs, order preserved."""
-    v = np.asarray(cov, dtype=float)
-    n = v.shape[0] // 2
-    _check_modes(modes, n)
-    idx = quadrature_indices(modes)
-    return v[np.ix_(idx, idx)]
-
-
-def schur_complement_steered(cov: np.ndarray, split: Bipartition) -> np.ndarray:
-    """Conditional covariance of party_b after a Gaussian measurement on party_a.
-
-    Returns Y - Z^T X^-1 Z where X, Y, Z are the party_a, party_b and cross
-    blocks of the covariance matrix. A stack (..., 2n, 2n) gives one
-    conditional state per matrix, with one condition check and one solve.
+def covariance_blocks(cov: np.ndarray) -> np.ndarray:
+    """V_x and V_p of three-mode covariances (..., 6, 6), as (..., 2, 3, 3).
 
     Raises
     ------
-    SingularBlock
-        If a party_a block has condition number above CONDITION_CUTOFF.
+    NotPhaseCovariant
+        If an x'p' entry exceeds PHASE_COVARIANCE_TOL times the largest entry
+        of its matrix.
     """
     v = np.asarray(cov, dtype=float)
-    n = v.shape[-1] // 2
-    _check_modes(split.party_a + split.party_b, n)
-    ia = np.array(quadrature_indices(split.party_a))
-    ib = np.array(quadrature_indices(split.party_b))
-    x = v[..., ia[:, None], ia]
-    y = v[..., ib[:, None], ib]
-    z = v[..., ia[:, None], ib]
-    if np.any(np.linalg.cond(x) > CONDITION_CUTOFF):
-        raise SingularBlock("steering-party block is numerically singular")
-    comp = y - z.swapaxes(-1, -2) @ np.linalg.solve(x, z)
-    return 0.5 * (comp + comp.swapaxes(-1, -2))
+    if v.shape[-2:] != (6, 6):
+        raise ValueError("expected 6x6 three-mode covariance matrices")
+    cross = np.maximum(np.abs(v[..., _X_ROWS[:, None], _P_ROWS]),
+                       np.abs(v[..., _P_ROWS[:, None], _X_ROWS]))
+    scale = np.abs(v).max(axis=(-2, -1), initial=0.0)
+    if np.any(cross.max(axis=(-2, -1), initial=0.0) > PHASE_COVARIANCE_TOL * scale):
+        raise NotPhaseCovariant("covariance couples x' = (X_c, Y_q, Y_m) with "
+                                "p' = (Y_c, -X_q, -X_m)")
+    return split_blocks(v)
+
+
+def symplectic_spectrum(blocks: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
+    """Symplectic eigenvalues of a stack of block pairs (N, 2, ..., n, n), descending.
+
+    The singular values of B^T T A, with A and B the Cholesky factors of the
+    V_x and V_p blocks and T = diag(signs); ``signs`` (..., n) holds -1 at
+    each partially transposed mode and broadcasts against the stack. One
+    factorisation and one singular-value call serve the whole stack.
+
+    Raises
+    ------
+    NonPositiveInput
+        If a block is not positive definite.
+    """
+    try:
+        factors = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveInput("covariance block is not positive definite") from exc
+    bt = factors[:, 1].swapaxes(-1, -2)
+    if signs is not None:
+        bt = bt * signs[..., None, :]
+    return np.linalg.svd(bt @ factors[:, 0], compute_uv=False)
 
 
 def check_physicality(cov: np.ndarray) -> tuple[bool, float]:
-    """Whether the matrix is a physical state, plus its smallest symplectic eigenvalue.
+    """Whether a three-mode covariance is physical, plus its smallest symplectic eigenvalue.
 
     Physical means min symplectic eigenvalue >= 1/2 - PHYSICALITY_TOL,
     equivalent to V + i Omega / 2 >= 0.
     """
-    nu_min = float(symplectic_eigenvalues(cov, check_positive=False)[0])
+    nu_min = float(symplectic_spectrum(covariance_blocks(np.asarray(cov)[None]))[0, -1])
     return nu_min >= VACUUM_VARIANCE - PHYSICALITY_TOL, nu_min
-
-
-def _check_modes(modes, n_modes: int) -> None:
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("repeated mode index")
-    for m in modes:
-        if not 0 <= m < n_modes:
-            raise ValueError(f"mode index {m} out of range for {n_modes} modes")

@@ -7,10 +7,12 @@ sub-vacuum symplectic eigenvalues of the steered party's conditional state.
 Both carry the factor 2 of the vacuum-1/2 convention, so a vacuum gives
 exactly zero.
 
-The negativity and steering helpers take one matrix or a stack (..., 2n, 2n);
-a stack gives one value per matrix from one stacked call per linear-algebra
-step. ``measure_columns`` evaluates a block of three-mode covariances that way,
-and ``correlation_report`` is its one-matrix case.
+Every measure is computed on the phase-covariant blocks (V_x, V_p) of the
+state (see ``gaussian``): a partial transpose is a sign in
+``symplectic_spectrum``, and a conditional state is the Schur complement of
+each block. ``measure_blocks`` evaluates a stack of block pairs with one
+stacked call per split shape; ``measure_columns`` and ``correlation_report``
+split 6x6 covariances into blocks around it.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeDiscriminant
+from .errors import NonPositiveInput, SingularBlock
 from .gaussian import (
-    Bipartition,
+    CONDITION_CUTOFF,
     VACUUM_VARIANCE,
-    partial_transpose,
-    quadrature_indices,
-    schur_complement_steered,
-    symplectic_eigenvalues,
+    covariance_blocks,
+    symplectic_spectrum,
 )
 
 # measures below this are reported as exactly zero to stabilise classification
@@ -46,77 +46,8 @@ STEERING_CLASSES = (
 
 
 def _clamp(value):
-    """Zero below ZERO_CLAMP: a float for one value, an array for a stack."""
-    out = np.where(value < ZERO_CLAMP, 0.0, value)
-    return float(out) if out.ndim == 0 else out
-
-
-def _log_negativity_transposed(transposed: np.ndarray):
-    """max[0, -ln 2 nu~] from partially transposed matrices (..., 2n, 2n)."""
-    nu = symplectic_eigenvalues(transposed, check_positive=False)
-    return _clamp(-np.log(2.0 * nu[..., 0]))
-
-
-def log_negativity_2mode(cov4: np.ndarray):
-    """Logarithmic negativity of a two-mode state from the closed discriminant.
-
-    Evaluates max[0, -ln 2 theta] with
-    theta = sqrt((sigma - sqrt(sigma^2 - 4 det V)) / 2),
-    sigma = det X + det Y - 2 det Z.
-
-    Raises
-    ------
-    NegativeDiscriminant
-        If sigma^2 < 4 det V beyond rounding, which signals an unphysical
-        input. In a stack, the first such matrix raises.
-    """
-    v = np.asarray(cov4, dtype=float)
-    if v.shape[-2:] != (4, 4):
-        raise ValueError("expected a 4x4 two-mode covariance matrix")
-    x, y, z = np.linalg.det(np.stack([v[..., :2, :2], v[..., 2:, 2:], v[..., :2, 2:]]))
-    sigma = x + y - 2.0 * z
-    disc = sigma**2 - 4.0 * np.linalg.det(v)
-    negative = disc < -1e-10 * np.maximum(1.0, sigma**2)
-    theta = np.sqrt(np.maximum((sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0, 0.0))
-    bad = np.ravel(negative | (theta <= 0.0))
-    if bad.any():
-        first = int(np.argmax(bad))
-        if np.ravel(negative)[first]:
-            raise NegativeDiscriminant(f"sigma^2 - 4 det V = {np.ravel(disc)[first]:.3e} < 0")
-        raise NegativeDiscriminant("smallest symplectic eigenvalue collapsed to zero")
-    return _clamp(-np.log(2.0 * theta))
-
-
-def log_negativity_2mode_pt(cov4: np.ndarray):
-    """Same quantity via the partial-transpose symplectic spectrum.
-
-    Independent code path used to cross-check log_negativity_2mode.
-    """
-    return _log_negativity_transposed(partial_transpose(cov4, [0]))
-
-
-def log_negativity_1v2(cov6: np.ndarray, pivot: int):
-    """One-versus-two-mode logarithmic negativity of a three-mode state.
-
-    The pivot mode is partially transposed and the smallest symplectic
-    eigenvalue of the resulting matrix enters max[0, -ln 2 nu~].
-    """
-    v = np.asarray(cov6, dtype=float)
-    if v.shape[-2:] != (6, 6):
-        raise ValueError("expected a 6x6 three-mode covariance matrix")
-    return _log_negativity_transposed(partial_transpose(v, [pivot]))
-
-
-def gaussian_steering(cov: np.ndarray, split: Bipartition):
-    """Steerability of party_b by Gaussian measurements on party_a.
-
-    max[0, -sum_j ln(2 nu_j)] over the symplectic eigenvalues nu_j < 1/2 of
-    the Schur complement of the steering party's block. Defined for 1->1,
-    1->2 and 2->1 splits alike.
-    """
-    nu = symplectic_eigenvalues(schur_complement_steered(cov, split), check_positive=False)
-    logs = np.log(2.0 * nu, where=nu < VACUUM_VARIANCE, out=np.zeros_like(nu))
-    return _clamp(-logs.sum(axis=-1))
+    """Zero below ZERO_CLAMP, elementwise."""
+    return np.where(value < ZERO_CLAMP, 0.0, value)
 
 
 def classify_steering(g_ab: float, g_ba: float, tol: float = CLASS_TOL) -> str:
@@ -221,30 +152,71 @@ _KEYS_BY_KIND = {kind: tuple(k for k in MEASURE_KEYS if k.partition("_")[0] == k
                  for kind in ("G", "asym", "class", "mono")}
 
 
-def _one_versus_two(subs: np.ndarray, keys) -> np.ndarray:
+def _negativity(subs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """max[0, -ln 2 nu~] of block pairs (N, 2, k, n, n), transposed by ``signs`` (k, n)."""
+    nu = symplectic_spectrum(subs, signs)[..., -1]
+    return _clamp(-np.log(2.0 * nu))
+
+
+def _pair_negativity(subs, keys):
+    """Two-mode negativities, the first mode of each pair transposed."""
+    return _negativity(subs, np.array([-1.0, 1.0]))
+
+
+def _one_versus_two(subs, keys):
     """One-versus-two negativities, the pivot of each slot's key transposed."""
-    flip = np.ones((len(keys), 6))
-    for slot, key in enumerate(keys):
-        flip[slot, 2 * MODE_LABELS.index(key[3]) + 1] = -1.0  # key is LN_<pivot>_<rest>
-    return _log_negativity_transposed(flip[:, :, None] * subs * flip[:, None, :])
+    # key is LN_<pivot>_<rest>
+    return _negativity(subs, np.array([[-1.0 if lbl == key[3] else 1.0 for lbl in MODE_LABELS]
+                                       for key in keys]))
 
 
-def _steering(split: Bipartition):
-    return lambda subs, keys: gaussian_steering(subs, split)
+def _steering(steering_modes: int):
+    """Steering of the last modes of each submatrix by its first ``steering_modes``.
+
+    The conditional state of the steered party is the Schur complement
+    Y - Z^T X^-1 Z of each block. One steered mode has the symplectic
+    eigenvalue sqrt(c_x c_p); two have ``symplectic_spectrum`` of the
+    conditional blocks.
+
+    Raises
+    ------
+    SingularBlock
+        If a steering party's blocks, taken together, have condition number
+        above CONDITION_CUTOFF.
+    NonPositiveInput
+        If a conditional block is not positive definite.
+    """
+    a = steering_modes
+
+    def compute(subs, keys):
+        x, z, y = subs[..., :a, :a], subs[..., :a, a:], subs[..., a:, a:]
+        sv = np.linalg.svd(x, compute_uv=False)
+        if np.any(sv.max(axis=(1, -1)) > CONDITION_CUTOFF * sv.min(axis=(1, -1))):
+            raise SingularBlock("steering-party block is numerically singular")
+        cond = y - z.swapaxes(-1, -2) @ np.linalg.solve(x, z)
+        if cond.shape[-1] == 1:
+            c = cond[..., 0, 0]
+            if np.any(c <= 0.0):
+                raise NonPositiveInput("conditional block is not positive definite")
+            nu = np.sqrt(c[:, 0] * c[:, 1])[..., None]
+        else:
+            nu = symplectic_spectrum(0.5 * (cond + cond.swapaxes(-1, -2)))
+        logs = np.log(2.0 * nu, where=nu < VACUUM_VARIANCE, out=np.zeros_like(nu))
+        return _clamp(-logs.sum(axis=-1))
+
+    return compute
 
 
 # The stacked calls of the kernel, in the order they run. Each maps its keys
 # to the modes of the submatrix it reads, in the order it reads them
 # (steering party first), and computes all of its keys in one call.
 _GROUPS = (
-    ({f"LN_{pair}": pair for pair in _PAIRS}, lambda subs, keys: log_negativity_2mode(subs)),
+    ({f"LN_{pair}": pair for pair in _PAIRS}, _pair_negativity),
     ({f"LN_{p}_{_rest(p)}": "cqm" for p in MODE_LABELS}, _one_versus_two),
     ({f"G_{a}_to_{b}": a + b for a in MODE_LABELS for b in MODE_LABELS if a != b},
-     _steering(Bipartition((0,), (1,)))),
-    ({f"G_{p}_to_{_rest(p)}": p + _rest(p) for p in MODE_LABELS},
-     _steering(Bipartition((0,), (1, 2)))),
-    ({f"G_{_rest(p)}_to_{p}": _rest(p) + p for p in MODE_LABELS},
-     _steering(Bipartition((0, 1), (2,)))),
+     _steering(1)),
+    ({f"G_{p}_to_{_rest(p)}": p + _rest(p) for p in MODE_LABELS}, _steering(1)),
+    ({f"G_{_rest(p)}_to_{p}": _rest(p) + p for p in MODE_LABELS}, _steering(2)),
 )
 
 
@@ -277,8 +249,7 @@ def _plan(outputs: tuple[str, ...]) -> tuple:
     for table, compute in _GROUPS:
         keys = tuple(k for k in table if k in wanted)
         if keys:
-            index = np.array([quadrature_indices(MODE_LABELS.index(lbl) for lbl in table[k])
-                              for k in keys])
+            index = np.array([[MODE_LABELS.index(lbl) for lbl in table[k]] for k in keys])
             plan.append((keys, index[:, :, None], index[:, None, :], compute))
     return tuple(plan)
 
@@ -302,22 +273,36 @@ def _combine(key: str, base: dict[str, np.ndarray]):
     return first - others[0] - others[1]
 
 
-def measure_columns(covs: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
-    """The measures ``outputs`` of a stack of three-mode covariances (n, 6, 6).
+def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
+    """The measures ``outputs`` of a stack of block pairs (N, 2, 3, 3), V_x first.
 
-    Returns one list of n values per key. Only the requested keys and the
+    Returns one list of N values per key. Only the requested keys and the
     negativities and steerings they are computed from are evaluated. Splits
     of one shape go through one stacked call: the two-mode negativities, the
-    one-versus-two negativities, and the 1->1, 1->2 and 2->1 steerings. A
-    matrix that the per-matrix helpers reject raises the same error here;
-    the first offending matrix of the first call raises.
+    one-versus-two negativities, and the 1->1, 1->2 and 2->1 steerings.
+
+    Raises
+    ------
+    NonPositiveInput
+        If a block a requested measure reads is not positive definite.
+    SingularBlock
+        If a steering party is numerically singular.
     """
-    v = np.asarray(covs, dtype=float)
+    b = np.asarray(blocks, dtype=float)
     base: dict[str, np.ndarray] = {}
     for keys, rows, cols, compute in _plan(tuple(outputs)):
-        base.update(zip(keys, compute(v[:, rows, cols], keys).T))
+        base.update(zip(keys, compute(b[..., rows, cols], keys).T))
     columns = {key: _combine(key, base) for key in outputs}
     return {key: col if isinstance(col, list) else col.tolist() for key, col in columns.items()}
+
+
+def measure_columns(covs: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
+    """The measures ``outputs`` of a stack of three-mode covariances (N, 6, 6).
+
+    ``measure_blocks`` on their (V_x, V_p) blocks; raises NotPhaseCovariant
+    if a covariance couples x' with p'.
+    """
+    return measure_blocks(covariance_blocks(covs), outputs)
 
 
 def correlation_report(cov6: np.ndarray) -> CorrelationReport:

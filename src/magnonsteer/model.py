@@ -73,7 +73,7 @@ class SystemParams:
     @property
     def transmissivity(self) -> float:
         """Beam-splitter amplitude transmissivity u, with u^2 + epsilon^2 = 1."""
-        return math.sqrt(1.0 - self.epsilon**2)
+        return math.sqrt(_transmittance(self))
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
@@ -108,7 +108,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("temperature must be non-negative")
     if temperature == 0.0:
         return 0.0
-    x = HBAR * omega / (KB * temperature)
+    # divided in this order so that a subnormal temperature gives x = inf,
+    # not a product KB T that underflows to zero
+    x = HBAR * omega / KB / temperature
     if x > 700.0:  # exp would overflow; occupation is below double tiny
         return 0.0
     return 1.0 / math.expm1(x)
@@ -135,9 +137,20 @@ def effective_coupling(params: SystemParams) -> float:
     return optomagnonic_coupling(params) * math.sqrt(intracavity_photon_number(params))
 
 
+def _transmittance(params: SystemParams) -> float:
+    """u^2 = 1 - epsilon^2, as (1 - epsilon)(1 + epsilon) to keep its digits near epsilon = 1."""
+    return (1.0 - params.epsilon) * (1.0 + params.epsilon)
+
+
 def _loop_gain(params: SystemParams) -> float:
-    """|1 + epsilon e^{i theta}|^2 = 1 + 2 epsilon cos theta + epsilon^2."""
-    return 1.0 + 2.0 * params.epsilon * math.cos(params.theta) + params.epsilon**2
+    """|1 + epsilon e^{i theta}|^2 = 1 + 2 epsilon cos theta + epsilon^2.
+
+    Evaluated as (1 + epsilon cos theta)^2 + (epsilon sin theta)^2, a sum of
+    squares that does not cancel when it is small (epsilon near 1, theta
+    near pi).
+    """
+    return ((1.0 + params.epsilon * math.cos(params.theta)) ** 2
+            + (params.epsilon * math.sin(params.theta)) ** 2)
 
 
 def feedback_damping(params: SystemParams) -> float:
@@ -153,7 +166,7 @@ def feedback_damping(params: SystemParams) -> float:
     the operating point delta_fb = -omega_m.
     """
     if params.diffusion_mode == "input_output":
-        return params.kappa_c * (1.0 - params.epsilon**2) / _loop_gain(params)
+        return params.kappa_c * _transmittance(params) / _loop_gain(params)
     return params.kappa_c * (1.0 - 2.0 * params.epsilon * math.cos(params.theta))
 
 
@@ -215,7 +228,7 @@ def cavity_noise_factor(params: SystemParams) -> float:
     damping (see ``feedback_damping``), so the cavity alone relaxes to
     (2 N_c + 1) / 2.
     """
-    u2 = 1.0 - params.epsilon**2
+    u2 = _transmittance(params)
     if params.diffusion_mode == "paper":
         return u2 * (1.0 - params.epsilon) ** 2
     if params.diffusion_mode == "input_output":

@@ -2,10 +2,11 @@
 
 A sweep evaluates its grid in blocks of at most _BLOCK_SIZE points. Each
 point is derived and built on its own; the block then goes through one
-stacked Hurwitz gate, one stacked steady-state solve, one stacked symplectic
-spectrum and the batched measures kernel, which computes only the requested
-outputs. ``run_point`` is the same pipeline with a block of one, and
-``find_threshold`` runs its grid through it in blocks and each bisection
+stacked Hurwitz gate on the 6x6 drifts, one stacked steady-state solve of
+their 3x3 x' and p' blocks (see ``gaussian``), one stacked symplectic
+spectrum and the batched measures kernel on the block pairs, which computes
+only the requested outputs. ``run_point`` is the same pipeline with a block
+of one, and ``find_threshold`` runs its grid through it in blocks and each bisection
 step as a block of one, computing only the scanned measure. Rows are
 assembled in deterministic axis order, so identical sweep specifications
 produce byte-identical CSV files.
@@ -19,19 +20,28 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-# assert_stable, check_physicality and lyapunov_residual are not called here
-# any more; they stay importable from this module because the benchmark's
-# tracer (perfbench/spans.py) wraps the per-point stages by name here.
+# assert_stable, check_physicality, correlation_report, lyapunov_residual and
+# solve_lyapunov are not called here any more; they stay importable from this
+# module because the benchmark's tracer (perfbench/spans.py) wraps the
+# per-point stages by name here.
 from .errors import NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableDrift
 from .gaussian import (  # noqa: F401
+    assemble_blocks,
     check_physicality,
     hurwitz_gate,
     lyapunov_residual,
+    residual_bound,
     solve_lyapunov,
     solve_lyapunov_stack,
-    symplectic_eigenvalues,
+    split_blocks,
+    symplectic_spectrum,
 )
-from .measures import MEASURE_KEYS, CorrelationReport, correlation_report, measure_columns
+from .measures import (  # noqa: F401
+    MEASURE_KEYS,
+    CorrelationReport,
+    correlation_report,
+    measure_blocks,
+)
 from .model import (  # noqa: F401
     NUMERIC_FIELDS,
     SystemParams,
@@ -45,7 +55,7 @@ from .model import (  # noqa: F401
 )
 
 # Points per stacked block. Larger blocks amortise more call overhead but
-# raise the peak memory of the stacked 36x36 solves.
+# raise the peak memory of the stacked solves.
 _BLOCK_SIZE = 64
 
 DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
@@ -125,6 +135,7 @@ class PointResult:
     lyap_residual: float | None = None
     min_symplectic_eig: float | None = None
     max_real_part: float | None = None
+    reason: str | None = None  # for "unstable": "gate" or "residual"
 
     def to_flat_dict(self) -> dict:
         flat: dict = {}
@@ -139,69 +150,87 @@ class PointResult:
 
 
 def _steady_states(points: list[SystemParams]):
-    """Derive and build each point, then gate, solve and check them stacked.
+    """Derive and build each point, then gate and solve them stacked.
 
-    Returns the largest drift eigenvalue real part and the solved flag of
-    every point, and for the solved points, in order, their covariances,
-    Lyapunov residuals and smallest symplectic eigenvalues. A point is
-    solved if it passes the Hurwitz gate and its steady state meets the
-    residual bound; any other point is reported unstable.
+    Returns the largest drift eigenvalue real part of every point, whether
+    it passed the Hurwitz gate and whether it was solved, and for the solved
+    points, in order, their covariance blocks (n, 2, 3, 3) and Lyapunov
+    residuals. A point is solved if it passes the gate and its steady state
+    meets the residual bound; any other point is reported unstable. The
+    residual of a point is sqrt(r_x^2 + r_p^2) over its two blocks, which
+    is the residual of its 6x6 steady state.
     """
-    drift = np.empty((len(points), 6, 6))
-    diffusion = np.empty_like(drift)
+    system = np.empty((len(points), 2, 6, 6))  # drift, diffusion
     for k, params in enumerate(points):
         derived = derive(params)
-        drift[k] = build_drift(params, derived)
-        diffusion[k] = build_diffusion(params, derived)
-    max_real, stable = hurwitz_gate(drift)
-    cov, residual, passed = solve_lyapunov_stack(drift[stable], diffusion[stable])
-    stable[stable] = passed
-    cov, residual = cov[passed], residual[passed]
-    nu_min = symplectic_eigenvalues(cov, check_positive=False)[:, 0]
-    return max_real, stable, cov, residual, nu_min
+        system[k, 0] = build_drift(params, derived)
+        system[k, 1] = build_diffusion(params, derived)
+    max_real, gated = hurwitz_gate(system[:, 0])
+    kept = system[gated]
+    drift, diffusion = split_blocks(kept).swapaxes(0, 1).reshape(2, -1, 3, 3)
+    cov, residual, _ = solve_lyapunov_stack(drift, diffusion)
+    residual = np.sqrt(np.square(residual).reshape(-1, 2).sum(axis=1))
+    passed = residual <= residual_bound(kept[:, 1])
+    solved = gated.copy()
+    solved[gated] = passed
+    return max_real, gated, solved, cov.reshape(-1, 2, 3, 3)[passed], residual[passed]
 
 
 def _evaluate_blocks(points: list[SystemParams], outputs: tuple[str, ...]):
     """Run the points through the pipeline in blocks of at most _BLOCK_SIZE.
 
-    Yields, per point in order, its largest drift eigenvalue real part and
+    Yields, per point in order, its largest drift eigenvalue real part, the
+    check that rejected it ("gate" or "residual", None if it was solved) and
     its values of ``outputs + DIAGNOSTIC_KEYS``, or None in place of the
     values if the point is unstable.
     """
     keys = outputs + DIAGNOSTIC_KEYS
     for start in range(0, len(points), _BLOCK_SIZE):
-        max_real, stable, cov, residual, nu_min = _steady_states(
+        max_real, gated, solved, blocks, residual = _steady_states(
             points[start:start + _BLOCK_SIZE])
-        columns = measure_columns(cov, outputs)
+        columns = measure_blocks(blocks, outputs)
         columns["lyap_residual"] = residual.tolist()
-        columns["min_symplectic_eig"] = nu_min.tolist()
-        solved = zip(*(columns[key] for key in keys))  # one tuple per stable point
-        for real, ok in zip(max_real.tolist(), stable.tolist()):
-            yield real, (next(solved) if ok else None)
+        columns["min_symplectic_eig"] = symplectic_spectrum(blocks)[:, -1].tolist()
+        values = zip(*(columns[key] for key in keys))  # one tuple per solved point
+        for real, gate_ok, ok in zip(max_real.tolist(), gated.tolist(), solved.tolist()):
+            if ok:
+                yield real, None, next(values)
+            else:
+                yield real, ("residual" if gate_ok else "gate"), None
 
 
 def run_point(params: SystemParams) -> PointResult:
     """Derive, build, solve and measure one parameter point.
 
     An unstable drift matrix, or a steady state that fails the residual
-    bound, is reported as a structured result with status "unstable" rather
-    than raised.
+    bound, is reported as a structured result with status "unstable" and
+    the rejecting check in ``reason``, rather than raised.
     """
-    max_real, stable, cov, residual, nu_min = _steady_states([params])
-    if not stable[0]:
-        return PointResult(status="unstable", max_real_part=float(max_real[0]))
+    [(max_real, reason, values)] = _evaluate_blocks([params], MEASURE_KEYS)
+    if values is None:
+        return PointResult(status="unstable", max_real_part=max_real, reason=reason)
+    flat = dict(zip(MEASURE_KEYS + DIAGNOSTIC_KEYS, values))
     return PointResult(
         status="ok",
-        report=correlation_report(cov[0]),
-        lyap_residual=float(residual[0]),
-        min_symplectic_eig=float(nu_min[0]),
+        report=CorrelationReport.from_flat(flat),
+        lyap_residual=flat["lyap_residual"],
+        min_symplectic_eig=flat["min_symplectic_eig"],
     )
 
 
 def steady_state_covariance(params: SystemParams) -> np.ndarray:
-    """Steady-state covariance matrix for one parameter point."""
-    derived = derive(params)
-    return solve_lyapunov(build_drift(params, derived), build_diffusion(params, derived))
+    """Steady-state covariance matrix for one parameter point.
+
+    Raises
+    ------
+    UnstableDrift
+        If the point fails the Hurwitz gate or its steady state fails the
+        residual bound; ``reason`` says which.
+    """
+    max_real, gated, solved, blocks, _ = _steady_states([params])
+    if not solved[0]:
+        raise UnstableDrift(float(max_real[0]), "residual" if gated[0] else "gate")
+    return assemble_blocks(blocks)[0]
 
 
 def grid_points(spec: SweepSpec) -> list[SystemParams]:
@@ -228,7 +257,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     blank = (None,) * len(keys)
     points = grid_points(spec)
     rows = []
-    for params, (_, values) in zip(points, _evaluate_blocks(points, spec.outputs)):
+    for params, (_, _, values) in zip(points, _evaluate_blocks(points, spec.outputs)):
         row = {axis: getattr(params, axis) for axis in axes}
         row.update(zip(keys, blank if values is None else values))
         row["status"] = "unstable" if values is None else "ok"
@@ -268,7 +297,8 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     Raises
     ------
     UnstableDrift
-        If a point on the grid or a bisection step is unstable.
+        If a point on the grid or a bisection step is unstable; its
+        ``reason`` says whether it failed the gate or the residual bound.
     NoCrossing
         If the measure never reaches zero (or is zero everywhere) in the
         window.
@@ -289,9 +319,9 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     def evaluate(axis_values) -> list[float]:
         points = [spec.base.replace(**{spec.axis1.param: float(v)}) for v in axis_values]
         measured = []
-        for max_real, values in _evaluate_blocks(points, (measure,)):
+        for max_real, reason, values in _evaluate_blocks(points, (measure,)):
             if values is None:
-                raise UnstableDrift(max_real)
+                raise UnstableDrift(max_real, reason)
             measured.append(float(values[0]))
         return measured
 

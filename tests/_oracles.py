@@ -2,12 +2,23 @@
 
 Everything here is deliberately written from first principles (explicit
 block arithmetic, direct eigensolves) rather than through the package, so
-the tests cross-check rather than echo the implementation.
+the tests cross-check rather than echo the implementation. The generic 6x6
+helpers below (complex eigen-solve of i Omega V, partial transpose by sign
+flips, Schur complements, the closed two-mode discriminant) are the check
+on the package's block kernel, which relies on the phase-covariant split.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from magnonsteer.errors import NonPositiveInput, SingularBlock
+
+ZERO_CLAMP = 1e-12
+PAIRING_TOL = 1e-9
+CONDITION_CUTOFF = 1e12
 
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -109,3 +120,190 @@ def brute_steering(cov: np.ndarray, steering_modes, steered_modes) -> float:
         if nu < 0.5:
             total -= np.log(2.0 * nu)
     return max(0.0, float(total))
+
+
+# --- phase-covariant states --------------------------------------------------
+
+# x' = (X_c, Y_q, Y_m) and p' = (Y_c, -X_q, -X_m) in the (X_c, Y_c, X_q, Y_q,
+# X_m, Y_m) ordering
+X_PRIME = (0, 3, 5)
+P_PRIME = (1, 2, 4)
+P_PRIME_SIGN = (1.0, -1.0, -1.0)
+
+
+def phase_covariant_cm(vx: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """The 6x6 covariance with blocks V_x on x' and V_p on p', entry by entry."""
+    cov = np.zeros((6, 6))
+    for i in range(3):
+        for j in range(3):
+            cov[X_PRIME[i], X_PRIME[j]] = vx[i, j]
+            cov[P_PRIME[i], P_PRIME[j]] = P_PRIME_SIGN[i] * P_PRIME_SIGN[j] * vp[i, j]
+    return cov
+
+
+def random_phase_covariant_cm(rng: np.random.Generator, nu_max: float = 2.5) -> np.ndarray:
+    """Random physical phase-covariant state: V_x = M N M^T, V_p = M^-T N M^-1.
+
+    M = Q1 diag(e^s) Q2 with random orthogonal Q1, Q2 and s in [-1.2, 1.2];
+    N is diagonal with entries in [1/2, nu_max], the symplectic eigenvalues.
+    """
+    q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    m = q1 @ np.diag(np.exp(rng.uniform(-1.2, 1.2, size=3))) @ q2
+    n = np.diag(rng.uniform(0.5, nu_max, size=3))
+    m_inv = np.linalg.inv(m)
+    return phase_covariant_cm(m @ n @ m.T, m_inv.T @ n @ m_inv)
+
+
+def tmsv_with_spectator(r: float) -> np.ndarray:
+    """Two-mode squeezed vacuum of the first two modes, vacuum third mode.
+
+    Correlated in X_c Y_q and Y_c X_q, a local phase rotation of the
+    textbook state, so that it is phase-covariant.
+    """
+    c = np.cosh(2.0 * r) / 2.0
+    s = np.sinh(2.0 * r) / 2.0
+    return phase_covariant_cm(np.array([[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.5]]),
+                              np.array([[c, -s, 0.0], [-s, c, 0.0], [0.0, 0.0, 0.5]]))
+
+
+# --- generic 6x6 helpers -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """An ordered split of mode indices into a steering and a steered party."""
+
+    party_a: tuple[int, ...]
+    party_b: tuple[int, ...]
+
+    def __post_init__(self):
+        a, b = tuple(self.party_a), tuple(self.party_b)
+        object.__setattr__(self, "party_a", a)
+        object.__setattr__(self, "party_b", b)
+        if not a or not b:
+            raise ValueError("both parties must be non-empty")
+        if len(set(a)) != len(a) or len(set(b)) != len(b):
+            raise ValueError("repeated mode index within a party")
+        if set(a) & set(b):
+            raise ValueError("parties must be disjoint")
+        if any(i < 0 for i in a + b):
+            raise ValueError("mode indices must be non-negative")
+
+
+def quadrature_indices(modes) -> list[int]:
+    """Row/column indices of the (X, Y) pairs for the given mode indices."""
+    return [q for m in modes for q in (2 * m, 2 * m + 1)]
+
+
+def _check_modes(modes, n_modes: int) -> None:
+    modes = list(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError("repeated mode index")
+    for m in modes:
+        if not 0 <= m < n_modes:
+            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
+
+
+def symplectic_eigenvalues(cov: np.ndarray, check_positive: bool = True) -> np.ndarray:
+    """Symplectic spectrum of a 2n x 2n symmetric matrix, ascending.
+
+    The absolute values of the eigenvalues of i Omega V, which come in +/-
+    pairs; each pair is averaged. With ``check_positive=False`` the input
+    may be an unphysical partial-transpose matrix.
+    """
+    v = np.asarray(cov, dtype=float)
+    n = v.shape[-1] // 2
+    if check_positive:
+        try:
+            np.linalg.cholesky(v)
+        except np.linalg.LinAlgError as exc:
+            raise NonPositiveInput("matrix is not positive definite") from exc
+    mags = np.sort(np.abs(np.linalg.eigvals(1j * omega(n) @ v)))
+    pairs = mags.reshape(n, 2)
+    if np.any(pairs[:, 1] - pairs[:, 0] > PAIRING_TOL * np.maximum(1.0, pairs[:, 1])):
+        raise ValueError("failed to pair +/- symplectic eigenvalues")
+    return np.sort(pairs.mean(axis=1))
+
+
+def partial_transpose(cov: np.ndarray, modes) -> np.ndarray:
+    """Sign-flip the Y quadrature of each listed mode: returns P V P."""
+    v = np.asarray(cov, dtype=float)
+    n = v.shape[-1] // 2
+    _check_modes(modes, n)
+    flip = np.ones(2 * n)
+    for m in modes:
+        flip[2 * m + 1] = -1.0
+    return flip[:, None] * v * flip[None, :]
+
+
+def extract_submatrix(cov: np.ndarray, modes) -> np.ndarray:
+    """Rows and columns of the selected quadrature pairs, order preserved."""
+    v = np.asarray(cov, dtype=float)
+    _check_modes(modes, v.shape[0] // 2)
+    idx = quadrature_indices(modes)
+    return v[np.ix_(idx, idx)]
+
+
+def schur_complement_steered(cov: np.ndarray, split: Bipartition) -> np.ndarray:
+    """Conditional covariance Y - Z^T X^-1 Z of party_b after measuring party_a.
+
+    Raises SingularBlock if the party_a block has condition number above
+    CONDITION_CUTOFF.
+    """
+    v = np.asarray(cov, dtype=float)
+    _check_modes(split.party_a + split.party_b, v.shape[0] // 2)
+    ia = quadrature_indices(split.party_a)
+    ib = quadrature_indices(split.party_b)
+    x, y, z = v[np.ix_(ia, ia)], v[np.ix_(ib, ib)], v[np.ix_(ia, ib)]
+    if np.linalg.cond(x) > CONDITION_CUTOFF:
+        raise SingularBlock("steering-party block is numerically singular")
+    comp = y - z.T @ np.linalg.solve(x, z)
+    return 0.5 * (comp + comp.T)
+
+
+def _clamp(value: float) -> float:
+    return 0.0 if value < ZERO_CLAMP else float(value)
+
+
+def log_negativity_2mode(cov4: np.ndarray) -> float:
+    """Two-mode logarithmic negativity from the closed discriminant.
+
+    max[0, -ln 2 theta] with theta = sqrt((sigma - sqrt(sigma^2 - 4 det V)) / 2)
+    and sigma = det X + det Y - 2 det Z. Raises ValueError if the
+    discriminant is negative beyond rounding (an unphysical input).
+    """
+    v = np.asarray(cov4, dtype=float)
+    if v.shape != (4, 4):
+        raise ValueError("expected a 4x4 two-mode covariance matrix")
+    sigma = (np.linalg.det(v[:2, :2]) + np.linalg.det(v[2:, 2:])
+             - 2.0 * np.linalg.det(v[:2, 2:]))
+    disc = sigma**2 - 4.0 * np.linalg.det(v)
+    if disc < -1e-10 * max(1.0, sigma**2):
+        raise ValueError(f"sigma^2 - 4 det V = {disc:.3e} < 0")
+    theta = np.sqrt(max((sigma - np.sqrt(max(disc, 0.0))) / 2.0, 0.0))
+    if theta <= 0.0:
+        raise ValueError("smallest symplectic eigenvalue collapsed to zero")
+    return _clamp(-np.log(2.0 * theta))
+
+
+def log_negativity_2mode_pt(cov4: np.ndarray) -> float:
+    """The same quantity from the partial-transpose symplectic spectrum."""
+    nu = symplectic_eigenvalues(partial_transpose(cov4, [0]), check_positive=False)
+    return _clamp(-np.log(2.0 * nu[0]))
+
+
+def log_negativity_1v2(cov6: np.ndarray, pivot: int) -> float:
+    """One-versus-two negativity: the pivot mode partially transposed."""
+    v = np.asarray(cov6, dtype=float)
+    if v.shape != (6, 6):
+        raise ValueError("expected a 6x6 three-mode covariance matrix")
+    nu = symplectic_eigenvalues(partial_transpose(v, [pivot]), check_positive=False)
+    return _clamp(-np.log(2.0 * nu[0]))
+
+
+def gaussian_steering(cov: np.ndarray, split: Bipartition) -> float:
+    """max[0, -sum ln 2 nu_j] over the sub-vacuum symplectic eigenvalues of
+    the steered party's conditional state."""
+    nu = symplectic_eigenvalues(schur_complement_steered(cov, split), check_positive=False)
+    return _clamp(-sum(np.log(2.0 * x) for x in nu if x < 0.5))

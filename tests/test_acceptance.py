@@ -28,24 +28,32 @@ import numpy as np
 import pytest
 
 from magnonsteer import (
-    Bipartition,
     NoCrossing,
     UnstableDrift,
     analytic_covariance,
     build_diffusion,
+    correlation_report,
     default_params,
     find_threshold,
-    gaussian_steering,
-    log_negativity_2mode,
-    log_negativity_2mode_pt,
     preset,
     run_point,
     run_sweep,
     steady_state_covariance,
 )
+from magnonsteer.measures import measure_columns
 from magnonsteer.sweep import Axis, SweepSpec, grid_points
 
-from _oracles import brute_steering, random_physical_cm, tmsv_cm
+from _oracles import (
+    Bipartition,
+    brute_steering,
+    extract_submatrix,
+    gaussian_steering,
+    log_negativity_2mode,
+    log_negativity_2mode_pt,
+    random_phase_covariant_cm,
+    tmsv_cm,
+    tmsv_with_spectator,
+)
 
 PRESET_GRIDS = ("fig3a", "fig3b", "fig2", "fig5", "fig6", "fig10", "fig11")
 
@@ -114,13 +122,17 @@ def test_criterion_1_closed_form_matches_solver():
 
 
 def test_criterion_2_two_path_negativity():
+    # the package's block spectrum against the closed two-mode discriminant,
+    # on every pair of 1000 random physical phase-covariant states
     rng = np.random.default_rng(777)
     start = time.monotonic()
+    covs = np.array([random_phase_covariant_cm(rng) for _ in range(1000)])
+    columns = measure_columns(covs, ("LN_cq", "LN_cm", "LN_qm"))
     worst = 0.0
-    for _ in range(1000):
-        cov = random_physical_cm(rng, 2)
-        worst = max(worst, abs(log_negativity_2mode(cov)
-                               - log_negativity_2mode_pt(cov)))
+    for k, cov in enumerate(covs):
+        for pair, modes in (("cq", [0, 1]), ("cm", [0, 2]), ("qm", [1, 2])):
+            closed = log_negativity_2mode(extract_submatrix(cov, modes))
+            worst = max(worst, abs(columns[f"LN_{pair}"][k] - closed))
     elapsed = time.monotonic() - start
     passed = worst <= 1e-10 and elapsed < 5.0
     _report("2 two-path negativity", passed,
@@ -307,14 +319,18 @@ def test_criterion_8_two_mode_squeezed_oracles():
     worst_ln = 0.0
     worst_steer = 0.0
     for r in (0.1, 0.5, 1.0):
+        # the package on the phase-covariant form of the state, the oracles
+        # on the textbook form
+        flat = correlation_report(tmsv_with_spectator(r)).to_flat_dict()
         cov = tmsv_cm(r)
         worst_ln = max(worst_ln,
+                       abs(flat["LN_cq"] - 2 * r),
                        abs(log_negativity_2mode(cov) - 2 * r),
                        abs(log_negativity_2mode_pt(cov) - 2 * r))
         expected = math.log(math.cosh(2 * r))
-        for split in (((0,), (1,)), ((1,), (0,))):
+        for key, split in (("G_c_to_q", ((0,), (1,))), ("G_q_to_c", ((1,), (0,)))):
             value = gaussian_steering(cov, Bipartition(*split))
-            worst_steer = max(worst_steer, abs(value - expected),
+            worst_steer = max(worst_steer, abs(flat[key] - expected), abs(value - expected),
                               abs(brute_steering(cov, *split) - expected))
     passed = worst_ln <= 1e-9 and worst_steer <= 1e-9
     _report("8 squeezed-state oracles", passed,

@@ -57,6 +57,18 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["status"] == "unstable"
         assert payload["max_real_part"] > 0
+        assert payload["reason"] == "gate"
+
+    def test_residual_reject_names_its_check(self, capsys, tmp_path):
+        # passes the Hurwitz gate by a hair, then fails the residual bound
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"epsilon": 0.4947298263, "theta": 0.0}))
+        code, out, _ = run_cli(capsys, "solve", "--params", str(params))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "unstable"
+        assert payload["max_real_part"] < 0
+        assert payload["reason"] == "residual"
 
     def test_bad_params_exit_code(self, capsys, tmp_path):
         params = tmp_path / "params.json"
@@ -151,6 +163,22 @@ class TestThreshold:
                                "--measure", "LN_cm")
         assert code == 3
         assert json.loads(out)["error"] == "NoCrossing"
+
+    def test_unstable_point_names_its_check(self, capsys, tmp_path):
+        # the last grid point passes the Hurwitz gate and fails the residual bound
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "base": {"theta": 0.0},
+            "axis1": {"param": "epsilon", "values": [0.1, 0.2, 0.4947298263]},
+        }))
+        code, out, err = run_cli(capsys, "threshold", "--spec", str(spec),
+                                 "--measure", "LN_qm")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["status"] == "unstable"
+        assert payload["reason"] == "residual"
+        assert payload["max_real_part"] < 0
 
 
 class TestValidateOracle:

@@ -1,47 +1,62 @@
+"""The steady-state solver, the phase-covariant block algebra, and the
+generic 6x6 oracle helpers in _oracles that the block kernel is checked
+against."""
+
 import numpy as np
 import pytest
 
 from magnonsteer import (
-    Bipartition,
     NonPositiveInput,
+    NotPhaseCovariant,
     SingularBlock,
     SingularSystem,
     UnstableDrift,
     check_physicality,
     default_params,
-    extract_submatrix,
     lyapunov_residual,
-    partial_transpose,
-    schur_complement_steered,
     solve_lyapunov,
     steady_state_covariance,
-    symplectic_eigenvalues,
 )
 from magnonsteer.analytic import analytic_covariance
 from magnonsteer.gaussian import (
     STABILITY_TOL,
-    _cached_symplectic_form,
+    assemble_blocks,
+    covariance_blocks,
     hurwitz_gate,
     solve_lyapunov_stack,
+    split_blocks,
+    symplectic_spectrum,
 )
 
 from _oracles import (
+    Bipartition,
     direct_symplectic_spectrum,
+    extract_submatrix,
     omega,
+    partial_transpose,
+    phase_covariant_cm,
+    random_phase_covariant_cm,
     random_physical_cm,
     random_symplectic,
+    schur_complement_steered,
+    symplectic_eigenvalues,
     tmsv_cm,
+    tmsv_with_spectator,
     vacuum_cm,
 )
 
 
 class TestSymplecticForm:
+    # the oracles' symplectic form, which the spectrum oracle uses
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_defining_relations(self, n):
-        form = _cached_symplectic_form(n)
+        form = omega(n)
         assert np.array_equal(form @ form, -np.eye(2 * n))
         assert np.array_equal(form.T, -form)
-        assert np.array_equal(form, omega(n))
+        for m in range(n):
+            block = form[2 * m:2 * m + 2, 2 * m:2 * m + 2]
+            assert np.array_equal(block, [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.count_nonzero(form) == 2 * n
 
 
 class TestSolveLyapunov:
@@ -122,7 +137,87 @@ class TestSolveLyapunov:
         assert stacked[0] == lyapunov_residual(drift, cov, diffusion)
 
 
+class TestPhaseCovariantBlocks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_and_assemble_round_trip(self, seed):
+        cov = random_phase_covariant_cm(np.random.default_rng(seed))
+        blocks = covariance_blocks(cov)
+        assert blocks.shape == (2, 3, 3)
+        assert np.array_equal(assemble_blocks(blocks), cov)
+        assert np.array_equal(covariance_blocks(cov[None])[0], blocks)
+
+    def test_blocks_read_x_prime_and_p_prime(self):
+        # x' = (X_c, Y_q, Y_m), p' = (Y_c, -X_q, -X_m)
+        matrix = np.arange(36.0).reshape(6, 6)
+        vx, vp = split_blocks(matrix)
+        assert np.array_equal(vx, matrix[np.ix_([0, 3, 5], [0, 3, 5])])
+        sign = np.array([1.0, -1.0, -1.0])
+        assert np.array_equal(vp, np.outer(sign, sign) * matrix[np.ix_([1, 2, 4], [1, 2, 4])])
+
+    def test_steady_state_is_assembled_from_its_blocks(self):
+        cov = steady_state_covariance(default_params(epsilon=0.86))
+        assert np.array_equal(assemble_blocks(covariance_blocks(cov)), cov)
+
+    def test_coupled_state_is_rejected(self):
+        with pytest.raises(NotPhaseCovariant):
+            covariance_blocks(random_physical_cm(np.random.default_rng(3), 3))
+        # the textbook two-mode squeezed state correlates X_c (in x') with X_q (in p')
+        textbook = np.block([[tmsv_cm(0.5), np.zeros((4, 2))], [np.zeros((2, 4)), vacuum_cm(1)]])
+        with pytest.raises(NotPhaseCovariant):
+            covariance_blocks(textbook)
+
+    def test_roundoff_coupling_is_accepted(self):
+        cov = vacuum_cm(3)
+        cov[0, 1] = cov[1, 0] = 1e-14
+        assert np.array_equal(covariance_blocks(cov), 0.5 * np.array([np.eye(3)] * 2))
+        cov[0, 1] = cov[1, 0] = 1e-11
+        with pytest.raises(NotPhaseCovariant):
+            covariance_blocks(cov)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            covariance_blocks(vacuum_cm(2))
+
+
+class TestSymplecticSpectrum:
+    """The block spectrum against the complex eigen-solve of i Omega V."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_oracle_for_state_and_partial_transposes(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        covs = np.array([random_phase_covariant_cm(rng, nu_max=4.0) for _ in range(3)])
+        blocks = covariance_blocks(covs)
+        for pivot in (None, 0, 1, 2):
+            signs = None if pivot is None else np.where(np.arange(3) == pivot, -1.0, 1.0)
+            got = symplectic_spectrum(blocks, signs)
+            for cov, nus in zip(covs, got):
+                transposed = cov if pivot is None else partial_transpose(cov, [pivot])
+                want = symplectic_eigenvalues(transposed, check_positive=False)
+                assert np.allclose(nus[::-1], want, rtol=1e-12, atol=1e-13)
+
+    def test_sub_vacuum_steady_states_match_oracle(self):
+        cov = steady_state_covariance(default_params(epsilon=0.9))
+        nus = symplectic_spectrum(covariance_blocks(cov[None]))[0]
+        assert nus[-1] < 0.5
+        assert np.allclose(nus[::-1], symplectic_eigenvalues(cov), rtol=1e-10)
+
+    def test_vacuum_and_tmsv(self):
+        blocks = covariance_blocks(np.array([vacuum_cm(3), tmsv_with_spectator(0.5)]))
+        assert np.allclose(symplectic_spectrum(blocks), 0.5, atol=1e-12)
+        transposed = symplectic_spectrum(blocks, np.array([-1.0, 1.0, 1.0]))
+        assert transposed[1, -1] == pytest.approx(np.exp(-1.0) / 2, abs=1e-12)
+        assert transposed[1, 0] == pytest.approx(np.exp(1.0) / 2, abs=1e-12)
+
+    def test_rejects_indefinite_block(self):
+        vp = 0.5 * np.eye(3)
+        vp[2, 2] = -0.1
+        blocks = covariance_blocks(phase_covariant_cm(0.5 * np.eye(3), vp)[None])
+        with pytest.raises(NonPositiveInput):
+            symplectic_spectrum(blocks)
+
+
 class TestSymplecticEigenvalues:
+    # the oracles' complex eigen-solve
     def test_vacuum(self):
         assert symplectic_eigenvalues(vacuum_cm(1)) == pytest.approx([0.5])
 
@@ -272,12 +367,12 @@ class TestExtractSubmatrix:
 
 class TestCheckPhysicality:
     def test_vacuum(self):
-        ok, nu_min = check_physicality(vacuum_cm(1))
+        ok, nu_min = check_physicality(vacuum_cm(3))
         assert ok
         assert nu_min == pytest.approx(0.5, abs=1e-12)
 
     def test_subvacuum_variance_is_unphysical(self):
-        ok, nu_min = check_physicality(0.4 * np.eye(2))
+        ok, nu_min = check_physicality(np.diag([0.5, 0.5, 0.4, 0.4, 0.5, 0.5]))
         assert not ok
         assert nu_min == pytest.approx(0.4, abs=1e-12)
 

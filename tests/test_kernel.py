@@ -1,38 +1,44 @@
-"""The batched measures kernel against the per-matrix helpers, and the
+"""The batched block kernel against the generic 6x6 oracle helpers, and the
 blocked sweep against point-by-point evaluation."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from magnonsteer import (
     Axis,
-    Bipartition,
-    NegativeDiscriminant,
+    NonPositiveInput,
     SingularBlock,
     SweepSpec,
     classify_steering,
     correlation_report,
     default_params,
-    extract_submatrix,
-    gaussian_steering,
-    log_negativity_1v2,
-    log_negativity_2mode,
     preset,
     run_point,
     run_sweep,
     steady_state_covariance,
-    symplectic_eigenvalues,
 )
+from magnonsteer.gaussian import covariance_blocks, symplectic_spectrum
 from magnonsteer.measures import MEASURE_KEYS, measure_columns
 from magnonsteer.sweep import DIAGNOSTIC_KEYS, grid_points
 
-from _oracles import UNPHYSICAL_4X4, random_physical_cm, vacuum_cm
+from _oracles import (
+    Bipartition,
+    extract_submatrix,
+    gaussian_steering,
+    log_negativity_1v2,
+    log_negativity_2mode,
+    phase_covariant_cm,
+    random_phase_covariant_cm,
+    symplectic_eigenvalues,
+    vacuum_cm,
+)
 
 LABELS = "cqm"
 
 
 def reference_measures(cov: np.ndarray) -> dict:
-    """Every MEASURE_KEYS value of one covariance, from the per-matrix helpers.
+    """Every MEASURE_KEYS value of one covariance, from the 6x6 oracle helpers.
 
     The derived measures (asymmetry, class, R_*, mono_*) are formed here from
     these LN and G values, independently of the kernel's own combination.
@@ -82,7 +88,7 @@ def assert_same(got, want, key):
 
 def random_states(count, seed):
     rng = np.random.default_rng(seed)
-    return np.array([random_physical_cm(rng, 3) for _ in range(count)])
+    return np.array([random_phase_covariant_cm(rng) for _ in range(count)])
 
 
 def sub_vacuum_states():
@@ -99,7 +105,7 @@ def states(request):
     if request.param == "random":
         return random_states(12, seed=2024)
     covs = sub_vacuum_states()
-    assert symplectic_eigenvalues(covs, check_positive=False)[:, 0].max() < 0.5
+    assert max(symplectic_eigenvalues(cov)[0] for cov in covs) < 0.5
     return covs
 
 
@@ -119,6 +125,35 @@ def test_kernel_matches_helpers_on_a_stack(states):
         want = reference_measures(cov)
         for key in MEASURE_KEYS:
             assert_same(columns[key][k], want[key], key)
+
+
+def mp_smallest_symplectic_eigenvalue(blocks: np.ndarray, pivot: int | None) -> mpmath.mpf:
+    """Smallest symplectic eigenvalue of V_x (+) V_p, the pivot transposed, to 50 digits.
+
+    At this precision forming nu^2 as the eigenvalues of T V_x T V_p is harmless.
+    """
+    with mpmath.workdps(50):
+        flip = mpmath.diag([-1 if i == pivot else 1 for i in range(3)])
+        vx, vp = (mpmath.matrix(block.tolist()) for block in blocks)
+        product = flip * vx * flip * vp
+        return min(mpmath.sqrt(mpmath.re(e)) for e in mpmath.eig(product, left=False, right=False))
+
+
+def test_sub_vacuum_spectra_match_50_digit_reference():
+    # routes that form nu^2 in double precision (eigenvalues of V_x V_p, a
+    # Cholesky factor followed by an eigen-solve) miss by 1e-14 or more here
+    covs = sub_vacuum_states()
+    blocks = covariance_blocks(covs)
+    columns = measure_columns(covs, ("LN_c_qm", "LN_q_cm", "LN_m_cq"))
+    nu_min = symplectic_spectrum(blocks)[:, -1]
+    worst = 0.0
+    for k, pair in enumerate(blocks):
+        worst = max(worst, abs(nu_min[k] - mp_smallest_symplectic_eigenvalue(pair, None)))
+        for pivot, key in enumerate(("LN_c_qm", "LN_q_cm", "LN_m_cq")):
+            if columns[key][k] > 0:
+                nu = np.exp(-columns[key][k]) / 2
+                worst = max(worst, abs(nu - mp_smallest_symplectic_eigenvalue(pair, pivot)))
+    assert float(worst) <= 1e-15
 
 
 def test_kernel_values_are_plain_python():
@@ -157,10 +192,10 @@ def test_empty_block():
 
 
 def unphysical_pair_state():
-    """Three-mode matrix whose c-q block fails the two-mode discriminant."""
-    cov = vacuum_cm(3)
-    cov[:4, :4] = UNPHYSICAL_4X4
-    return cov
+    """Phase-covariant three-mode matrix whose c-q block is not positive definite."""
+    vx = 0.5 * np.eye(3)
+    vx[0, 1] = vx[1, 0] = 0.6
+    return phase_covariant_cm(vx, 0.5 * np.eye(3))
 
 
 def singular_cavity_state():
@@ -173,12 +208,13 @@ def singular_cavity_state():
 def test_bad_matrix_in_a_block_raises_like_the_helper():
     good = random_states(2, seed=3)
     bad = unphysical_pair_state()
-    with pytest.raises(NegativeDiscriminant) as scalar:
-        log_negativity_2mode(extract_submatrix(bad, [0, 1]))
-    with pytest.raises(NegativeDiscriminant) as batched:
+    with pytest.raises(NonPositiveInput) as scalar:
+        symplectic_eigenvalues(extract_submatrix(bad, [0, 1]))
+    with pytest.raises(NonPositiveInput) as batched:
         measure_columns(np.array([good[0], bad, good[1]]), ("LN_cq",))
-    assert str(batched.value) == str(scalar.value)
-    # the same matrix passes when no output needs its c-q negativity
+    assert "not positive definite" in str(scalar.value)
+    assert "not positive definite" in str(batched.value)
+    # the same matrix passes when no output needs its c-q blocks
     measure_columns(np.array([good[0], bad, good[1]]), ("G_m_to_c",))
 
 

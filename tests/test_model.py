@@ -2,11 +2,16 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnonsteer import (
+    Axis,
+    SingularSystem,
     SpecError,
+    SweepSpec,
     UnstableDrift,
     assert_stable,
     build_diffusion,
@@ -18,11 +23,14 @@ from magnonsteer import (
     params_from_dict,
     params_from_json,
     run_point,
+    run_sweep,
+    solve_lyapunov,
     steady_state_covariance,
     thermal_occupation,
 )
 from magnonsteer.model import (
     DEFAULT_DOCUMENT,
+    DIFFUSION_MODES,
     HBAR,
     KB,
     SPEED_OF_LIGHT,
@@ -63,6 +71,10 @@ class TestThermalOccupation:
 
     def test_huge_ratio_underflows_to_zero(self):
         assert thermal_occupation(TWO_PI * 1e15, 1e-3) == 0.0
+
+    def test_subnormal_temperature_is_zero_occupation(self):
+        assert thermal_occupation(TWO_PI * 8e9, 5e-324) == 0.0
+        assert run_point(default_params(temperature=5e-324)).status == "ok"
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -278,6 +290,84 @@ class TestInputOutputMode:
                     params = default_params(epsilon=epsilon, theta=float(theta),
                                             diffusion_mode="input_output")
                     assert derive(params).k_fb > 0
+
+
+NEAR_UNIT_EPSILONS = tuple(1.0 - 10.0**-k for k in range(1, 17))
+NEAR_UNIT_PHASES = (math.pi, 0.0, 2.0)
+
+
+class TestReflectivityNearOne:
+    """epsilon = 1 - 10^-k, k = 1..16, where 1 + 2 epsilon cos theta + epsilon^2
+    cancels at theta = pi and 1 - epsilon^2 loses its digits."""
+
+    @pytest.mark.filterwarnings("ignore:feedback damping is non-positive")
+    @pytest.mark.parametrize("mode", DIFFUSION_MODES)
+    def test_every_row_is_ok_or_unstable(self, mode):
+        for theta in NEAR_UNIT_PHASES:
+            spec = SweepSpec(base=default_params(theta=theta, diffusion_mode=mode),
+                             axis1=Axis("epsilon", values=NEAR_UNIT_EPSILONS))
+            rows = run_sweep(spec)
+            assert len(rows) == len(NEAR_UNIT_EPSILONS)
+            for row in rows:
+                assert row["status"] in ("ok", "unstable"), (theta, row["epsilon"])
+                if row["status"] == "ok":
+                    assert all(math.isfinite(row[key]) for key in spec.outputs
+                               if not key.startswith("class_"))
+
+    def test_input_output_weight_matches_mpmath(self):
+        worst = 0.0
+        with mpmath.workdps(50):
+            for theta in NEAR_UNIT_PHASES:
+                for epsilon in NEAR_UNIT_EPSILONS:
+                    params = default_params(epsilon=epsilon, theta=theta,
+                                            diffusion_mode="input_output")
+                    eps, phase = mpmath.mpf(params.epsilon), mpmath.mpf(params.theta)
+                    weight = (1 - eps**2) / (1 + 2 * eps * mpmath.cos(phase) + eps**2)
+                    for got, want in ((cavity_noise_factor(params), weight),
+                                      (feedback_damping(params),
+                                       mpmath.mpf(params.kappa_c) * weight)):
+                        worst = max(worst, float(abs(mpmath.mpf(got) / want - 1)))
+        assert worst <= 1e-12
+
+
+X_PRIME = [0, 3, 5]  # X_c, Y_q, Y_m
+P_PRIME = [1, 2, 4]  # Y_c, -X_q, -X_m
+
+
+class TestPhaseCovariantSplit:
+    """The model never couples x' with p', which the block pipeline relies on."""
+
+    @pytest.mark.filterwarnings("ignore:feedback damping is non-positive")
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(epsilon=st.floats(0.0, 0.95), theta=st.floats(0.0, TWO_PI),
+           temperature=st.floats(0.0, 1.0), g_q_ratio=st.floats(0.5, 3.0),
+           mode=st.sampled_from(DIFFUSION_MODES))
+    def test_drift_diffusion_and_steady_state_split(self, epsilon, theta, temperature,
+                                                    g_q_ratio, mode):
+        params = default_params(epsilon=epsilon, theta=theta, temperature=temperature,
+                                g_q_ratio=g_q_ratio, diffusion_mode=mode)
+        derived = derive(params)
+        drift = build_drift(params, derived)
+        diffusion = build_diffusion(params, derived)
+        assert not drift[np.ix_(X_PRIME, P_PRIME)].any()
+        assert not drift[np.ix_(P_PRIME, X_PRIME)].any()
+        # Q_p = S Q_x S with S = diag(1, 1, -1), in the signed p' quadratures
+        sign = np.diag([1.0, -1.0, -1.0])
+        flip = np.diag([1.0, 1.0, -1.0])
+        q_x = drift[np.ix_(X_PRIME, X_PRIME)]
+        q_p = sign @ drift[np.ix_(P_PRIME, P_PRIME)] @ sign
+        assert np.array_equal(q_p, flip @ q_x @ flip)
+        assert np.array_equal(diffusion, np.diag(np.diag(diffusion)))
+
+        try:
+            cov = steady_state_covariance(params)
+            generic = solve_lyapunov(drift, diffusion)  # the 6x6 solve, no split assumed
+        except (UnstableDrift, SingularSystem):
+            return
+        for solved in (cov, generic):
+            assert not solved[np.ix_(X_PRIME, P_PRIME)].any()
+            assert not solved[np.ix_(P_PRIME, X_PRIME)].any()
+        assert np.allclose(cov, generic, rtol=1e-9, atol=1e-12 * np.abs(generic).max())
 
 
 class TestStability:

@@ -27,7 +27,7 @@ from magnonsteer import (
     spec_from_dict,
     steady_state_covariance,
 )
-from magnonsteer.gaussian import STABILITY_TOL, hurwitz_gate
+from magnonsteer.gaussian import STABILITY_TOL, assemble_blocks, hurwitz_gate
 from magnonsteer.sweep import PRESET_IDS, grid_points
 import magnonsteer.sweep as sweep_module
 
@@ -76,6 +76,7 @@ class TestRunPoint:
         assert result.status == "unstable"
         assert result.report is None
         assert result.max_real_part > 0
+        assert result.reason == "gate"
 
 
 class TestOneSteadyStatePath:
@@ -123,10 +124,10 @@ class TestOneSteadyStatePath:
                                  g_q_ratio=float(rng.uniform(0.5, 3.0)),
                                  diffusion_mode=("paper", "consistent", "input_output")[k % 3])
                   for k in range(60)]
-        _, stable, cov, _, _ = sweep_module._steady_states(points)
+        _, _, stable, blocks, _ = sweep_module._steady_states(points)
         solved = [params for params, ok in zip(points, stable) if ok]
         assert len(solved) >= 30
-        for params, expected in zip(solved, cov):
+        for params, expected in zip(solved, assemble_blocks(blocks)):
             assert np.array_equal(steady_state_covariance(params), expected)
 
 
@@ -239,9 +240,16 @@ class TestRunSweep:
         assert stable
         result = run_point(params)
         assert result.status == "unstable"
+        assert result.reason == "residual"
         assert result.max_real_part == float(max_real) < 0
         with pytest.raises(SingularSystem, match="residual bound"):
             solve_lyapunov(drift, build_diffusion(params, derived))
+        with pytest.raises(UnstableDrift, match="failed the residual bound") as info:
+            find_threshold(spec, "LN_qm")
+        assert info.value.reason == "residual"
+        assert info.value.max_real_part == float(max_real)
+        with pytest.raises(UnstableDrift, match="residual bound"):
+            steady_state_covariance(params)
 
     def test_deterministic_across_runs(self):
         spec = small_spec(count=6)
@@ -307,7 +315,7 @@ class TestFindThreshold:
 
         def fake_evaluate_blocks(points, outputs):
             for params in points:
-                yield -1.0, (profile[round(params.temperature, 3)], 0.0, 0.5)
+                yield -1.0, None, (profile[round(params.temperature, 3)], 0.0, 0.5)
 
         monkeypatch.setattr(sweep_module, "_evaluate_blocks", fake_evaluate_blocks)
         spec = SweepSpec(base=default_params(epsilon=0.0),
