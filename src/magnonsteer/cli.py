@@ -50,8 +50,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -96,6 +99,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise SpecError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(DIFFUSION_MODES, 0.0)
     trials = dict.fromkeys(DIFFUSION_MODES, 0)

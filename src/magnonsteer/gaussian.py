@@ -6,7 +6,12 @@ so every physical covariance matrix has symplectic eigenvalues >= 1/2.
 The model's drift and diffusion never couple x' = (X_c, Y_q, Y_m) with
 p' = (Y_c, -X_q, -X_m), and (x'_k, p'_k) is a canonical pair of mode k. Every
 steady state is therefore a direct sum of two real symmetric 3x3 blocks, V_x
-on x' and V_p on p'. A stack of N block pairs is stored as one array
+on x' and V_p on p'. The two blocks mirror each other: the qubit coupling is
+beam-splitter-like and the magnon coupling parametric, so the p' drift is
+S Q_x S with S = diag(1, 1, -1) while both blocks share one diagonal
+diffusion, and V_p = S V_x S. S only flips signs, so a solve of the p' block
+gives exactly S V_x S and the same residual as the x' block; the pipeline
+solves V_x alone. A stack of N block pairs is stored as one array
 (N, 2, ..., n, n), V_x before V_p. The symplectic eigenvalues are the
 singular values of B^T T A, with A and B the Cholesky factors of V_x and
 V_p and T = I; partially transposing mode k flips the sign of its x' or p'

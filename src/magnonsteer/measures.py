@@ -36,14 +36,6 @@ ZERO_CLAMP = 1e-12
 # threshold separating "zero" from "nonzero" in the steering taxonomy
 CLASS_TOL = 1e-9
 
-STEERING_CLASSES = (
-    "no_way",
-    "one_way_ab",
-    "one_way_ba",
-    "two_way_asymmetric",
-    "two_way_symmetric",
-)
-
 
 def _clamp(value):
     """Zero below ZERO_CLAMP, elementwise."""

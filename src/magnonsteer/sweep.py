@@ -1,15 +1,14 @@
 """Single-point evaluation, parameter sweeps, presets and CSV emission.
 
-A sweep evaluates its grid in blocks of at most _BLOCK_SIZE points. Each
-point is derived and built on its own; the block then goes through one
-stacked Hurwitz gate on the 6x6 drifts, one stacked steady-state solve of
-their 3x3 x' and p' blocks (see ``gaussian``), one stacked symplectic
-spectrum and the batched measures kernel on the block pairs, which computes
-only the requested outputs. ``run_point`` is the same pipeline with a block
-of one, and ``find_threshold`` runs its grid through it in blocks and each bisection
-step as a block of one, computing only the scanned measure. Rows are
-assembled in deterministic axis order, so identical sweep specifications
-produce byte-identical CSV files.
+Every call evaluates its points as one stack. Each point is derived and
+built on its own; the stack then goes through one Hurwitz gate on the 6x6
+drifts, one steady-state solve of their 3x3 x' blocks, whose mirror gives
+the p' blocks (see ``gaussian``), one symplectic spectrum and the batched
+measures kernel, which computes only the requested outputs. ``run_point``
+is the same pipeline on a stack of one, and ``find_threshold`` runs its grid
+as one stack and each bisection step as a stack of one, computing only the
+scanned measure. Rows are assembled in deterministic axis order, so
+identical sweep specifications produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .gaussian import (  # noqa: F401
     residual_bound,
     solve_lyapunov,
     solve_lyapunov_stack,
-    split_blocks,
     symplectic_spectrum,
 )
 from .measures import (  # noqa: F401
@@ -54,9 +52,10 @@ from .model import (  # noqa: F401
     params_from_dict,
 )
 
-# Points per stacked block. Larger blocks amortise more call overhead but
-# raise the peak memory of the stacked solves.
-_BLOCK_SIZE = 64
+# Rows of x' = (X_c, Y_q, Y_m) in the quadrature ordering, whose signs are
+# all +1, and S_i S_j for the mirror V_p = S V_x S, S = diag(1, 1, -1)
+_X_ROWS = np.array([[0], [3], [5]]), np.array([0, 3, 5])
+_MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
 
 DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
 
@@ -114,7 +113,6 @@ class SweepSpec:
     axis1: Axis
     axis2: Axis | None = None
     outputs: tuple[str, ...] = ()
-    preset_id: str | None = None
 
     def __post_init__(self):
         outputs = tuple(self.outputs) or MEASURE_KEYS
@@ -156,9 +154,9 @@ def _steady_states(points: list[SystemParams]):
     it passed the Hurwitz gate and whether it was solved, and for the solved
     points, in order, their covariance blocks (n, 2, 3, 3) and Lyapunov
     residuals. A point is solved if it passes the gate and its steady state
-    meets the residual bound; any other point is reported unstable. The
-    residual of a point is sqrt(r_x^2 + r_p^2) over its two blocks, which
-    is the residual of its 6x6 steady state.
+    meets the residual bound; any other point is reported unstable. Only the
+    x' block is solved: V_p = S V_x S and r_p = r_x exactly, so the residual
+    of the 6x6 steady state, sqrt(r_x^2 + r_p^2), is sqrt(2 r_x^2).
     """
     system = np.empty((len(points), 2, 6, 6))  # drift, diffusion
     for k, params in enumerate(points):
@@ -166,37 +164,36 @@ def _steady_states(points: list[SystemParams]):
         system[k, 0] = build_drift(params, derived)
         system[k, 1] = build_diffusion(params, derived)
     max_real, gated = hurwitz_gate(system[:, 0])
-    kept = system[gated]
-    drift, diffusion = split_blocks(kept).swapaxes(0, 1).reshape(2, -1, 3, 3)
-    cov, residual, _ = solve_lyapunov_stack(drift, diffusion)
-    residual = np.sqrt(np.square(residual).reshape(-1, 2).sum(axis=1))
-    passed = residual <= residual_bound(kept[:, 1])
+    x_blocks = system[:, :, _X_ROWS[0], _X_ROWS[1]][gated]
+    cov, residual, _ = solve_lyapunov_stack(x_blocks[:, 0], x_blocks[:, 1])
+    residual = np.sqrt(2.0 * np.square(residual))
+    passed = residual <= residual_bound(system[gated, 1])
     solved = gated.copy()
     solved[gated] = passed
-    return max_real, gated, solved, cov.reshape(-1, 2, 3, 3)[passed], residual[passed]
+    blocks = np.empty((len(cov), 2, 3, 3))
+    blocks[:, 0] = cov
+    np.multiply(cov, _MIRROR, out=blocks[:, 1])
+    return max_real, gated, solved, blocks[passed], residual[passed]
 
 
-def _evaluate_blocks(points: list[SystemParams], outputs: tuple[str, ...]):
-    """Run the points through the pipeline in blocks of at most _BLOCK_SIZE.
+def _evaluate(points: list[SystemParams], outputs: tuple[str, ...]):
+    """Run the points through the pipeline as one stack.
 
     Yields, per point in order, its largest drift eigenvalue real part, the
     check that rejected it ("gate" or "residual", None if it was solved) and
     its values of ``outputs + DIAGNOSTIC_KEYS``, or None in place of the
     values if the point is unstable.
     """
-    keys = outputs + DIAGNOSTIC_KEYS
-    for start in range(0, len(points), _BLOCK_SIZE):
-        max_real, gated, solved, blocks, residual = _steady_states(
-            points[start:start + _BLOCK_SIZE])
-        columns = measure_blocks(blocks, outputs)
-        columns["lyap_residual"] = residual.tolist()
-        columns["min_symplectic_eig"] = symplectic_spectrum(blocks)[:, -1].tolist()
-        values = zip(*(columns[key] for key in keys))  # one tuple per solved point
-        for real, gate_ok, ok in zip(max_real.tolist(), gated.tolist(), solved.tolist()):
-            if ok:
-                yield real, None, next(values)
-            else:
-                yield real, ("residual" if gate_ok else "gate"), None
+    max_real, gated, solved, blocks, residual = _steady_states(points)
+    columns = measure_blocks(blocks, outputs)
+    columns["lyap_residual"] = residual.tolist()
+    columns["min_symplectic_eig"] = symplectic_spectrum(blocks)[:, -1].tolist()
+    values = zip(*(columns[key] for key in outputs + DIAGNOSTIC_KEYS))
+    for real, gate_ok, ok in zip(max_real.tolist(), gated.tolist(), solved.tolist()):
+        if ok:
+            yield real, None, next(values)
+        else:
+            yield real, ("residual" if gate_ok else "gate"), None
 
 
 def run_point(params: SystemParams) -> PointResult:
@@ -206,7 +203,7 @@ def run_point(params: SystemParams) -> PointResult:
     bound, is reported as a structured result with status "unstable" and
     the rejecting check in ``reason``, rather than raised.
     """
-    [(max_real, reason, values)] = _evaluate_blocks([params], MEASURE_KEYS)
+    [(max_real, reason, values)] = _evaluate([params], MEASURE_KEYS)
     if values is None:
         return PointResult(status="unstable", max_real_part=max_real, reason=reason)
     flat = dict(zip(MEASURE_KEYS + DIAGNOSTIC_KEYS, values))
@@ -257,7 +254,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     blank = (None,) * len(keys)
     points = grid_points(spec)
     rows = []
-    for params, (_, _, values) in zip(points, _evaluate_blocks(points, spec.outputs)):
+    for params, (_, _, values) in zip(points, _evaluate(points, spec.outputs)):
         row = {axis: getattr(params, axis) for axis in axes}
         row.update(zip(keys, blank if values is None else values))
         row["status"] = "unstable" if values is None else "ok"
@@ -296,6 +293,9 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
 
     Raises
     ------
+    SpecError
+        If the sweep is two-dimensional, the direction is unknown, or the
+        measure is unknown or a steering class.
     UnstableDrift
         If a point on the grid or a bisection step is unstable; its
         ``reason`` says whether it failed the gate or the residual bound.
@@ -311,6 +311,8 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
         raise SpecError("direction must be 'falling' or 'rising'")
     if measure not in MEASURE_KEYS:
         raise SpecError(f"unknown measure key {measure!r}")
+    if measure.startswith("class_"):
+        raise SpecError(f"threshold search needs a numeric measure, not {measure!r}")
 
     grid = spec.axis1.grid()
     if direction == "rising":
@@ -319,7 +321,7 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     def evaluate(axis_values) -> list[float]:
         points = [spec.base.replace(**{spec.axis1.param: float(v)}) for v in axis_values]
         measured = []
-        for max_real, reason, values in _evaluate_blocks(points, (measure,)):
+        for max_real, reason, values in _evaluate(points, (measure,)):
             if values is None:
                 raise UnstableDrift(max_real, reason)
             measured.append(float(values[0]))
@@ -364,14 +366,12 @@ def preset(preset_id: str) -> SweepSpec:
             base=base.replace(epsilon=0.0, g_q=2.0 * g_eff),
             axis1=Axis("temperature", 0.0, 0.8, 200),
             outputs=_LN_KEYS,
-            preset_id=preset_id,
         )
     if preset_id == "fig3b":
         return SweepSpec(
             base=base.replace(epsilon=0.86, g_q=2.0 * g_eff),
             axis1=Axis("temperature", 0.0, 0.8, 200),
             outputs=_LN_KEYS,
-            preset_id=preset_id,
         )
     if preset_id == "fig2":
         return SweepSpec(
@@ -384,7 +384,6 @@ def preset(preset_id: str) -> SweepSpec:
                 "asym_cq", "asym_cm", "asym_qm",
                 "class_cq", "class_cm", "class_qm",
             ),
-            preset_id=preset_id,
         )
     if preset_id == "fig5":
         return SweepSpec(
@@ -392,14 +391,12 @@ def preset(preset_id: str) -> SweepSpec:
             axis1=Axis("epsilon", 0.0, 0.95, 200),
             axis2=Axis("temperature", values=(0.1e-3, 10e-3, 30e-3)),
             outputs=("R_c", "R_q", "R_m", "R_min"),
-            preset_id=preset_id,
         )
     if preset_id == "fig6":
         return SweepSpec(
             base=base.replace(g_q=2.0 * g_eff, temperature=10e-3),
             axis1=Axis("epsilon", 0.0, 0.95, 200),
             outputs=_LN_KEYS,
-            preset_id=preset_id,
         )
 
     # fig10 / fig11: steering monogamy scans
@@ -419,7 +416,7 @@ def preset(preset_id: str) -> SweepSpec:
             "G_c_to_q", "G_m_to_q", "G_cm_to_q",
             "mono_in_c", "mono_in_q", "mono_in_m",
         )
-    return SweepSpec(base=base, axis1=axis, outputs=outputs, preset_id=preset_id)
+    return SweepSpec(base=base, axis1=axis, outputs=outputs)
 
 
 # --- sweep-spec (de)serialisation ---------------------------------------------
@@ -436,7 +433,7 @@ def spec_from_dict(document: dict) -> SweepSpec:
     """
     if not isinstance(document, dict):
         raise SpecError("sweep specification must be a JSON object")
-    unknown = set(document) - {"base", "axis1", "axis2", "outputs", "preset_id"}
+    unknown = set(document) - {"base", "axis1", "axis2", "outputs"}
     if unknown:
         raise SpecError(f"unknown sweep keys: {sorted(unknown)}")
     if "axis1" not in document:
@@ -447,8 +444,7 @@ def spec_from_dict(document: dict) -> SweepSpec:
     base = params_from_dict(document.get("base", {}))
     axis1 = _axis_from_dict(document["axis1"])
     axis2 = _axis_from_dict(document["axis2"]) if document.get("axis2") else None
-    return SweepSpec(base=base, axis1=axis1, axis2=axis2, outputs=tuple(outputs),
-                     preset_id=document.get("preset_id"))
+    return SweepSpec(base=base, axis1=axis1, axis2=axis2, outputs=tuple(outputs))
 
 
 def _axis_from_dict(document: dict) -> Axis:

@@ -148,6 +148,13 @@ class TestPreset:
         assert code == 3
         assert "unknown preset" in err
 
+    def test_unwritable_output_exit_code(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "fig3a.csv"
+        code, out, err = run_cli(capsys, "preset", "--id", "fig3a", "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
 
 class TestThreshold:
     def test_preset_threshold(self, capsys):
@@ -163,6 +170,13 @@ class TestThreshold:
                                "--measure", "LN_cm")
         assert code == 3
         assert json.loads(out)["error"] == "NoCrossing"
+
+    def test_steering_class_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "threshold", "--preset", "fig3a",
+                                 "--measure", "class_cq")
+        assert code == 3
+        assert out == ""
+        assert "numeric measure" in err
 
     def test_unstable_point_names_its_check(self, capsys, tmp_path):
         # the last grid point passes the Hurwitz gate and fails the residual bound
@@ -190,6 +204,13 @@ class TestValidateOracle:
         assert payload["passed"] is True
         assert payload["trials"] == 25
         assert payload["max_relative_deviation"] <= 1e-8
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_rejects_fewer_than_one_trial(self, capsys, trials):
+        code, out, err = run_cli(capsys, "validate-oracle", "--trials", trials)
+        assert code == 3
+        assert out == ""
+        assert "trials" in err
 
     def test_every_diffusion_mode_is_checked(self, capsys):
         code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "7",

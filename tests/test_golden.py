@@ -9,7 +9,6 @@ roundoff. The cells whose text differs at all are counted and printed.
 
 import csv
 import io
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,7 @@ def read_rows(text: str) -> list[dict]:
 
 
 def residual_bound(params) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        diffusion = build_diffusion(params, derive(params))
+    diffusion = build_diffusion(params, derive(params))
     return LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(diffusion)))
 
 

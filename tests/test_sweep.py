@@ -115,7 +115,6 @@ class TestOneSteadyStatePath:
         assert ("unstable", False) in seen
         assert any(solved != "unstable" for solved, _ in seen)
 
-    @pytest.mark.filterwarnings("ignore:feedback damping is non-positive")
     def test_steady_state_covariance_is_the_pipeline_covariance(self):
         rng = np.random.default_rng(11)
         points = [default_params(epsilon=float(rng.uniform(0.0, 0.95)),
@@ -203,6 +202,11 @@ class TestAxisAndSpec:
         with pytest.raises(SpecError):
             spec_from_dict([1, 2])
 
+    def test_spec_from_dict_rejects_preset_id(self):
+        with pytest.raises(SpecError, match="unknown sweep keys"):
+            spec_from_dict({"axis1": {"param": "temperature", "start": 0, "stop": 1,
+                                      "count": 3}, "preset_id": "fig3a"})
+
 
 class TestRunSweep:
     def test_two_point_axis_structure(self):
@@ -250,6 +254,20 @@ class TestRunSweep:
         assert info.value.max_real_part == float(max_real)
         with pytest.raises(UnstableDrift, match="residual bound"):
             steady_state_covariance(params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_theta_sweep_with_non_positive_damping_runs_under_warnings_as_errors(self):
+        # the Hurwitz gate alone decides: 12 of these points have k_fb <= 0
+        base = default_params(epsilon=0.6)
+        spec = SweepSpec(base=base, axis1=Axis("theta", 0.0, 2.0 * math.pi, 64))
+        rows = run_sweep(spec)
+        damping = [derive(params).k_fb for params in grid_points(spec)]
+        assert sum(k_fb <= 0 for k_fb in damping) == 12
+        statuses = [row["status"] for row in rows]
+        assert statuses.count("ok") == 50
+        assert statuses.count("unstable") == 14
+        assert all(status == "unstable"
+                   for status, k_fb in zip(statuses, damping) if k_fb <= 0)
 
     def test_deterministic_across_runs(self):
         spec = small_spec(count=6)
@@ -313,11 +331,11 @@ class TestFindThreshold:
     def test_revival_raises_nonmonotone(self, monkeypatch):
         profile = {0.0: 1.0, 0.1: 0.0, 0.2: 1.0, 0.3: 0.0}
 
-        def fake_evaluate_blocks(points, outputs):
+        def fake_evaluate(points, outputs):
             for params in points:
                 yield -1.0, None, (profile[round(params.temperature, 3)], 0.0, 0.5)
 
-        monkeypatch.setattr(sweep_module, "_evaluate_blocks", fake_evaluate_blocks)
+        monkeypatch.setattr(sweep_module, "_evaluate", fake_evaluate)
         spec = SweepSpec(base=default_params(epsilon=0.0),
                          axis1=Axis("temperature", 0.0, 0.3, 4),
                          outputs=("LN_qm",))
@@ -349,12 +367,20 @@ class TestFindThreshold:
         with pytest.raises(SpecError):
             find_threshold(small_spec(), "LN_qm", direction="sideways")
 
+    @pytest.mark.parametrize("measure", ["class_cq", "class_cm", "class_qm"])
+    def test_rejects_steering_class_before_evaluating(self, monkeypatch, measure):
+        def no_evaluation(points, outputs):
+            raise AssertionError("a steering class was evaluated")
+
+        monkeypatch.setattr(sweep_module, "_evaluate", no_evaluation)
+        with pytest.raises(SpecError, match="numeric measure"):
+            find_threshold(preset("fig3a"), measure)
+
 
 class TestPresets:
     def test_all_ids_build(self):
         for preset_id in PRESET_IDS:
             spec = preset(preset_id)
-            assert spec.preset_id == preset_id
             assert spec.outputs
 
     def test_unknown_preset(self):
