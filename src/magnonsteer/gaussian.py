@@ -10,9 +10,9 @@ on x' and V_p on p'. The two blocks mirror each other: the qubit coupling is
 beam-splitter-like and the magnon coupling parametric, so the p' drift is
 S Q_x S with S = diag(1, 1, -1) while both blocks share one diagonal
 diffusion, and V_p = S V_x S. S only flips signs, so a solve of the p' block
-gives exactly S V_x S and the same residual as the x' block; the pipeline
-solves V_x alone. A stack of N block pairs is stored as one array
-(N, 2, ..., n, n), V_x before V_p. The symplectic eigenvalues are the
+gives exactly S V_x S and the same residual as the x' block, and
+``steady_state_blocks`` solves V_x alone. A stack of N block pairs is
+stored as one array (N, 2, ..., n, n), V_x before V_p. The symplectic eigenvalues are the
 singular values of B^T T A, with A and B the Cholesky factors of V_x and
 V_p and T = I; partially transposing mode k flips the sign of its x' or p'
 quadrature, which puts -1 at position k of the diagonal of T either way.
@@ -39,13 +39,14 @@ PHASE_COVARIANCE_TOL = 1e-12
 # Stability margin relative to ||Q||_F, scale-free across rad/s magnitudes
 STABILITY_TOL = 1e-9
 
-# Rows of x' and p' in the quadrature ordering, and the signs of p'
+# Rows of x' and p' in the quadrature ordering, the signs of p', and S_i S_j of V_p = S V_x S
 _X_ROWS = np.array([0, 3, 5])
 _P_ROWS = np.array([1, 2, 4])
 _ROWS = np.array([_X_ROWS, _P_ROWS])[:, :, None]
 _COLS = _ROWS.swapaxes(-1, -2)
 _SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
 _SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
+_MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
 
 
 def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,8 +83,8 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     max_real, stable = hurwitz_gate(q)
     if not stable:
         raise UnstableDrift(float(max_real))
-    cov, _, passed = solve_lyapunov_stack(q[None], d[None])
-    if not passed[0]:
+    cov, residual = solve_lyapunov_stack(q[None], d[None])
+    if not residual[0] <= residual_bound(d):
         raise SingularSystem("steady-state solve failed the residual bound")
     return cov[0]
 
@@ -100,14 +101,13 @@ def residual_bound(diffusion: np.ndarray):
 
 
 def solve_lyapunov_stack(drift: np.ndarray,
-                         diffusion: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                         diffusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve Q V + V Q^T = -D for each of (N, n, n) drifts already known to be stable.
 
     Uses the Kronecker vectorisation (I (x) Q + Q (x) I) vec(V) = -vec(D),
     exact for the small dense systems handled here, in one solve for the
-    whole stack. Each output is symmetrised and its residual checked against
-    ``residual_bound``. Returns the covariances, their residuals
-    ||Q V + V Q^T + D||_F and whether each meets the bound.
+    whole stack. Returns the symmetrised covariances and their residuals
+    ||Q V + V Q^T + D||_F; the callers judge them against ``residual_bound``.
 
     Raises
     ------
@@ -127,9 +127,42 @@ def solve_lyapunov_stack(drift: np.ndarray,
         raise SingularSystem(str(exc)) from exc
     cov = vec.reshape(count, n, n)
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    return cov, lyapunov_residual(q, cov, d)
 
-    residual = lyapunov_residual(q, cov, d)
-    return cov, residual, residual <= residual_bound(d)
+
+def steady_state_blocks(drift: np.ndarray, diffusion: np.ndarray):
+    """Gate, solve and judge the steady states of 6x6 drifts and diffusions (N, 6, 6).
+
+    Drifts that pass ``hurwitz_gate`` have their x' block solved and V_p
+    written as its mirror S V_x S; as r_p = r_x, the 6x6 residual is
+    sqrt(2 r_x^2). A point is accepted only if ``residual_bound`` of its
+    diffusion is finite and the residual meets it: at extreme temperatures
+    the norms overflow, and such a point is rejected.
+
+    Returns each point's largest drift eigenvalue real part, a list of each
+    point's rejecting check ("gate", "residual" or None), and the block pairs
+    (n, 2, 3, 3) and residuals (n,) of the accepted points, in order.
+
+    Raises
+    ------
+    SingularSystem
+        If the linear solve is rank-deficient.
+    """
+    max_real, gated = hurwitz_gate(drift)
+    q = np.asarray(drift)[gated][:, _X_ROWS[:, None], _X_ROWS]
+    d = np.asarray(diffusion)[gated]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov, residual = solve_lyapunov_stack(q, d[:, _X_ROWS[:, None], _X_ROWS])
+        residual = np.sqrt(2.0 * np.square(residual))
+        bound = residual_bound(d)
+        passed = np.isfinite(bound) & (residual <= bound)
+    verdict = iter(passed.tolist())
+    reason = [(None if next(verdict) else "residual") if ok else "gate"
+              for ok in gated.tolist()]
+    blocks = np.empty((len(cov), 2, 3, 3))
+    blocks[:, 0] = cov
+    np.multiply(cov, _MIRROR, out=blocks[:, 1])
+    return max_real, reason, blocks[passed], residual[passed]
 
 
 def split_blocks(matrix: np.ndarray) -> np.ndarray:
@@ -154,6 +187,8 @@ def covariance_blocks(cov: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If the matrices are not 6x6 or have a non-finite entry.
     NotPhaseCovariant
         If an x'p' entry exceeds PHASE_COVARIANCE_TOL times the largest entry
         of its matrix.
@@ -161,6 +196,8 @@ def covariance_blocks(cov: np.ndarray) -> np.ndarray:
     v = np.asarray(cov, dtype=float)
     if v.shape[-2:] != (6, 6):
         raise ValueError("expected 6x6 three-mode covariance matrices")
+    if not np.isfinite(v).all():
+        raise ValueError("covariance matrices must have finite entries")
     cross = np.maximum(np.abs(v[..., _X_ROWS[:, None], _P_ROWS]),
                        np.abs(v[..., _P_ROWS[:, None], _X_ROWS]))
     scale = np.abs(v).max(axis=(-2, -1), initial=0.0)

@@ -42,19 +42,19 @@ def _clamp(value):
     return np.where(value < ZERO_CLAMP, 0.0, value)
 
 
-def classify_steering(g_ab: float, g_ba: float, tol: float = CLASS_TOL) -> str:
+def classify_steering(g_ab: float, g_ba: float) -> str:
     """Four-way steering taxonomy for a pair with directed measures (ab, ba)."""
     if g_ab < 0 or g_ba < 0:
         raise ValueError("steering measures must be non-negative")
-    a_steers = g_ab > tol
-    b_steers = g_ba > tol
+    a_steers = g_ab > CLASS_TOL
+    b_steers = g_ba > CLASS_TOL
     if not a_steers and not b_steers:
         return "no_way"
     if a_steers and not b_steers:
         return "one_way_ab"
     if b_steers and not a_steers:
         return "one_way_ba"
-    return "two_way_symmetric" if abs(g_ab - g_ba) <= tol else "two_way_asymmetric"
+    return "two_way_symmetric" if abs(g_ab - g_ba) <= CLASS_TOL else "two_way_asymmetric"
 
 
 # --- full report -------------------------------------------------------------
@@ -144,22 +144,16 @@ _KEYS_BY_KIND = {kind: tuple(k for k in MEASURE_KEYS if k.partition("_")[0] == k
                  for kind in ("G", "asym", "class", "mono")}
 
 
-def _negativity(subs: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """max[0, -ln 2 nu~] of block pairs (N, 2, k, n, n), transposed by ``signs`` (k, n)."""
+def _negativity(subs: np.ndarray, keys) -> np.ndarray:
+    """max[0, -ln 2 nu~] of block pairs (N, 2, k, n, n), one slot per LN_ key.
+
+    A slot holds the modes its key names, in mode order, and transposes
+    key[3]: the first mode of LN_<pair>, the pivot of LN_<pivot>_<rest>.
+    """
+    signs = np.array([[-1.0 if lbl == key[3] else 1.0 for lbl in MODE_LABELS if lbl in key[3:]]
+                      for key in keys])
     nu = symplectic_spectrum(subs, signs)[..., -1]
     return _clamp(-np.log(2.0 * nu))
-
-
-def _pair_negativity(subs, keys):
-    """Two-mode negativities, the first mode of each pair transposed."""
-    return _negativity(subs, np.array([-1.0, 1.0]))
-
-
-def _one_versus_two(subs, keys):
-    """One-versus-two negativities, the pivot of each slot's key transposed."""
-    # key is LN_<pivot>_<rest>
-    return _negativity(subs, np.array([[-1.0 if lbl == key[3] else 1.0 for lbl in MODE_LABELS]
-                                       for key in keys]))
 
 
 def _steering(steering_modes: int):
@@ -203,8 +197,8 @@ def _steering(steering_modes: int):
 # to the modes of the submatrix it reads, in the order it reads them
 # (steering party first), and computes all of its keys in one call.
 _GROUPS = (
-    ({f"LN_{pair}": pair for pair in _PAIRS}, _pair_negativity),
-    ({f"LN_{p}_{_rest(p)}": "cqm" for p in MODE_LABELS}, _one_versus_two),
+    ({f"LN_{pair}": pair for pair in _PAIRS}, _negativity),
+    ({f"LN_{p}_{_rest(p)}": "cqm" for p in MODE_LABELS}, _negativity),
     ({f"G_{a}_to_{b}": a + b for a in MODE_LABELS for b in MODE_LABELS if a != b},
      _steering(1)),
     ({f"G_{p}_to_{_rest(p)}": p + _rest(p) for p in MODE_LABELS}, _steering(1)),

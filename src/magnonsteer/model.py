@@ -299,10 +299,7 @@ def params_from_dict(document: dict) -> SystemParams:
         if key == "diffusion_mode":
             values[key] = raw
             continue
-        try:
-            val = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"parameter {key} must be a number") from exc
+        val = _number(raw, f"parameter {key}")
         values[key] = val * TWO_PI if key in _HZ_KEYS else val
 
     ratio = values.pop("g_q_ratio", None)
@@ -310,6 +307,12 @@ def params_from_dict(document: dict) -> SystemParams:
         base = SystemParams(g_q=0.0, **{k: v for k, v in values.items() if k != "g_q"})
         values["g_q"] = ratio * effective_coupling(base)
     return SystemParams(**values)
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise SpecError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def params_from_json(text: str) -> SystemParams:

@@ -1,10 +1,9 @@
 """Single-point evaluation, parameter sweeps, presets and CSV emission.
 
 Every call evaluates its points as one stack. Each point is derived and
-built on its own; the stack then goes through one Hurwitz gate on the 6x6
-drifts, one steady-state solve of their 3x3 x' blocks, whose mirror gives
-the p' blocks (see ``gaussian``), one symplectic spectrum and the batched
-measures kernel, which computes only the requested outputs. ``run_point``
+built on its own; ``gaussian.steady_state_blocks`` then gates, solves and
+judges the stack, and one symplectic spectrum and the batched measures
+kernel measure it, computing only the requested outputs. ``run_point``
 is the same pipeline on a stack of one, and ``find_threshold`` runs its grid
 as one stack and each bisection step as a stack of one, computing only the
 scanned measure. Rows are assembled in deterministic axis order, so
@@ -27,11 +26,9 @@ from .errors import NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableD
 from .gaussian import (  # noqa: F401
     assemble_blocks,
     check_physicality,
-    hurwitz_gate,
     lyapunov_residual,
-    residual_bound,
     solve_lyapunov,
-    solve_lyapunov_stack,
+    steady_state_blocks,
     symplectic_spectrum,
 )
 from .measures import (  # noqa: F401
@@ -43,6 +40,7 @@ from .measures import (  # noqa: F401
 from .model import (  # noqa: F401
     NUMERIC_FIELDS,
     SystemParams,
+    _number,
     assert_stable,
     build_diffusion,
     build_drift,
@@ -51,11 +49,6 @@ from .model import (  # noqa: F401
     effective_coupling,
     params_from_dict,
 )
-
-# Rows of x' = (X_c, Y_q, Y_m) in the quadrature ordering, whose signs are
-# all +1, and S_i S_j for the mirror V_p = S V_x S, S = diag(1, 1, -1)
-_X_ROWS = np.array([[0], [3], [5]]), np.array([0, 3, 5])
-_MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
 
 DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
 
@@ -97,12 +90,6 @@ class Axis:
         if self.values:
             return np.asarray(self.values, dtype=float)
         return np.linspace(self.start, self.stop, self.count)
-
-
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SpecError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -148,32 +135,13 @@ class PointResult:
 
 
 def _steady_states(points: list[SystemParams]):
-    """Derive and build each point, then gate and solve them stacked.
-
-    Returns the largest drift eigenvalue real part of every point, whether
-    it passed the Hurwitz gate and whether it was solved, and for the solved
-    points, in order, their covariance blocks (n, 2, 3, 3) and Lyapunov
-    residuals. A point is solved if it passes the gate and its steady state
-    meets the residual bound; any other point is reported unstable. Only the
-    x' block is solved: V_p = S V_x S and r_p = r_x exactly, so the residual
-    of the 6x6 steady state, sqrt(r_x^2 + r_p^2), is sqrt(2 r_x^2).
-    """
+    """Derive and build each point, then ``steady_state_blocks`` on the stack."""
     system = np.empty((len(points), 2, 6, 6))  # drift, diffusion
     for k, params in enumerate(points):
         derived = derive(params)
         system[k, 0] = build_drift(params, derived)
         system[k, 1] = build_diffusion(params, derived)
-    max_real, gated = hurwitz_gate(system[:, 0])
-    x_blocks = system[:, :, _X_ROWS[0], _X_ROWS[1]][gated]
-    cov, residual, _ = solve_lyapunov_stack(x_blocks[:, 0], x_blocks[:, 1])
-    residual = np.sqrt(2.0 * np.square(residual))
-    passed = residual <= residual_bound(system[gated, 1])
-    solved = gated.copy()
-    solved[gated] = passed
-    blocks = np.empty((len(cov), 2, 3, 3))
-    blocks[:, 0] = cov
-    np.multiply(cov, _MIRROR, out=blocks[:, 1])
-    return max_real, gated, solved, blocks[passed], residual[passed]
+    return steady_state_blocks(system[:, 0], system[:, 1])
 
 
 def _evaluate(points: list[SystemParams], outputs: tuple[str, ...]):
@@ -184,16 +152,13 @@ def _evaluate(points: list[SystemParams], outputs: tuple[str, ...]):
     its values of ``outputs + DIAGNOSTIC_KEYS``, or None in place of the
     values if the point is unstable.
     """
-    max_real, gated, solved, blocks, residual = _steady_states(points)
+    max_real, reasons, blocks, residual = _steady_states(points)
     columns = measure_blocks(blocks, outputs)
     columns["lyap_residual"] = residual.tolist()
     columns["min_symplectic_eig"] = symplectic_spectrum(blocks)[:, -1].tolist()
     values = zip(*(columns[key] for key in outputs + DIAGNOSTIC_KEYS))
-    for real, gate_ok, ok in zip(max_real.tolist(), gated.tolist(), solved.tolist()):
-        if ok:
-            yield real, None, next(values)
-        else:
-            yield real, ("residual" if gate_ok else "gate"), None
+    for real, reason in zip(max_real.tolist(), reasons):
+        yield real, reason, (None if reason else next(values))
 
 
 def run_point(params: SystemParams) -> PointResult:
@@ -224,9 +189,9 @@ def steady_state_covariance(params: SystemParams) -> np.ndarray:
         If the point fails the Hurwitz gate or its steady state fails the
         residual bound; ``reason`` says which.
     """
-    max_real, gated, solved, blocks, _ = _steady_states([params])
-    if not solved[0]:
-        raise UnstableDrift(float(max_real[0]), "residual" if gated[0] else "gate")
+    max_real, [reason], blocks, _ = _steady_states([params])
+    if reason:
+        raise UnstableDrift(float(max_real[0]), reason)
     return assemble_blocks(blocks)[0]
 
 
@@ -443,7 +408,7 @@ def spec_from_dict(document: dict) -> SweepSpec:
         raise SpecError("sweep outputs must be a list of measure keys")
     base = params_from_dict(document.get("base", {}))
     axis1 = _axis_from_dict(document["axis1"])
-    axis2 = _axis_from_dict(document["axis2"]) if document.get("axis2") else None
+    axis2 = _axis_from_dict(document["axis2"]) if document.get("axis2") is not None else None
     return SweepSpec(base=base, axis1=axis1, axis2=axis2, outputs=tuple(outputs))
 
 

@@ -21,6 +21,8 @@ MALFORMED_PARAMS = [
     ({"g_q": math.nan}, "g_q"),
     ({"temperature": math.inf}, "temperature"),
     ({"g_q_ratio": "x"}, "g_q_ratio"),
+    ({"temperature": True}, "parameter temperature must be a number"),
+    ({"epsilon": "0.5"}, "parameter epsilon must be a number"),
 ]
 
 
@@ -120,7 +122,8 @@ class TestSweep:
         ({"outputs": "LN_qm"}, "outputs"),
         ({"base": [0.5]}, "parameter document"),
         ({"axis1": {"param": "temperature", "values": [0.0, math.nan]}}, "temperature"),
-    ] + [({"base": document}, named) for document, named in MALFORMED_PARAMS])
+    ] + [({"base": document}, named) for document, named in MALFORMED_PARAMS]
+      + [({"axis2": falsy}, "axis must be an object") for falsy in (0, False, [], "", {})])
     def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
         document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
                               "count": 3},

@@ -12,17 +12,20 @@ from magnonsteer import (
     SingularSystem,
     UnstableDrift,
     check_physicality,
+    correlation_report,
     default_params,
     lyapunov_residual,
     solve_lyapunov,
     steady_state_covariance,
 )
 from magnonsteer.analytic import analytic_covariance
+from magnonsteer.measures import measure_columns
 from magnonsteer.gaussian import (
     STABILITY_TOL,
     assemble_blocks,
     covariance_blocks,
     hurwitz_gate,
+    residual_bound,
     solve_lyapunov_stack,
     split_blocks,
     symplectic_spectrum,
@@ -93,8 +96,8 @@ class TestSolveLyapunov:
         assert not hurwitz_gate(drift)[1]
         with pytest.raises(UnstableDrift):
             solve_lyapunov(drift, np.eye(6))
-        _, _, passed = solve_lyapunov_stack(drift[None], np.eye(6)[None])
-        assert not passed[0]
+        _, residual = solve_lyapunov_stack(drift[None], np.eye(6)[None])
+        assert not residual[0] <= residual_bound(np.eye(6))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unstable_exactly_where_the_gate_says(self, seed):
@@ -177,6 +180,16 @@ class TestPhaseCovariantBlocks:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             covariance_blocks(vacuum_cm(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_a_value_error(self, bad):
+        # not numpy's "SVD did not converge" from the measures downstream
+        cov = vacuum_cm(3)
+        cov[0, 0] = bad
+        for call in (covariance_blocks, check_physicality, correlation_report,
+                     lambda v: measure_columns(v[None])):
+            with pytest.raises(ValueError, match="finite"):
+                call(cov)
 
 
 class TestSymplecticSpectrum:

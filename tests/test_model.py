@@ -382,7 +382,7 @@ class TestPhaseCovariantSplit:
         derived = derive(params)
         drift, diffusion = split_blocks(np.stack([build_drift(params, derived),
                                                   build_diffusion(params, derived)]))
-        cov, residual, _ = solve_lyapunov_stack(drift, diffusion)
+        cov, residual = solve_lyapunov_stack(drift, diffusion)
         flip = np.diag([1.0, 1.0, -1.0])
         assert np.array_equal(cov[1], flip @ cov[0] @ flip)
         assert residual[1] == residual[0]

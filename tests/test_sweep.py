@@ -123,8 +123,8 @@ class TestOneSteadyStatePath:
                                  g_q_ratio=float(rng.uniform(0.5, 3.0)),
                                  diffusion_mode=("paper", "consistent", "input_output")[k % 3])
                   for k in range(60)]
-        _, _, stable, blocks, _ = sweep_module._steady_states(points)
-        solved = [params for params, ok in zip(points, stable) if ok]
+        _, reasons, blocks, _ = sweep_module._steady_states(points)
+        solved = [params for params, reason in zip(points, reasons) if reason is None]
         assert len(solved) >= 30
         for params, expected in zip(solved, assemble_blocks(blocks)):
             assert np.array_equal(steady_state_covariance(params), expected)
@@ -186,10 +186,12 @@ class TestAxisAndSpec:
         spec = spec_from_dict({
             "base": {"epsilon": 0.5},
             "axis1": {"param": "temperature", "start": 0.0, "stop": 0.2, "count": 3},
+            "axis2": None,
             "outputs": ["LN_qm"],
         })
         assert spec.base.epsilon == 0.5
         assert spec.outputs == ("LN_qm",)
+        assert spec.axis2 is None
 
     def test_spec_from_dict_rejects_garbage(self):
         with pytest.raises(SpecError):
@@ -254,6 +256,22 @@ class TestRunSweep:
         assert info.value.max_real_part == float(max_real)
         with pytest.raises(UnstableDrift, match="residual bound"):
             steady_state_covariance(params)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("temperature", [1e146, 1e200, 1e300])
+    def test_residual_check_fails_closed_at_extreme_temperature(self, temperature):
+        # past ~1e145 K the residual bound, and then the residual, overflow;
+        # such a point is rejected, never accepted with an infinite residual
+        spec = SweepSpec(base=default_params(),
+                         axis1=Axis("temperature", values=(1e145, temperature)),
+                         outputs=("LN_qm",))
+        rows = run_sweep(spec)
+        assert [row["status"] for row in rows] == ["ok", "unstable"]
+        assert math.isfinite(rows[0]["lyap_residual"])
+        result = run_point(grid_points(spec)[1])
+        assert (result.status, result.reason) == ("unstable", "residual")
+        with pytest.raises(UnstableDrift, match="residual bound"):
+            steady_state_covariance(grid_points(spec)[1])
 
     @pytest.mark.filterwarnings("error")
     def test_theta_sweep_with_non_positive_damping_runs_under_warnings_as_errors(self):
