@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDenominator
+from .gaussian import assemble_blocks, mirror_pairs
 from .model import DerivedQuantities, SystemParams, cavity_noise_factor, derive
 
 DENOMINATOR_TOL = 1e-12
@@ -108,17 +109,6 @@ def analytic_covariance(
                     - (gam + k_fb) * (2.0 * gam * k_fb + (gam + k_fb) * k_m + k_m**2))) * d_m
     ) / den
 
-    return assemble(v11, v14, v16, v33, v35, v66)
-
-
-def assemble(v11: float, v14: float, v16: float,
-             v33: float, v35: float, v66: float) -> np.ndarray:
-    """Place the six distinct entries into the full symmetric 6x6 pattern."""
-    return np.array([
-        [v11, 0.0, 0.0, v14, 0.0, v16],
-        [0.0, v11, -v14, 0.0, v16, 0.0],
-        [0.0, -v14, v33, 0.0, v35, 0.0],
-        [v14, 0.0, 0.0, v33, 0.0, -v35],
-        [0.0, v16, v35, 0.0, v66, 0.0],
-        [v16, 0.0, 0.0, -v35, 0.0, v66],
-    ])
+    # V_x on x' = (X_c, Y_q, Y_m); V_p on p' is its mirror
+    cov_x = np.array([[v11, v14, v16], [v14, v33, -v35], [v16, -v35, v66]])
+    return assemble_blocks(mirror_pairs(cov_x))

@@ -72,16 +72,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(_load_json(args.spec))
-    rows = run_sweep(spec)
-    _write_text(args.out, format_csv(rows))
-    return EXIT_OK
-
-
-def cmd_preset(args: argparse.Namespace) -> int:
-    spec = preset(args.id)
-    rows = run_sweep(spec)
-    _write_text(args.out, format_csv(rows))
+    # a preset is a sweep document kept in the package
+    if args.command == "preset":
+        spec = preset(args.id)
+    else:
+        spec = spec_from_dict(_load_json(args.spec))
+    _write_text(args.out, format_csv(run_sweep(spec)))
     return EXIT_OK
 
 
@@ -159,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset = sub.add_parser("preset", help="run a figure-reproduction preset")
     p_preset.add_argument("--id", required=True, metavar="|".join(PRESET_IDS))
     p_preset.add_argument("--out", help="CSV output path (stdout if omitted)")
-    p_preset.set_defaults(func=cmd_preset)
+    p_preset.set_defaults(func=cmd_sweep)
 
     p_thr = sub.add_parser("threshold", help="locate where a measure reaches zero")
     group = p_thr.add_mutually_exclusive_group(required=True)

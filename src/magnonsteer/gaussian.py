@@ -83,8 +83,10 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     max_real, stable = hurwitz_gate(q)
     if not stable:
         raise UnstableDrift(float(max_real))
-    cov, residual = solve_lyapunov_stack(q[None], d[None])
-    if not residual[0] <= residual_bound(d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov, residual = solve_lyapunov_stack(q[None], d[None])
+        accepted = residual_accepted(residual, d)
+    if not accepted[0]:
         raise SingularSystem("steady-state solve failed the residual bound")
     return cov[0]
 
@@ -95,9 +97,15 @@ def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray)
                           axis=(-2, -1))
 
 
-def residual_bound(diffusion: np.ndarray):
-    """The largest accepted Lyapunov residual, LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F)."""
-    return LYAPUNOV_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(diffusion, axis=(-2, -1)))
+def residual_accepted(residual: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
+    """Whether each residual meets LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F) of its diffusion.
+
+    A bound that is not finite accepts nothing: at extreme temperatures the
+    norms overflow. Callers run this, and the solve behind ``residual``,
+    under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    bound = LYAPUNOV_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(diffusion, axis=(-2, -1)))
+    return np.isfinite(bound) & (residual <= bound)
 
 
 def solve_lyapunov_stack(drift: np.ndarray,
@@ -107,7 +115,7 @@ def solve_lyapunov_stack(drift: np.ndarray,
     Uses the Kronecker vectorisation (I (x) Q + Q (x) I) vec(V) = -vec(D),
     exact for the small dense systems handled here, in one solve for the
     whole stack. Returns the symmetrised covariances and their residuals
-    ||Q V + V Q^T + D||_F; the callers judge them against ``residual_bound``.
+    ||Q V + V Q^T + D||_F; the callers judge them with ``residual_accepted``.
 
     Raises
     ------
@@ -135,9 +143,7 @@ def steady_state_blocks(drift: np.ndarray, diffusion: np.ndarray):
 
     Drifts that pass ``hurwitz_gate`` have their x' block solved and V_p
     written as its mirror S V_x S; as r_p = r_x, the 6x6 residual is
-    sqrt(2 r_x^2). A point is accepted only if ``residual_bound`` of its
-    diffusion is finite and the residual meets it: at extreme temperatures
-    the norms overflow, and such a point is rejected.
+    sqrt(2 r_x^2). ``residual_accepted`` judges it against the 6x6 diffusion.
 
     Returns each point's largest drift eigenvalue real part, a list of each
     point's rejecting check ("gate", "residual" or None), and the block pairs
@@ -154,15 +160,19 @@ def steady_state_blocks(drift: np.ndarray, diffusion: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         cov, residual = solve_lyapunov_stack(q, d[:, _X_ROWS[:, None], _X_ROWS])
         residual = np.sqrt(2.0 * np.square(residual))
-        bound = residual_bound(d)
-        passed = np.isfinite(bound) & (residual <= bound)
+        passed = residual_accepted(residual, d)
     verdict = iter(passed.tolist())
     reason = [(None if next(verdict) else "residual") if ok else "gate"
               for ok in gated.tolist()]
-    blocks = np.empty((len(cov), 2, 3, 3))
-    blocks[:, 0] = cov
-    np.multiply(cov, _MIRROR, out=blocks[:, 1])
-    return max_real, reason, blocks[passed], residual[passed]
+    return max_real, reason, mirror_pairs(cov)[passed], residual[passed]
+
+
+def mirror_pairs(cov_x: np.ndarray) -> np.ndarray:
+    """The block pairs (..., 2, 3, 3) of x' blocks (..., 3, 3): V_x and V_p = S V_x S."""
+    blocks = np.empty(cov_x.shape[:-2] + (2, 3, 3))
+    blocks[..., 0, :, :] = cov_x
+    np.multiply(cov_x, _MIRROR, out=blocks[..., 1, :, :])
+    return blocks
 
 
 def split_blocks(matrix: np.ndarray) -> np.ndarray:

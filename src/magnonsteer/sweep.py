@@ -44,15 +44,11 @@ from .model import (  # noqa: F401
     assert_stable,
     build_diffusion,
     build_drift,
-    default_params,
     derive,
-    effective_coupling,
     params_from_dict,
 )
 
 DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
-
-PRESET_IDS = ("fig3a", "fig3b", "fig2", "fig5", "fig6", "fig10", "fig11")
 
 
 @dataclass(frozen=True)
@@ -315,73 +311,64 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
 
 # --- figure presets ----------------------------------------------------------
 
-_LN_KEYS = ("LN_cm", "LN_cq", "LN_qm")
+# Each preset is a sweep document as read by ``spec_from_dict``: ``base`` in
+# the Hz-style document convention, axes in internal units. The documents
+# are never mutated, so entries share sub-documents.
+_LN_KEYS = ["LN_cm", "LN_cq", "LN_qm"]
+_T_800MK = {"param": "temperature", "start": 0.0, "stop": 0.8, "count": 200}
+_T_600MK = {"param": "temperature", "start": 0.0, "stop": 0.6, "count": 200}
+_EPSILON = {"param": "epsilon", "start": 0.0, "stop": 0.95, "count": 200}
+_STEERING_BASE = {"epsilon": 0.90, "g_q_ratio": 1.5}
+
+_PRESETS = {
+    "fig3a": {"base": {"epsilon": 0.0, "g_q_ratio": 2.0}, "axis1": _T_800MK,
+              "outputs": _LN_KEYS},
+    "fig3b": {"base": {"epsilon": 0.86, "g_q_ratio": 2.0}, "axis1": _T_800MK,
+              "outputs": _LN_KEYS},
+    "fig2": {
+        "base": {"epsilon": 0.86, "g_q_ratio": 2.0},
+        "axis1": {"param": "temperature", "start": 0.0, "stop": 0.65, "count": 200},
+        "outputs": ["LN_cq", "LN_cm", "LN_qm",
+                    "G_c_to_q", "G_q_to_c", "G_c_to_m", "G_m_to_c",
+                    "G_q_to_m", "G_m_to_q",
+                    "asym_cq", "asym_cm", "asym_qm",
+                    "class_cq", "class_cm", "class_qm"],
+    },
+    "fig5": {
+        "base": {"g_q_ratio": 2.0},
+        "axis1": _EPSILON,
+        "axis2": {"param": "temperature", "values": [0.1e-3, 10e-3, 30e-3]},
+        "outputs": ["R_c", "R_q", "R_m", "R_min"],
+    },
+    "fig6": {"base": {"temperature": 10e-3, "g_q_ratio": 2.0}, "axis1": _EPSILON,
+             "outputs": _LN_KEYS},
+    # steering monogamy: outgoing (fig10) and incoming (fig11)
+    "fig10": {
+        "base": _STEERING_BASE,
+        "axis1": _T_600MK,
+        "outputs": ["G_c_to_q", "G_c_to_m", "G_c_to_qm",
+                    "G_m_to_c", "G_m_to_q", "G_m_to_cq",
+                    "G_q_to_c", "G_q_to_m", "G_q_to_cm",
+                    "mono_out_c", "mono_out_q", "mono_out_m"],
+    },
+    "fig11": {
+        "base": _STEERING_BASE,
+        "axis1": _T_600MK,
+        "outputs": ["G_q_to_c", "G_m_to_c", "G_qm_to_c",
+                    "G_c_to_m", "G_q_to_m", "G_cq_to_m",
+                    "G_c_to_q", "G_m_to_q", "G_cm_to_q",
+                    "mono_in_c", "mono_in_q", "mono_in_m"],
+    },
+}
+
+PRESET_IDS = tuple(_PRESETS)
 
 
 def preset(preset_id: str) -> SweepSpec:
     """Fully populated sweep specification for one of the reference scans."""
-    if preset_id not in PRESET_IDS:
+    if preset_id not in _PRESETS:
         raise UnknownPreset(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
-
-    base = default_params()
-    g_eff = effective_coupling(base)
-
-    if preset_id == "fig3a":
-        return SweepSpec(
-            base=base.replace(epsilon=0.0, g_q=2.0 * g_eff),
-            axis1=Axis("temperature", 0.0, 0.8, 200),
-            outputs=_LN_KEYS,
-        )
-    if preset_id == "fig3b":
-        return SweepSpec(
-            base=base.replace(epsilon=0.86, g_q=2.0 * g_eff),
-            axis1=Axis("temperature", 0.0, 0.8, 200),
-            outputs=_LN_KEYS,
-        )
-    if preset_id == "fig2":
-        return SweepSpec(
-            base=base.replace(epsilon=0.86, g_q=2.0 * g_eff),
-            axis1=Axis("temperature", 0.0, 0.65, 200),
-            outputs=(
-                "LN_cq", "LN_cm", "LN_qm",
-                "G_c_to_q", "G_q_to_c", "G_c_to_m", "G_m_to_c",
-                "G_q_to_m", "G_m_to_q",
-                "asym_cq", "asym_cm", "asym_qm",
-                "class_cq", "class_cm", "class_qm",
-            ),
-        )
-    if preset_id == "fig5":
-        return SweepSpec(
-            base=base.replace(g_q=2.0 * g_eff),
-            axis1=Axis("epsilon", 0.0, 0.95, 200),
-            axis2=Axis("temperature", values=(0.1e-3, 10e-3, 30e-3)),
-            outputs=("R_c", "R_q", "R_m", "R_min"),
-        )
-    if preset_id == "fig6":
-        return SweepSpec(
-            base=base.replace(g_q=2.0 * g_eff, temperature=10e-3),
-            axis1=Axis("epsilon", 0.0, 0.95, 200),
-            outputs=_LN_KEYS,
-        )
-
-    # fig10 / fig11: steering monogamy scans
-    base = base.replace(epsilon=0.90, g_q=1.5 * g_eff)
-    axis = Axis("temperature", 0.0, 0.6, 200)
-    if preset_id == "fig10":
-        outputs = (
-            "G_c_to_q", "G_c_to_m", "G_c_to_qm",
-            "G_m_to_c", "G_m_to_q", "G_m_to_cq",
-            "G_q_to_c", "G_q_to_m", "G_q_to_cm",
-            "mono_out_c", "mono_out_q", "mono_out_m",
-        )
-    else:
-        outputs = (
-            "G_q_to_c", "G_m_to_c", "G_qm_to_c",
-            "G_c_to_m", "G_q_to_m", "G_cq_to_m",
-            "G_c_to_q", "G_m_to_q", "G_cm_to_q",
-            "mono_in_c", "mono_in_q", "mono_in_m",
-        )
-    return SweepSpec(base=base, axis1=axis, outputs=outputs)
+    return spec_from_dict(_PRESETS[preset_id])
 
 
 # --- sweep-spec (de)serialisation ---------------------------------------------

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from magnonsteer import sweep
 from magnonsteer.cli import main
 from magnonsteer.model import DIFFUSION_MODES
+from magnonsteer.sweep import PRESET_IDS
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +152,16 @@ class TestPreset:
         code, _, err = run_cli(capsys, "preset", "--id", "fig99")
         assert code == 3
         assert "unknown preset" in err
+
+    @pytest.mark.parametrize("preset_id", PRESET_IDS)
+    def test_preset_is_an_ordinary_sweep_document(self, capsys, tmp_path, preset_id):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(sweep._PRESETS[preset_id]))
+        code, from_document, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 0
+        code, from_preset, _ = run_cli(capsys, "preset", "--id", preset_id)
+        assert code == 0
+        assert from_document == from_preset
 
     def test_unwritable_output_exit_code(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "fig3a.csv"

@@ -261,17 +261,22 @@ class TestRunSweep:
     @pytest.mark.parametrize("temperature", [1e146, 1e200, 1e300])
     def test_residual_check_fails_closed_at_extreme_temperature(self, temperature):
         # past ~1e145 K the residual bound, and then the residual, overflow;
-        # such a point is rejected, never accepted with an infinite residual
+        # such a point is rejected, never accepted with an infinite residual,
+        # and the public one-matrix solver fails closed the same way
         spec = SweepSpec(base=default_params(),
                          axis1=Axis("temperature", values=(1e145, temperature)),
                          outputs=("LN_qm",))
         rows = run_sweep(spec)
         assert [row["status"] for row in rows] == ["ok", "unstable"]
         assert math.isfinite(rows[0]["lyap_residual"])
-        result = run_point(grid_points(spec)[1])
+        params = grid_points(spec)[1]
+        result = run_point(params)
         assert (result.status, result.reason) == ("unstable", "residual")
         with pytest.raises(UnstableDrift, match="residual bound"):
-            steady_state_covariance(grid_points(spec)[1])
+            steady_state_covariance(params)
+        derived = derive(params)
+        with pytest.raises(SingularSystem, match="residual bound"):
+            solve_lyapunov(build_drift(params, derived), build_diffusion(params, derived))
 
     @pytest.mark.filterwarnings("error")
     def test_theta_sweep_with_non_positive_damping_runs_under_warnings_as_errors(self):
