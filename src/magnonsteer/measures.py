@@ -8,24 +8,38 @@ Both carry the factor 2 of the vacuum-1/2 convention, so a vacuum gives
 exactly zero.
 
 Every measure is computed on the phase-covariant blocks (V_x, V_p) of the
-state (see ``gaussian``): a partial transpose is a sign in
-``symplectic_spectrum``, and a conditional state is the Schur complement of
-each block. ``measure_blocks`` evaluates a stack of block pairs with one
-stacked call per split shape; ``measure_columns`` and ``correlation_report``
-split 6x6 covariances into blocks around it.
+state (see ``gaussian``): a partial transpose is a sign, and a conditional
+state is the Schur complement of each block. ``measure_blocks`` evaluates a
+stack of block pairs in one pass per kind of split, each computing only the
+requested slots:
+
+- one steered mode (the 1->1 and 2->1 steerings), elementwise: with L the
+  closed-form Cholesky factor of the party's 2x2 block (a one-mode party
+  padded to diag(x, x)), c = y - |L^-1 z|^2 per block and nu = sqrt(c_x c_p);
+- two-mode spectra (the pair negativities and the 1->2 steerings),
+  elementwise: a pair is a padded party, so both are the singular values of
+  M = B^T T A for the closed-form Cholesky factors A, B of a 2x2 conditional,
+  nu_max from two ``hypot`` terms and nu_min = a11 a22 b11 b22 / nu_max;
+- the 3x3 cuts: one Cholesky factorisation and one singular-value call
+  (``symplectic_spectrum``) over the stacked sign rows give the
+  one-versus-two negativities and the smallest symplectic eigenvalue.
+
+No route forms nu^2. The derived measures are one array operation per kind.
+``measure_columns`` and ``correlation_report`` split 6x6 covariances into
+blocks around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonPositiveInput, SingularBlock
 from .gaussian import (
     CONDITION_CUTOFF,
-    VACUUM_VARIANCE,
     covariance_blocks,
     symplectic_spectrum,
 )
@@ -144,74 +158,138 @@ _KEYS_BY_KIND = {kind: tuple(k for k in MEASURE_KEYS if k.partition("_")[0] == k
                  for kind in ("G", "asym", "class", "mono")}
 
 
-def _negativity(subs: np.ndarray, keys) -> np.ndarray:
-    """max[0, -ln 2 nu~] of block pairs (N, 2, k, n, n), one slot per LN_ key.
+# --- the kernel ----------------------------------------------------------------
 
-    A slot holds the modes its key names, in mode order, and transposes
-    key[3]: the first mode of LN_<pair>, the pivot of LN_<pivot>_<rest>.
-    """
-    signs = np.array([[-1.0 if lbl == key[3] else 1.0 for lbl in MODE_LABELS if lbl in key[3:]]
-                      for key in keys])
-    nu = symplectic_spectrum(subs, signs)[..., -1]
-    return _clamp(-np.log(2.0 * nu))
+# The elementwise passes read every entry from one table of 20 rows per point:
+# the 18 entries of its block pair, flattened as (block, row, column), then a
+# zero and a one that pad the splits narrower than their pass.
+_PAD = {0: 18, 1: 19}
+
+# One steered mode: (x11, x12, x22, z1, z2, y) of each split, the steering
+# party's 2x2 block X, its coupling z to the steered mode, and that mode's
+# variance y. A one-mode party a is padded to X = diag(x_aa, x_aa) and
+# z = (z_a, 0), which keeps its conditional and its condition number.
+_ONE_MODE = {f"G_{a}_to_{b}": (a + a, 0, a + a, a + b, 0, b + b)
+             for a in MODE_LABELS for b in MODE_LABELS if a != b}
+_ONE_MODE.update({f"G_{i}{j}_to_{p}": (i + i, i + j, j + j, i + p, j + p, p + p)
+                  for p in MODE_LABELS for i, j in [_rest(p)]})
+
+# Two-mode spectra: (x, z1, z2, y11, y12, y22) of each split, a one-mode
+# steering party's variance x, its couplings z to the two steered modes and
+# their 2x2 block Y, then the sign of the first steered mode. A pair is the
+# padded party x = 1, z = 0, whose conditional is the pair's own block, with
+# its first mode transposed.
+_TWO_MODE = {f"LN_{a}{b}": ((1, 0, 0, a + a, a + b, b + b), -1.0) for a, b in _PAIRS}
+_TWO_MODE.update({f"G_{p}_to_{i}{j}": ((p + p, p + i, p + j, i + i, i + j, j + j), 1.0)
+                  for p in MODE_LABELS for i, j in [_rest(p)]})
+
+# The 3x3 cuts: the sign row of each one-versus-two negativity, transposing
+# its pivot; the state's own row, last, gives its smallest symplectic eigenvalue
+_CUTS = {f"LN_{p}_{_rest(p)}": [-1.0 if lbl == p else 1.0 for lbl in MODE_LABELS]
+         for p in MODE_LABELS}
+_CUTS["min_symplectic_eig"] = [1.0, 1.0, 1.0]
 
 
-def _steering(steering_modes: int):
-    """Steering of the last modes of each submatrix by its first ``steering_modes``.
+def _table(entries) -> np.ndarray:
+    """Rows (6, 2, slots) of the 20-row table holding each slot's entries, per block."""
+    def row(entry, block):
+        if entry in _PAD:
+            return _PAD[entry]
+        i, j = (MODE_LABELS.index(lbl) for lbl in entry)
+        return 9 * block + 3 * i + j
 
-    The conditional state of the steered party is the Schur complement
-    Y - Z^T X^-1 Z of each block. One steered mode has the symplectic
-    eigenvalue sqrt(c_x c_p); two have ``symplectic_spectrum`` of the
-    conditional blocks.
+    return np.array([[[row(e, block) for e in slot] for slot in entries]
+                     for block in (0, 1)]).transpose(2, 0, 1)
+
+
+def _check(top, bottom, positive, message: str) -> None:
+    """Raise unless every party is well conditioned and ``positive`` is, in both blocks.
+
+    ``top`` and ``bottom`` are each steering party's largest and smallest
+    eigenvalue over its two blocks; ``positive`` (2, slots, N) is what must
+    be positive for each block's conditional to be positive definite, and
+    is NaN where it is not.
 
     Raises
     ------
     SingularBlock
-        If a steering party's blocks, taken together, have condition number
-        above CONDITION_CUTOFF.
+        If a party has condition number above CONDITION_CUTOFF.
     NonPositiveInput
-        If a conditional block is not positive definite.
+        If a party's block is not positive definite, or else with
+        ``message`` if a conditional block is not.
     """
-    a = steering_modes
-
-    def compute(subs, keys):
-        x, z, y = subs[..., :a, :a], subs[..., :a, a:], subs[..., a:, a:]
-        sv = np.linalg.svd(x, compute_uv=False)
-        if np.any(sv.max(axis=(1, -1)) > CONDITION_CUTOFF * sv.min(axis=(1, -1))):
-            raise SingularBlock("steering-party block is numerically singular")
-        cond = y - z.swapaxes(-1, -2) @ np.linalg.solve(x, z)
-        if cond.shape[-1] == 1:
-            c = cond[..., 0, 0]
-            if np.any(c <= 0.0):
-                raise NonPositiveInput("conditional block is not positive definite")
-            nu = np.sqrt(c[:, 0] * c[:, 1])[..., None]
-        else:
-            nu = symplectic_spectrum(0.5 * (cond + cond.swapaxes(-1, -2)))
-        logs = np.log(2.0 * nu, where=nu < VACUUM_VARIANCE, out=np.zeros_like(nu))
-        return _clamp(-logs.sum(axis=-1))
-
-    return compute
+    if ((top <= CONDITION_CUTOFF * bottom) & (np.minimum(*positive) > 0.0)).all():
+        return
+    if np.any((bottom >= 0.0) & (top > CONDITION_CUTOFF * bottom)):
+        raise SingularBlock("steering-party block is numerically singular")
+    if not np.all(bottom > 0.0):
+        raise NonPositiveInput("covariance block is not positive definite")
+    raise NonPositiveInput(message)
 
 
-# The stacked calls of the kernel, in the order they run. Each maps its keys
-# to the modes of the submatrix it reads, in the order it reads them
-# (steering party first), and computes all of its keys in one call.
-_GROUPS = (
-    ({f"LN_{pair}": pair for pair in _PAIRS}, _negativity),
-    ({f"LN_{p}_{_rest(p)}": "cqm" for p in MODE_LABELS}, _negativity),
-    ({f"G_{a}_to_{b}": a + b for a in MODE_LABELS for b in MODE_LABELS if a != b},
-     _steering(1)),
-    ({f"G_{p}_to_{_rest(p)}": p + _rest(p) for p in MODE_LABELS}, _steering(1)),
-    ({f"G_{_rest(p)}_to_{p}": _rest(p) + p for p in MODE_LABELS}, _steering(2)),
-)
+def _one_mode(x11, x12, x22, z1, z2, y):
+    """Steering of one steered mode, from the entries (2, slots, N) of ``_ONE_MODE``.
+
+    With L the Cholesky factor of X, the conditional variance is
+    c = y - |L^-1 z|^2 in each block, and nu = sqrt(c_x c_p).
+    """
+    l11 = np.sqrt(x11)
+    l21 = x12 / l11
+    l22 = np.sqrt(x22 - l21 * l21)
+    w1 = z1 / l11
+    w2 = (z2 - l21 * w1) / l22
+    c = y - (w1 * w1 + w2 * w2)
+    mean, radius = 0.5 * (x11 + x22), np.hypot(0.5 * (x11 - x22), x12)
+    _check(np.maximum(*(mean + radius)), np.minimum(*(mean - radius)), c,
+           "conditional block is not positive definite")
+    return _clamp(-np.log(2.0 * np.sqrt(c[0]) * np.sqrt(c[1])))
+
+
+def _two_mode_spectra(x, z1, z2, y11, y12, y22, sign):
+    """Symplectic eigenvalues (nu_max, nu_min) of the two-mode slots of ``_TWO_MODE``.
+
+    The conditional block C = Y - w w^T, w = z / sqrt(x), has Cholesky
+    factors A (x' block) and B (p' block), and the symplectic eigenvalues
+    are the singular values of M = B^T T A, T = diag(sign, 1). With
+    h+- = hypot(m11 +- m22, m12 -+ m21), nu_max = (h+ + h-) / 2 and
+    nu_min = |det M| / nu_max = a11 a22 b11 b22 / nu_max, so no route
+    forms nu^2.
+    """
+    root = np.sqrt(x)
+    w1, w2 = z1 / root, z2 / root
+    l11 = np.sqrt(y11 - w1 * w1)
+    l21 = (y12 - w1 * w2) / l11
+    l22 = np.sqrt(y22 - w2 * w2 - l21 * l21)
+    det = l11 * l22
+    _check(np.maximum(*x), np.minimum(*x), det, "covariance block is not positive definite")
+    (a11, b11), (a21, b21), (a22, b22) = l11, l21, l22
+    m11, m12, m21, m22 = sign * b11 * a11 + b21 * a21, b21 * a22, b22 * a21, b22 * a22
+    nu_max = 0.5 * (np.hypot(m11 + m22, m12 - m21) + np.hypot(m11 - m22, m12 + m21))
+    return nu_max, det[0] * (det[1] / nu_max)
+
+
+def _two_mode(entries, sign, both):
+    """max[0, -ln 2 nu_min] of each two-mode slot, plus ``both`` times max[0, -ln 2 nu_max]."""
+    nu_max, nu_min = _two_mode_spectra(*entries, sign)
+    return _clamp(np.maximum(-np.log(2.0 * nu_min), 0.0)
+                  + both * np.maximum(-np.log(2.0 * nu_max), 0.0))
+
+
+def _entry_table(b: np.ndarray) -> np.ndarray:
+    """The 20 rows (20, N) the elementwise passes read a stack (N, 2, 3, 3) from."""
+    n = len(b)
+    table = np.empty((20, n))
+    table[:18] = b.reshape(n, 18).T
+    table[18], table[19] = 0.0, 1.0
+    return table
 
 
 @lru_cache(maxsize=None)
 def _sources(key: str) -> tuple[str, ...]:
-    """The LN_ and G_ keys a measure key is computed from, in formula order."""
-    kind, _, rest = key.partition("_")
-    if kind in ("LN", "G"):
+    """The keys of the passes a measure key is computed from, in formula order."""
+    if key in _ONE_MODE or key in _TWO_MODE or key in _CUTS:
         return (key,)
+    kind, _, rest = key.partition("_")
     if kind in ("asym", "class"):
         a, b = rest
         return (f"G_{a}_to_{b}", f"G_{b}_to_{a}")
@@ -227,45 +305,73 @@ def _sources(key: str) -> tuple[str, ...]:
     return (f"G_{i}{j}_to_{pivot}", f"G_{i}_to_{pivot}", f"G_{j}_to_{pivot}")
 
 
+class _Plan(NamedTuple):
+    """What ``measure_blocks`` computes for one tuple of outputs.
+
+    The passes fill the rows of one array, in order: the one-mode slots, the
+    two-mode slots, the 3x3 cuts, then the derived ``asym``, ``R``, ``R_min``
+    and ``mono`` rows. Each derived table holds, per source, the rows its
+    outputs are computed from.
+    """
+
+    one_mode: np.ndarray | None  # (6, 2, slots) rows of the entries
+    two_mode: np.ndarray | None  # (6, 2, slots) rows of the entries
+    signs: tuple  # the two-mode (sign, both) arguments, each (slots, 1)
+    cuts: np.ndarray | None  # (k, 3) sign rows
+    cut_negativities: int  # how many of the cuts are negativities
+    asym: np.ndarray | None  # (2, n)
+    residual: np.ndarray | None  # (3, n)
+    r_min: bool
+    mono: np.ndarray | None  # (3, n)
+    columns: tuple  # per output: (key, row), or (key, (G_ab row, G_ba row)) for class_
+
+
 @lru_cache(maxsize=128)
-def _plan(outputs: tuple[str, ...]) -> tuple:
-    """The stacked calls ``outputs`` need: their keys, submatrix indices and compute."""
+def _plan(outputs: tuple[str, ...]) -> _Plan:
+    """The slots and index tables the passes need for ``outputs``."""
     wanted = {src for key in outputs for src in _sources(key)}
-    plan = []
-    for table, compute in _GROUPS:
-        keys = tuple(k for k in table if k in wanted)
-        if keys:
-            index = np.array([[MODE_LABELS.index(lbl) for lbl in table[k]] for k in keys])
-            plan.append((keys, index[:, :, None], index[:, None, :], compute))
-    return tuple(plan)
+    one = [k for k in _ONE_MODE if k in wanted]
+    two = [k for k in _TWO_MODE if k in wanted]
+    cuts = [k for k in _CUTS if k in wanted]
+    rows = one + two + cuts
 
+    def derived(keys):
+        if not keys:
+            return None
+        table = np.array([[rows.index(src) for src in _sources(k)] for k in keys]).T
+        rows.extend(keys)
+        return table
 
-def _combine(key: str, base: dict[str, np.ndarray]):
-    """One output column from the LN_ and G_ columns it is computed from."""
-    if key in base:
-        return base[key]
-    if key == "R_min":  # positive: genuine tripartite entanglement
-        return np.minimum.reduce([_combine(f"R_{p}", base) for p in MODE_LABELS])
-    kind = key.partition("_")[0]
-    first, *others = (base[src] for src in _sources(key))
-    if kind == "asym":
-        return np.abs(first - others[0])
-    if kind == "class":
-        return [classify_steering(ab, ba) for ab, ba in zip(first.tolist(), others[0].tolist())]
-    if kind == "R":  # residual contangle C_{i|jk} - C_{i|j} - C_{i|k}, C = LN^2
-        return first**2 - others[0]**2 - others[1]**2
-    # steering monogamy residual G(i -> jk) - G(i -> j) - G(i -> k) (out) or
-    # G(jk -> i) - G(j -> i) - G(k -> i) (in); kept signed, like R_*
-    return first - others[0] - others[1]
+    r_min = "R_min" in outputs
+    asym = derived([k for k in _KEYS_BY_KIND["asym"] if k in outputs])
+    residual = derived([f"R_{p}" for p in MODE_LABELS if r_min or f"R_{p}" in outputs])
+    if r_min:
+        rows.append("R_min")
+    mono = derived([k for k in _KEYS_BY_KIND["mono"] if k in outputs])
+    return _Plan(
+        one_mode=_table([_ONE_MODE[k] for k in one]) if one else None,
+        two_mode=_table([_TWO_MODE[k][0] for k in two]) if two else None,
+        signs=(np.array([[_TWO_MODE[k][1]] for k in two]),
+               np.array([[float(k.startswith("G_"))] for k in two])),
+        cuts=np.array([_CUTS[k] for k in cuts]) if cuts else None,
+        cut_negativities=sum(k.startswith("LN_") for k in cuts),
+        asym=asym, residual=residual, r_min=r_min, mono=mono,
+        columns=tuple((k, tuple(map(rows.index, _sources(k))) if k.startswith("class_")
+                       else rows.index(k)) for k in outputs),
+    )
 
 
 def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     """The measures ``outputs`` of a stack of block pairs (N, 2, 3, 3), V_x first.
 
-    Returns one list of N values per key. Only the requested keys and the
-    negativities and steerings they are computed from are evaluated. Splits
-    of one shape go through one stacked call: the two-mode negativities, the
-    one-versus-two negativities, and the 1->1, 1->2 and 2->1 steerings.
+    Returns one list of N values per key. ``outputs`` may also name
+    ``min_symplectic_eig``, the smallest symplectic eigenvalue of each
+    state. Only the requested keys and the negativities and steerings they
+    are computed from are evaluated, in one pass per kind of split: the
+    one-steered-mode steerings elementwise, the pair negativities and
+    two-steered-mode spectra elementwise, and the one-versus-two
+    negativities with ``min_symplectic_eig`` in one factorisation of the
+    3x3 blocks. The derived measures take one array operation per kind.
 
     Raises
     ------
@@ -274,12 +380,41 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     SingularBlock
         If a steering party is numerically singular.
     """
+    plan = _plan(tuple(outputs))
+    if not plan.columns:
+        return {}
     b = np.asarray(blocks, dtype=float)
-    base: dict[str, np.ndarray] = {}
-    for keys, rows, cols, compute in _plan(tuple(outputs)):
-        base.update(zip(keys, compute(b[..., rows, cols], keys).T))
-    columns = {key: _combine(key, base) for key in outputs}
-    return {key: col if isinstance(col, list) else col.tolist() for key, col in columns.items()}
+    parts = []
+    if plan.one_mode is not None or plan.two_mode is not None:
+        table = _entry_table(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if plan.one_mode is not None:
+                parts.append(_one_mode(*table[plan.one_mode]))
+            if plan.two_mode is not None:
+                parts.append(_two_mode(table[plan.two_mode], *plan.signs))
+    if plan.cuts is not None:
+        nu = symplectic_spectrum(b[:, :, None], plan.cuts)[..., -1].T
+        k = plan.cut_negativities
+        parts += [_clamp(-np.log(2.0 * nu[:k])), nu[k:]]
+    base = np.concatenate(parts)
+    values = [base]
+    if plan.asym is not None:
+        ab, ba = base[plan.asym]
+        values.append(np.abs(ab - ba))
+    if plan.residual is not None:  # residual contangle C_{i|jk} - C_{i|j} - C_{i|k}, C = LN^2
+        whole, first, second = np.square(base[plan.residual])
+        values.append(whole - first - second)
+        if plan.r_min:  # positive: genuine tripartite entanglement
+            values.append(values[-1].min(axis=0, keepdims=True))
+    if plan.mono is not None:
+        # steering monogamy residual G(i -> jk) - G(i -> j) - G(i -> k) (out) or
+        # G(jk -> i) - G(j -> i) - G(k -> i) (in); kept signed, like R_*
+        whole, first, second = base[plan.mono]
+        values.append(whole - first - second)
+    rows = np.concatenate(values).tolist()
+    return {key: ([classify_steering(ab, ba) for ab, ba in zip(rows[row[0]], rows[row[1]])]
+                  if isinstance(row, tuple) else rows[row])
+            for key, row in plan.columns}
 
 
 def measure_columns(covs: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:

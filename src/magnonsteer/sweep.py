@@ -2,8 +2,9 @@
 
 Every call evaluates its points as one stack. Each point is derived and
 built on its own; ``gaussian.steady_state_blocks`` then gates, solves and
-judges the stack, and one symplectic spectrum and the batched measures
-kernel measure it, computing only the requested outputs. ``run_point``
+judges the stack, and the batched measures kernel measures the accepted
+points, computing only the requested outputs and ``min_symplectic_eig``;
+it does not run when no point was accepted. ``run_point``
 is the same pipeline on a stack of one, and ``find_threshold`` runs its grid
 as one stack and each bisection step as a stack of one, computing only the
 scanned measure. Rows are assembled in deterministic axis order, so
@@ -29,7 +30,6 @@ from .gaussian import (  # noqa: F401
     lyapunov_residual,
     solve_lyapunov,
     steady_state_blocks,
-    symplectic_spectrum,
 )
 from .measures import (  # noqa: F401
     MEASURE_KEYS,
@@ -149,10 +149,11 @@ def _evaluate(points: list[SystemParams], outputs: tuple[str, ...]):
     values if the point is unstable.
     """
     max_real, reasons, blocks, residual = _steady_states(points)
-    columns = measure_blocks(blocks, outputs)
-    columns["lyap_residual"] = residual.tolist()
-    columns["min_symplectic_eig"] = symplectic_spectrum(blocks)[:, -1].tolist()
-    values = zip(*(columns[key] for key in outputs + DIAGNOSTIC_KEYS))
+    values = iter(())
+    if len(blocks):  # an all-unstable stack leaves the kernel out
+        columns = measure_blocks(blocks, outputs + ("min_symplectic_eig",))
+        columns["lyap_residual"] = residual.tolist()
+        values = zip(*(columns[key] for key in outputs + DIAGNOSTIC_KEYS))
     for real, reason in zip(max_real.tolist(), reasons):
         yield real, reason, (None if reason else next(values))
 

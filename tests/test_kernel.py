@@ -18,8 +18,9 @@ from magnonsteer import (
     run_sweep,
     steady_state_covariance,
 )
-from magnonsteer.gaussian import covariance_blocks, symplectic_spectrum
-from magnonsteer.measures import MEASURE_KEYS, measure_columns
+from magnonsteer import measures
+from magnonsteer.gaussian import covariance_blocks
+from magnonsteer.measures import MEASURE_KEYS, measure_blocks, measure_columns
 from magnonsteer.sweep import DIAGNOSTIC_KEYS, grid_points
 
 from _oracles import (
@@ -127,32 +128,68 @@ def test_kernel_matches_helpers_on_a_stack(states):
             assert_same(columns[key][k], want[key], key)
 
 
-def mp_smallest_symplectic_eigenvalue(blocks: np.ndarray, pivot: int | None) -> mpmath.mpf:
-    """Smallest symplectic eigenvalue of V_x (+) V_p, the pivot transposed, to 50 digits.
+def mp_symplectic_eigenvalues(vx, vp, pivot: int | None) -> list:
+    """Symplectic eigenvalues of V_x (+) V_p, mode ``pivot`` transposed, ascending.
 
-    At this precision forming nu^2 as the eigenvalues of T V_x T V_p is harmless.
+    Takes 50-digit mpmath blocks; at this precision forming nu^2 as the
+    eigenvalues of T V_x T V_p is harmless.
     """
     with mpmath.workdps(50):
-        flip = mpmath.diag([-1 if i == pivot else 1 for i in range(3)])
-        vx, vp = (mpmath.matrix(block.tolist()) for block in blocks)
+        flip = mpmath.diag([-1 if i == pivot else 1 for i in range(vx.rows)])
         product = flip * vx * flip * vp
-        return min(mpmath.sqrt(mpmath.re(e)) for e in mpmath.eig(product, left=False, right=False))
+        return sorted(mpmath.sqrt(mpmath.re(e))
+                      for e in mpmath.eig(product, left=False, right=False))
+
+
+def mp_sub(block, rows, cols):
+    return mpmath.matrix([[block[i, j] for j in cols] for i in rows])
+
+
+def mp_two_mode_blocks(blocks: np.ndarray, key: str):
+    """The 50-digit 2x2 blocks (V_x, V_p, transposed mode) of a two-mode slot.
+
+    A pair's own blocks, its first mode transposed; or the conditional
+    Y - z z^T / x of the two modes a single mode steers.
+    """
+    with mpmath.workdps(50):
+        vx, vp = (mpmath.matrix(block.tolist()) for block in blocks)
+        if key.startswith("LN_"):
+            modes = [LABELS.index(lbl) for lbl in key[3:]]
+            return mp_sub(vx, modes, modes), mp_sub(vp, modes, modes), 0
+        party, modes = LABELS.index(key[2]), [LABELS.index(lbl) for lbl in key[-2:]]
+        cx, cp = (mp_sub(v, modes, modes) - mp_sub(v, modes, [party]) * mp_sub(v, [party], modes)
+                  / v[party, party] for v in (vx, vp))
+        return cx, cp, None
 
 
 def test_sub_vacuum_spectra_match_50_digit_reference():
     # routes that form nu^2 in double precision (eigenvalues of V_x V_p, a
-    # Cholesky factor followed by an eigen-solve) miss by 1e-14 or more here
+    # Cholesky factor followed by an eigen-solve) miss by 1e-14 or more here.
+    # Checked: min_symplectic_eig and the one-versus-two negativities (one
+    # factorisation of the 3x3 blocks), and both nu of every pair cut and of
+    # every 1 -> 2 conditional (the kernel's closed 2x2 form); the largest nu
+    # reaches 6 and is held to 1e-15 relative
     covs = sub_vacuum_states()
     blocks = covariance_blocks(covs)
-    columns = measure_columns(covs, ("LN_c_qm", "LN_q_cm", "LN_m_cq"))
-    nu_min = symplectic_spectrum(blocks)[:, -1]
+    keys = ("LN_c_qm", "LN_q_cm", "LN_m_cq", "min_symplectic_eig")
+    columns = measure_blocks(blocks, keys)
+    two_mode = list(measures._TWO_MODE)
+    entries = measures._table([measures._TWO_MODE[key][0] for key in two_mode])
+    signs = np.array([[measures._TWO_MODE[key][1]] for key in two_mode])
+    nu_max, nu_min = measures._two_mode_spectra(*measures._entry_table(blocks)[entries], signs)
     worst = 0.0
     for k, pair in enumerate(blocks):
-        worst = max(worst, abs(nu_min[k] - mp_smallest_symplectic_eigenvalue(pair, None)))
-        for pivot, key in enumerate(("LN_c_qm", "LN_q_cm", "LN_m_cq")):
+        with mpmath.workdps(50):
+            vx, vp = (mpmath.matrix(block.tolist()) for block in pair)
+        nu = columns["min_symplectic_eig"][k]
+        worst = max(worst, abs(nu - mp_symplectic_eigenvalues(vx, vp, None)[0]))
+        for pivot, key in enumerate(keys[:3]):
             if columns[key][k] > 0:
                 nu = np.exp(-columns[key][k]) / 2
-                worst = max(worst, abs(nu - mp_smallest_symplectic_eigenvalue(pair, pivot)))
+                worst = max(worst, abs(nu - mp_symplectic_eigenvalues(vx, vp, pivot)[0]))
+        for slot, key in enumerate(two_mode):
+            low, high = mp_symplectic_eigenvalues(*mp_two_mode_blocks(pair, key))
+            worst = max(worst, abs(nu_min[slot, k] - low), abs(nu_max[slot, k] - high) / high)
     assert float(worst) <= 1e-15
 
 
@@ -218,6 +255,25 @@ def test_bad_matrix_in_a_block_raises_like_the_helper():
     measure_columns(np.array([good[0], bad, good[1]]), ("G_m_to_c",))
 
 
+def indefinite_conditional_state():
+    """Phase-covariant matrix whose pair blocks are positive definite but whose
+    V_x, and so the conditional of q and m given c, is not."""
+    vx = np.full((3, 3), -0.3)
+    np.fill_diagonal(vx, 0.5)
+    return phase_covariant_cm(vx, 0.5 * np.eye(3))
+
+
+def test_a_pass_computes_only_the_slots_asked_for():
+    # LN_cq and G_c_to_qm share the two-mode pass, and G_c_to_q and G_qm_to_c
+    # the one-mode pass; a slot that is not asked for is not computed
+    bad = indefinite_conditional_state()[None]
+    measure_columns(bad, ("LN_cq",))
+    measure_columns(bad, ("LN_cm", "LN_qm", "G_c_to_q", "G_q_to_m"))
+    for outputs in (("G_c_to_qm",), ("LN_cq", "G_c_to_qm"), ("G_qm_to_c",)):
+        with pytest.raises(NonPositiveInput, match="not positive definite"):
+            measure_columns(bad, outputs)
+
+
 def test_singular_block_in_a_block_raises_like_the_helper():
     good = random_states(2, seed=4)
     bad = singular_cavity_state()
@@ -227,6 +283,27 @@ def test_singular_block_in_a_block_raises_like_the_helper():
         with pytest.raises(SingularBlock) as batched:
             measure_columns(np.array([good[0], good[1], bad]), outputs)
         assert str(batched.value) == str(scalar.value)
+
+
+def singular_pair_party_state():
+    """Phase-covariant matrix whose q-m block, as a steering party, has
+    condition number 2e13 while each of its modes is well conditioned."""
+    vx = 0.5 * np.eye(3)
+    vx[1, 2] = vx[2, 1] = 0.5 * (1.0 - 1e-13)
+    return phase_covariant_cm(vx, 0.5 * np.eye(3))
+
+
+def test_singular_two_mode_party_raises_like_the_helper():
+    good = random_states(2, seed=4)
+    bad = singular_pair_party_state()
+    with pytest.raises(SingularBlock) as scalar:
+        gaussian_steering(bad, Bipartition((1, 2), (0,)))
+    for outputs in (("G_qm_to_c",), ("mono_in_c",)):
+        with pytest.raises(SingularBlock) as batched:
+            measure_columns(np.array([good[0], bad, good[1]]), outputs)
+        assert str(batched.value) == str(scalar.value)
+    # its one-mode parties are well conditioned
+    measure_columns(np.array([good[0], bad, good[1]]), ("G_q_to_c", "G_m_to_c"))
 
 
 def test_report_delegates_to_the_kernel():

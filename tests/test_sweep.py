@@ -78,6 +78,17 @@ class TestRunPoint:
         assert result.max_real_part > 0
         assert result.reason == "gate"
 
+    def test_unstable_points_skip_the_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("measure_blocks ran with no accepted point")
+
+        monkeypatch.setattr(sweep_module, "measure_blocks", refuse)
+        result = run_point(default_params(drive_power=1e4, g_q=0.2e6))
+        assert (result.status, result.reason) == ("unstable", "gate")
+        spec = spec_from_dict({"base": {"epsilon": 0.9}, "axis1": {
+            "param": "theta", "start": 0.0, "stop": 0.5, "count": 8}})
+        assert [row["status"] for row in run_sweep(spec)] == ["unstable"] * 8
+
 
 class TestOneSteadyStatePath:
     def test_run_point_unstable_exactly_where_solve_lyapunov_is(self):
