@@ -6,18 +6,18 @@ so every physical covariance matrix has symplectic eigenvalues >= 1/2.
 The model's drift and diffusion never couple x' = (X_c, Y_q, Y_m) with
 p' = (Y_c, -X_q, -X_m), and (x'_k, p'_k) is a canonical pair of mode k. Every
 steady state is therefore a direct sum of two real symmetric 3x3 blocks, V_x
-on x' and V_p on p'. The two blocks mirror each other: the qubit coupling is
-beam-splitter-like and the magnon coupling parametric, so the p' drift is
-S Q_x S with S = diag(1, 1, -1) while both blocks share one diagonal
-diffusion, and V_p = S V_x S. S only flips signs, so a solve of the p' block
-gives exactly S V_x S and the same residual as the x' block, and
-``steady_state_blocks`` solves V_x alone. A stack of N block pairs is
-stored as one array (N, 2, ..., n, n), V_x before V_p. The symplectic eigenvalues are the
-singular values of B^T T A, with A and B the Cholesky factors of V_x and
-V_p and T = I; partially transposing mode k flips the sign of its x' or p'
-quadrature, which puts -1 at position k of the diagonal of T either way.
-No route here forms nu^2, whose rounding error is far larger than nu's at
-the sub-vacuum states of the model.
+on x' and V_p on p'. The two blocks mirror each other: the p' drift of
+``model.build_blocks`` is S Q_x S with S = diag(1, 1, -1) while both blocks
+share one diagonal diffusion, so V_p = S V_x S. S only flips signs, so a
+solve of the p' block gives exactly S V_x S and the same residual as the x'
+block, and ``steady_state_blocks`` solves V_x alone. A stack of N block
+pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
+``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6. The
+symplectic eigenvalues are the singular values of B^T T A, with A and B the
+Cholesky factors of V_x and V_p and T = I; partially transposing mode k
+flips the sign of its x' or p' quadrature, which puts -1 at position k of
+the diagonal of T either way. No route here forms nu^2, whose rounding error
+is far larger than nu's at the sub-vacuum states of the model.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ PHASE_COVARIANCE_TOL = 1e-12
 STABILITY_TOL = 1e-9
 
 # Rows of x' and p' in the quadrature ordering, the signs of p', and S_i S_j of V_p = S V_x S
-_X_ROWS = np.array([0, 3, 5])
-_P_ROWS = np.array([1, 2, 4])
-_ROWS = np.array([_X_ROWS, _P_ROWS])[:, :, None]
+_ROWS = np.array([[0, 3, 5], [1, 2, 4]])[:, :, None]
 _COLS = _ROWS.swapaxes(-1, -2)
 _SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
 _SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
@@ -138,12 +136,14 @@ def solve_lyapunov_stack(drift: np.ndarray,
     return cov, lyapunov_residual(q, cov, d)
 
 
-def steady_state_blocks(drift: np.ndarray, diffusion: np.ndarray):
-    """Gate, solve and judge the steady states of 6x6 drifts and diffusions (N, 6, 6).
+def steady_state_blocks(system: np.ndarray):
+    """Gate, solve and judge the steady states of x' blocks (N, 2, 3, 3).
 
-    Drifts that pass ``hurwitz_gate`` have their x' block solved and V_p
-    written as its mirror S V_x S; as r_p = r_x, the 6x6 residual is
-    sqrt(2 r_x^2). ``residual_accepted`` judges it against the 6x6 diffusion.
+    ``system`` holds each point's ``model.build_blocks``; the gate and the
+    residual bound see each point as its 6x6 drift and diffusion. Drifts that
+    pass ``hurwitz_gate`` have their x' block solved and V_p written as its
+    mirror S V_x S; as r_p = r_x, the 6x6 residual is sqrt(2 r_x^2).
+    ``residual_accepted`` judges it against the 6x6 diffusion.
 
     Returns each point's largest drift eigenvalue real part, a list of each
     point's rejecting check ("gate", "residual" or None), and the block pairs
@@ -154,13 +154,13 @@ def steady_state_blocks(drift: np.ndarray, diffusion: np.ndarray):
     SingularSystem
         If the linear solve is rank-deficient.
     """
-    max_real, gated = hurwitz_gate(drift)
-    q = np.asarray(drift)[gated][:, _X_ROWS[:, None], _X_ROWS]
-    d = np.asarray(diffusion)[gated]
+    full = assemble_blocks(mirror_pairs(system))  # (N, 2, 6, 6)
+    max_real, gated = hurwitz_gate(full[:, 0])
+    q, d = system[gated].swapaxes(0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov, residual = solve_lyapunov_stack(q, d[:, _X_ROWS[:, None], _X_ROWS])
+        cov, residual = solve_lyapunov_stack(q, d)
         residual = np.sqrt(2.0 * np.square(residual))
-        passed = residual_accepted(residual, d)
+        passed = residual_accepted(residual, full[gated, 1])
     verdict = iter(passed.tolist())
     reason = [(None if next(verdict) else "residual") if ok else "gate"
               for ok in gated.tolist()]
@@ -173,15 +173,6 @@ def mirror_pairs(cov_x: np.ndarray) -> np.ndarray:
     blocks[..., 0, :, :] = cov_x
     np.multiply(cov_x, _MIRROR, out=blocks[..., 1, :, :])
     return blocks
-
-
-def split_blocks(matrix: np.ndarray) -> np.ndarray:
-    """The x' and p' diagonal blocks of (..., 6, 6) matrices, as (..., 2, 3, 3).
-
-    Reads only those blocks: use ``covariance_blocks`` for a covariance that
-    is not known to be phase-covariant.
-    """
-    return np.asarray(matrix, dtype=float)[..., _ROWS, _COLS] * _SIGNS
 
 
 def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -208,13 +199,12 @@ def covariance_blocks(cov: np.ndarray) -> np.ndarray:
         raise ValueError("expected 6x6 three-mode covariance matrices")
     if not np.isfinite(v).all():
         raise ValueError("covariance matrices must have finite entries")
-    cross = np.maximum(np.abs(v[..., _X_ROWS[:, None], _P_ROWS]),
-                       np.abs(v[..., _P_ROWS[:, None], _X_ROWS]))
-    scale = np.abs(v).max(axis=(-2, -1), initial=0.0)
-    if np.any(cross.max(axis=(-2, -1), initial=0.0) > PHASE_COVARIANCE_TOL * scale):
+    blocks = v[..., _ROWS, _COLS] * _SIGNS
+    cross = np.abs(v - assemble_blocks(blocks)).max(axis=(-2, -1), initial=0.0)
+    if np.any(cross > PHASE_COVARIANCE_TOL * np.abs(v).max(axis=(-2, -1), initial=0.0)):
         raise NotPhaseCovariant("covariance couples x' = (X_c, Y_q, Y_m) with "
                                 "p' = (Y_c, -X_q, -X_m)")
-    return split_blocks(v)
+    return blocks
 
 
 def symplectic_spectrum(blocks: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:

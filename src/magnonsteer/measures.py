@@ -329,6 +329,9 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=128)
 def _plan(outputs: tuple[str, ...]) -> _Plan:
     """The slots and index tables the passes need for ``outputs``."""
+    unknown = [k for k in outputs if k not in MEASURE_KEYS and k != "min_symplectic_eig"]
+    if unknown:
+        raise ValueError(f"unknown measure keys: {unknown}")
     wanted = {src for key in outputs for src in _sources(key)}
     one = [k for k in _ONE_MODE if k in wanted]
     two = [k for k in _TWO_MODE if k in wanted]
@@ -375,6 +378,8 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
 
     Raises
     ------
+    ValueError
+        If an output is neither in MEASURE_KEYS nor ``min_symplectic_eig``.
     NonPositiveInput
         If a block a requested measure reads is not positive definite.
     SingularBlock

@@ -1,10 +1,10 @@
 """Physical model of the qubit-cavity-magnon system with a coherent feedback loop.
 
-Builds the 6x6 drift and diffusion matrices of the linearised quadrature
-dynamics in the quadrature ordering (X_c, Y_c, X_q, Y_q, X_m, Y_m). All
-angular frequencies and rates are stored internally in rad/s; the JSON
-configuration interface accepts the conventional "frequency/2pi in Hz"
-values and converts on ingestion.
+Builds the linearised quadrature dynamics as 3x3 drift and diffusion blocks
+on x' = (X_c, Y_q, Y_m) (``build_blocks``), and their 6x6 form. All angular
+frequencies and rates are stored internally in rad/s; the JSON configuration
+interface accepts the conventional "frequency/2pi in Hz" values and converts
+on ingestion.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import SpecError, UnstableDrift
-from .gaussian import hurwitz_gate
+from .gaussian import assemble_blocks, hurwitz_gate, mirror_pairs
 
 # CODATA 2018
 HBAR = 1.054571817e-34      # J s
@@ -186,26 +186,6 @@ def derive(params: SystemParams) -> DerivedQuantities:
     )
 
 
-def build_drift(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
-    """Drift matrix of the quadrature dynamics in the blue-sideband frame.
-
-    The cavity-qubit coupling is beam-splitter-like and the cavity-magnon
-    coupling parametric, which is what allows the feedback loop to
-    redistribute correlations between the indirectly coupled qubit and magnon.
-    """
-    d = derived or derive(params)
-    k_fb, gam, k_m = d.k_fb, params.gamma_q, params.kappa_m
-    g_q, g_m = params.g_q, d.g_m_eff
-    return np.array([
-        [-k_fb, 0.0, 0.0, g_q, 0.0, -g_m],
-        [0.0, -k_fb, -g_q, 0.0, -g_m, 0.0],
-        [0.0, g_q, -gam, 0.0, 0.0, 0.0],
-        [-g_q, 0.0, 0.0, -gam, 0.0, 0.0],
-        [0.0, -g_m, 0.0, 0.0, -k_m, 0.0],
-        [-g_m, 0.0, 0.0, 0.0, 0.0, -k_m],
-    ])
-
-
 def cavity_noise_factor(params: SystemParams) -> float:
     """Dimensionless factor multiplying kappa_c (2 N_c + 1) in the diffusion.
 
@@ -226,13 +206,36 @@ def cavity_noise_factor(params: SystemParams) -> float:
     return u2 * (1.0 - 2.0 * params.epsilon * math.cos(params.theta) + params.epsilon**2)
 
 
-def build_diffusion(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
-    """Diagonal diffusion matrix of the input noise, rad/s."""
+def build_blocks(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
+    """The x' drift Q_x and diffusion D_x of one point, as one array (2, 3, 3).
+
+    In the blue-sideband frame both couplings pair X_c with the Y quadratures
+    of the qubit and the magnon, so x' = (X_c, Y_q, Y_m) never couples to
+    p' = (Y_c, -X_q, -X_m). The cavity-qubit coupling is beam-splitter-like
+    and the cavity-magnon coupling parametric, which lets the feedback loop
+    redistribute correlations between the indirectly coupled qubit and
+    magnon, and makes the p' blocks S Q_x S, S = diag(1, 1, -1), and D_x.
+    """
     d = derived or derive(params)
+    k_fb, gam, k_m = d.k_fb, params.gamma_q, params.kappa_m
+    g_q, g_m = params.g_q, d.g_m_eff
     d_c = params.kappa_c * cavity_noise_factor(params) * (2.0 * d.N_c + 1.0)
-    d_q = params.gamma_q * (2.0 * d.N_q + 1.0)
-    d_m = params.kappa_m * (2.0 * d.N_m + 1.0)
-    return np.diag([d_c, d_c, d_q, d_q, d_m, d_m])
+    d_q = gam * (2.0 * d.N_q + 1.0)
+    d_m = k_m * (2.0 * d.N_m + 1.0)
+    return np.array([
+        [[-k_fb, g_q, -g_m], [-g_q, -gam, 0.0], [-g_m, 0.0, -k_m]],
+        [[d_c, 0.0, 0.0], [0.0, d_q, 0.0], [0.0, 0.0, d_m]],
+    ])
+
+
+def build_drift(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
+    """Drift matrix (6, 6) in the quadrature ordering, assembled from ``build_blocks``."""
+    return assemble_blocks(mirror_pairs(build_blocks(params, derived)[0]))
+
+
+def build_diffusion(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
+    """Diagonal diffusion matrix (6, 6) of the input noise, rad/s, from ``build_blocks``."""
+    return assemble_blocks(mirror_pairs(build_blocks(params, derived)[1]))
 
 
 def assert_stable(drift: np.ndarray) -> None:

@@ -1,14 +1,14 @@
 """Single-point evaluation, parameter sweeps, presets and CSV emission.
 
-Every call evaluates its points as one stack. Each point is derived and
-built on its own; ``gaussian.steady_state_blocks`` then gates, solves and
-judges the stack, and the batched measures kernel measures the accepted
-points, computing only the requested outputs and ``min_symplectic_eig``;
-it does not run when no point was accepted. ``run_point``
-is the same pipeline on a stack of one, and ``find_threshold`` runs its grid
-as one stack and each bisection step as a stack of one, computing only the
-scanned measure. Rows are assembled in deterministic axis order, so
-identical sweep specifications produce byte-identical CSV files.
+Every call evaluates its points as one stack. Each point is derived and its
+x' blocks built on its own; ``gaussian.steady_state_blocks`` then gates,
+solves and judges the stack, and the batched measures kernel measures the
+accepted points, computing only the requested outputs and
+``min_symplectic_eig``; it does not run when no point was accepted.
+``run_point`` is the same pipeline on a stack of one, and ``find_threshold``
+runs its grid as one stack and each bisection step as a stack of one,
+computing only the scanned measure. Rows are assembled in deterministic axis
+order, so identical sweep specifications produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-# assert_stable, check_physicality, correlation_report, lyapunov_residual and
-# solve_lyapunov are not called here any more; they stay importable from this
-# module because the benchmark's tracer (perfbench/spans.py) wraps the
-# per-point stages by name here.
+# assert_stable, build_diffusion, build_drift, check_physicality,
+# correlation_report, lyapunov_residual and solve_lyapunov are not called here
+# any more; they stay importable from this module because the benchmark's
+# tracer (perfbench/spans.py) wraps the per-point stages by name here.
 from .errors import NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableDrift
 from .gaussian import (  # noqa: F401
     assemble_blocks,
@@ -42,6 +42,7 @@ from .model import (  # noqa: F401
     SystemParams,
     _number,
     assert_stable,
+    build_blocks,
     build_diffusion,
     build_drift,
     derive,
@@ -131,13 +132,11 @@ class PointResult:
 
 
 def _steady_states(points: list[SystemParams]):
-    """Derive and build each point, then ``steady_state_blocks`` on the stack."""
-    system = np.empty((len(points), 2, 6, 6))  # drift, diffusion
+    """Derive and build each point's x' blocks, then ``steady_state_blocks`` on the stack."""
+    system = np.empty((len(points), 2, 3, 3))  # Q_x, D_x
     for k, params in enumerate(points):
-        derived = derive(params)
-        system[k, 0] = build_drift(params, derived)
-        system[k, 1] = build_diffusion(params, derived)
-    return steady_state_blocks(system[:, 0], system[:, 1])
+        system[k] = build_blocks(params, derive(params))
+    return steady_state_blocks(system)
 
 
 def _evaluate(points: list[SystemParams], outputs: tuple[str, ...]):
@@ -407,4 +406,6 @@ def _axis_from_dict(document: dict) -> Axis:
     unknown = set(document) - allowed
     if unknown:
         raise SpecError(f"unknown axis keys: {sorted(unknown)}")
+    if "values" in document and document.keys() & {"start", "stop", "count"}:
+        raise SpecError("axis takes either values or start/stop/count, not both")
     return Axis(**document)

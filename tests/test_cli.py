@@ -27,6 +27,14 @@ MALFORMED_PARAMS = [
     ({"epsilon": "0.5"}, "parameter epsilon must be a number"),
 ]
 
+# finite parameters out of their range; kept apart from MALFORMED_PARAMS and
+# parametrized after every older case, so the older cases keep their test ids
+NEGATIVE_PARAMS = [
+    ({"temperature": -1e-3}, "temperature must be non-negative"),
+    ({"drive_power": -1e-3}, "couplings and drive power must be non-negative"),
+    ({"g_q": -1e6}, "couplings and drive power must be non-negative"),
+]
+
 
 class TestSolve:
     def test_defaults(self, capsys):
@@ -76,7 +84,8 @@ class TestSolve:
 
     def test_bad_params_exit_code(self, capsys, tmp_path):
         params = tmp_path / "params.json"
-        for document, named in [({"bogus": 1}, "unknown parameter keys")] + MALFORMED_PARAMS:
+        for document, named in ([({"bogus": 1}, "unknown parameter keys")]
+                                + MALFORMED_PARAMS + NEGATIVE_PARAMS):
             params.write_text(json.dumps(document))
             code, out, err = run_cli(capsys, "solve", "--params", str(params))
             assert code == 3, document
@@ -125,7 +134,12 @@ class TestSweep:
         ({"base": [0.5]}, "parameter document"),
         ({"axis1": {"param": "temperature", "values": [0.0, math.nan]}}, "temperature"),
     ] + [({"base": document}, named) for document, named in MALFORMED_PARAMS]
-      + [({"axis2": falsy}, "axis must be an object") for falsy in (0, False, [], "", {})])
+      + [({"axis2": falsy}, "axis must be an object") for falsy in (0, False, [], "", {})]
+      + [({"base": document}, named) for document, named in NEGATIVE_PARAMS]
+      + [({"axis1": {"param": "temperature", "values": [0.01, 0.02], "count": 200}},
+          "not both"),
+         ({"axis1": {"param": "temperature", "start": 0, "stop": 0.1, "count": 3,
+                     "step": 0.05}}, "unknown axis keys: ['step']")])
     def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
         document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
                               "count": 3},
@@ -138,6 +152,18 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ")
         assert named in err
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"axis1": ', "invalid JSON in"),
+        ('[{"axis1": {"param": "temperature", "values": [0.1]}}]', "must contain a JSON object"),
+    ])
+    def test_spec_file_that_is_not_a_json_object(self, capsys, tmp_path, text, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and named in err
 
 
 class TestPreset:

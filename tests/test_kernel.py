@@ -1,6 +1,8 @@
 """The batched block kernel against the generic 6x6 oracle helpers, and the
 blocked sweep against point-by-point evaluation."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -168,9 +170,12 @@ def test_sub_vacuum_spectra_match_50_digit_reference():
     # Checked: min_symplectic_eig and the one-versus-two negativities (one
     # factorisation of the 3x3 blocks), and both nu of every pair cut and of
     # every 1 -> 2 conditional (the kernel's closed 2x2 form); the largest nu
-    # reaches 6 and is held to 1e-15 relative
-    covs = sub_vacuum_states()
-    blocks = covariance_blocks(covs)
+    # reaches 6 and is held to 1e-15 relative. The last state is a product of
+    # a hot and a squeezed mode: on its LN_cq slot nu_min = 1.7e-3 and
+    # nu_max = 1.2e4, where nu_min = a11 a22 b11 b22 / nu_max errs by 6e-20
+    # and the cancelling (h+ - h-) / 2 by 7.5e-13
+    product = [np.diag([3e4, 2e-3, 0.7]), np.diag([5e3, 1.5e-3, 0.9])]
+    blocks = np.concatenate([covariance_blocks(sub_vacuum_states()), [product]])
     keys = ("LN_c_qm", "LN_q_cm", "LN_m_cq", "min_symplectic_eig")
     columns = measure_blocks(blocks, keys)
     two_mode = list(measures._TWO_MODE)
@@ -226,6 +231,17 @@ def test_restricted_outputs_return_exactly_those_keys(outputs):
 def test_empty_block():
     columns = measure_columns(np.empty((0, 6, 6)), ("LN_cq", "G_cq_to_m", "class_qm"))
     assert columns == {"LN_cq": [], "G_cq_to_m": [], "class_qm": []}
+
+
+@pytest.mark.parametrize("key", ["LN_xx", "mono_out_z", "asym_cc", "G_c_to_c", "R_x", "foo"])
+def test_unknown_measure_key_is_a_value_error(key):
+    # named in the error, not an unpacking or lookup failure inside the kernel
+    covs = random_states(2, seed=3)
+    message = re.escape(f"unknown measure keys: [{key!r}]")
+    with pytest.raises(ValueError, match=message):
+        measure_columns(covs, ("LN_qm", key))
+    with pytest.raises(ValueError, match=message):
+        measure_blocks(covariance_blocks(covs), (key, "min_symplectic_eig"))
 
 
 def unphysical_pair_state():

@@ -28,7 +28,7 @@ from magnonsteer import (
     steady_state_covariance,
     thermal_occupation,
 )
-from magnonsteer.gaussian import solve_lyapunov_stack, split_blocks
+from magnonsteer.gaussian import covariance_blocks, solve_lyapunov_stack
 from magnonsteer.model import (
     DEFAULT_DOCUMENT,
     DIFFUSION_MODES,
@@ -36,6 +36,7 @@ from magnonsteer.model import (
     KB,
     SPEED_OF_LIGHT,
     TWO_PI,
+    build_blocks,
     cavity_noise_factor,
     feedback_damping,
     intracavity_photon_number,
@@ -358,6 +359,9 @@ class TestPhaseCovariantSplit:
         q_p = sign @ drift[np.ix_(P_PRIME, P_PRIME)] @ sign
         assert np.array_equal(q_p, flip @ q_x @ flip)
         assert np.array_equal(diffusion, np.diag(np.diag(diffusion)))
+        # the pipeline's stage takes exactly these x' blocks
+        assert np.array_equal(covariance_blocks(np.stack([drift, diffusion]))[:, 0],
+                              build_blocks(params, derived))
 
         try:
             cov = steady_state_covariance(params)
@@ -380,8 +384,8 @@ class TestPhaseCovariantSplit:
         params = default_params(epsilon=epsilon, theta=theta, temperature=temperature,
                                 g_q_ratio=g_q_ratio, diffusion_mode=mode)
         derived = derive(params)
-        drift, diffusion = split_blocks(np.stack([build_drift(params, derived),
-                                                  build_diffusion(params, derived)]))
+        drift, diffusion = covariance_blocks(np.stack([build_drift(params, derived),
+                                                       build_diffusion(params, derived)]))
         cov, residual = solve_lyapunov_stack(drift, diffusion)
         flip = np.diag([1.0, 1.0, -1.0])
         assert np.array_equal(cov[1], flip @ cov[0] @ flip)
