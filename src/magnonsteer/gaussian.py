@@ -10,7 +10,10 @@ on x' and V_p on p'. The two blocks mirror each other: the p' drift of
 ``model.build_blocks`` is S Q_x S with S = diag(1, 1, -1) while both blocks
 share one diagonal diffusion, so V_p = S V_x S. S only flips signs, so a
 solve of the p' block gives exactly S V_x S and the same residual as the x'
-block, and ``steady_state_blocks`` solves V_x alone. A stack of N block
+block, and ``steady_state_blocks`` solves V_x alone. It also gates each
+point on Q_x alone: the spectrum of the 6x6 drift is that of Q_x twice,
+and ``block_gate`` decides from three elementwise Routh-Hurwitz
+coefficients of the shifted Q_x, with no eigen-solve. A stack of N block
 pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
 ``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6. The
 symplectic eigenvalues are the singular values of B^T T A, with A and B the
@@ -21,6 +24,8 @@ is far larger than nu's at the sub-vacuum states of the model.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,6 +50,7 @@ _COLS = _ROWS.swapaxes(-1, -2)
 _SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
 _SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
 _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
+_EYE3 = np.eye(3).ravel()
 
 
 def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,6 +63,39 @@ def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.asarray(drift, dtype=float)
     max_real = np.linalg.eigvals(q).real.max(axis=-1)
     return max_real, max_real < -STABILITY_TOL * np.linalg.norm(q, axis=(-2, -1))
+
+
+def block_gate(drift_x: np.ndarray) -> np.ndarray:
+    """Whether ``hurwitz_gate`` passes the 6x6 drift of each x' drift Q_x (N, 3, 3).
+
+    The 6x6 drift Q_x (+) S Q_x S has the eigenvalues of Q_x twice and
+    ||Q||_F = sqrt(2) ||Q_x||_F, so the gate's rule is that every eigenvalue
+    of A = Q_x + m I, m = STABILITY_TOL sqrt(2) ||Q_x||_F, has a negative real
+    part. For the characteristic polynomial l^3 + a1 l^2 + a2 l + a3 of A,
+    with a1 = -tr A, a2 the sum of its principal 2x2 minors and a3 = -det A,
+    that holds iff a1 > 0, a3 > 0 and a1 a2 > a3 (the Routh-Hurwitz
+    criterion; Gantmacher, The Theory of Matrices, vol. 2, ch. XV). The
+    coefficients are elementwise over the stack; a stack of one takes them
+    on Python floats, with the same roundings and no numpy call per
+    operation. A non-finite coefficient fails.
+    """
+    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = STABILITY_TOL * math.sqrt(2.0) * np.sqrt(np.square(q).sum(axis=1))
+        entries = (q + shift[:, None] * _EYE3).T
+        if len(q) == 1:
+            return np.array([_routh_hurwitz(*entries[:, 0].tolist())])
+        return _routh_hurwitz(*entries)
+
+
+def _routh_hurwitz(a00, a01, a02, a10, a11, a12, a20, a21, a22):
+    """a1 > 0, a3 > 0 and a1 a2 > a3 for the 3x3 matrix A with these entries, as
+    tr A < 0, det A < 0 and tr A a2 < det A; floats or arrays."""
+    minor0, minor1, minor2 = a11 * a22 - a12 * a21, a10 * a22 - a12 * a20, a10 * a21 - a11 * a20
+    trace = a00 + a11 + a22
+    a2 = minor0 + (a00 * a22 - a02 * a20) + (a00 * a11 - a01 * a10)
+    det = a00 * minor0 - a01 * minor1 + a02 * minor2
+    return (trace < 0.0) & (det < 0.0) & (trace * a2 < det)
 
 
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
@@ -83,7 +122,7 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
         raise UnstableDrift(float(max_real))
     with np.errstate(over="ignore", invalid="ignore"):
         cov, residual = solve_lyapunov_stack(q[None], d[None])
-        accepted = residual_accepted(residual, d)
+        accepted = residual_accepted(residual, np.linalg.norm(d))
     if not accepted[0]:
         raise SingularSystem("steady-state solve failed the residual bound")
     return cov[0]
@@ -95,14 +134,14 @@ def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray)
                           axis=(-2, -1))
 
 
-def residual_accepted(residual: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
-    """Whether each residual meets LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F) of its diffusion.
+def residual_accepted(residual: np.ndarray, diffusion_norm: np.ndarray) -> np.ndarray:
+    """Whether each residual meets LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F), given ||D||_F.
 
     A bound that is not finite accepts nothing: at extreme temperatures the
-    norms overflow. Callers run this, and the solve behind ``residual``,
-    under ``np.errstate(over="ignore", invalid="ignore")``.
+    norms overflow. Callers run this, the norms and the solve behind
+    ``residual`` under ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    bound = LYAPUNOV_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(diffusion, axis=(-2, -1)))
+    bound = LYAPUNOV_RESIDUAL_TOL * np.maximum(1.0, diffusion_norm)
     return np.isfinite(bound) & (residual <= bound)
 
 
@@ -139,31 +178,37 @@ def solve_lyapunov_stack(drift: np.ndarray,
 def steady_state_blocks(system: np.ndarray):
     """Gate, solve and judge the steady states of x' blocks (N, 2, 3, 3).
 
-    ``system`` holds each point's ``model.build_blocks``; the gate and the
-    residual bound see each point as its 6x6 drift and diffusion. Drifts that
-    pass ``hurwitz_gate`` have their x' block solved and V_p written as its
-    mirror S V_x S; as r_p = r_x, the 6x6 residual is sqrt(2 r_x^2).
-    ``residual_accepted`` judges it against the 6x6 diffusion.
+    ``system`` holds each point's ``model.build_blocks``. ``block_gate``
+    decides on Q_x what ``hurwitz_gate`` decides on the 6x6 drift. Drifts
+    that pass have their x' block solved and V_p written as its mirror
+    S V_x S; as r_p = r_x and D_p = D_x, the 6x6 residual is sqrt(2 r_x^2) and
+    the 6x6 diffusion norm sqrt(2) ||D_x||_F, which ``residual_accepted``
+    judges. Only the rejected points are assembled into 6x6 drifts, for
+    ``hurwitz_gate`` to report their largest eigenvalue real part.
 
-    Returns each point's largest drift eigenvalue real part, a list of each
-    point's rejecting check ("gate", "residual" or None), and the block pairs
-    (n, 2, 3, 3) and residuals (n,) of the accepted points, in order.
+    Returns each point's largest drift eigenvalue real part (NaN where it
+    was accepted), a list of each point's rejecting check ("gate",
+    "residual" or None), and the block pairs (n, 2, 3, 3) and residuals (n,)
+    of the accepted points, in order.
 
     Raises
     ------
     SingularSystem
         If the linear solve is rank-deficient.
     """
-    full = assemble_blocks(mirror_pairs(system))  # (N, 2, 6, 6)
-    max_real, gated = hurwitz_gate(full[:, 0])
+    gated = block_gate(system[:, 0])
     q, d = system[gated].swapaxes(0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         cov, residual = solve_lyapunov_stack(q, d)
         residual = np.sqrt(2.0 * np.square(residual))
-        passed = residual_accepted(residual, full[gated, 1])
+        passed = residual_accepted(residual, math.sqrt(2.0) * np.linalg.norm(d, axis=(-2, -1)))
     verdict = iter(passed.tolist())
     reason = [(None if next(verdict) else "residual") if ok else "gate"
               for ok in gated.tolist()]
+    max_real = np.full(len(system), np.nan)
+    rejected = np.flatnonzero([r is not None for r in reason])
+    if len(rejected):
+        max_real[rejected] = hurwitz_gate(assemble_blocks(mirror_pairs(system[rejected, 0])))[0]
     return max_real, reason, mirror_pairs(cov)[passed], residual[passed]
 
 

@@ -5,6 +5,14 @@ on x' = (X_c, Y_q, Y_m) (``build_blocks``), and their 6x6 form. All angular
 frequencies and rates are stored internally in rad/s; the JSON configuration
 interface accepts the conventional "frequency/2pi in Hz" values and converts
 on ingestion.
+
+The formulas take one point, a ``SystemParams``, or a grid of points from
+``param_columns``, whose swept fields are float64 arrays and whose other
+fields stay floats; every derived quantity and block entry then broadcasts
+over the grid. A grid gives bit for bit the values of its points taken one
+at a time: +, -, *, / and sqrt round alike in numpy and in Python, and the
+rest (powers, cos, sin and ``thermal_occupation``) runs element by element
+on Python floats through ``_pointwise``.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import math
 # model.warnings and reads it first through getattr with no default.
 import warnings  # noqa: F401
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,9 +93,38 @@ class SystemParams:
 NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "diffusion_mode")
 
 
+def param_columns(base: SystemParams, axes: dict[str, np.ndarray]) -> SimpleNamespace:
+    """A grid of points: the fields of ``base``, with the swept ones the arrays of ``axes``.
+
+    The arrays broadcast against each other; the grid's points are the
+    elements of their broadcast shape, in row-major order. Each array is
+    checked once: every check SystemParams makes on a numeric field admits
+    an interval, so an array passes when its smallest and largest values do
+    (a NaN is both). An invalid grid raises the SpecError of its first
+    invalid point.
+    """
+    unknown = set(axes) - set(NUMERIC_FIELDS)
+    if unknown:
+        raise SpecError(f"cannot sweep over {sorted(unknown)}; choose from {NUMERIC_FIELDS}")
+    columns = {name: np.asarray(values, dtype=float) for name, values in axes.items()}
+    try:
+        for name, column in columns.items():
+            base.replace(**{name: float(column.min())})
+            base.replace(**{name: float(column.max())})
+    except SpecError:
+        for row in zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns.values()))):
+            base.replace(**dict(zip(columns, row)))
+        raise
+    return SimpleNamespace(**{**vars(base), **columns})
+
+
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Quantities computed from SystemParams before matrix assembly."""
+    """Quantities computed from SystemParams before matrix assembly.
+
+    On a grid from ``param_columns``, a quantity that varies over the grid
+    is an array of the grid's broadcast shape.
+    """
 
     omega_m: float      # magnon frequency, gyromagnetic_ratio * B0
     g_m_eff: float      # effective coupling, see effective_coupling
@@ -94,6 +132,30 @@ class DerivedQuantities:
     N_c: float          # thermal occupations
     N_q: float
     N_m: float
+
+
+def _pointwise(fn, *args):
+    """``fn(*args)`` on floats; on arrays, ``fn`` of each element of their broadcast."""
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            break
+    else:
+        return fn(*args)
+    arrays = np.broadcast_arrays(*args)
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _square(x):
+    return _pointwise(pow, x, 2)
+
+
+def _cos(x):
+    return _pointwise(math.cos, x)
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
@@ -120,9 +182,9 @@ def optomagnonic_coupling(params: SystemParams) -> float:
 
     Verdet constant times c/n_r times sqrt(2 / (spin density * sphere volume)).
     """
-    volume = (4.0 * math.pi / 3.0) * params.sphere_radius**3
+    volume = (4.0 * math.pi / 3.0) * _pointwise(pow, params.sphere_radius, 3)
     return (params.verdet * SPEED_OF_LIGHT / params.refractive_index
-            * math.sqrt(2.0 / (params.spin_density * volume)))
+            * _sqrt(2.0 / (params.spin_density * volume)))
 
 
 def intracavity_photon_number(params: SystemParams) -> float:
@@ -133,7 +195,7 @@ def intracavity_photon_number(params: SystemParams) -> float:
 
 def effective_coupling(params: SystemParams) -> float:
     """Drive-enhanced optomagnonic coupling g_m * sqrt(n_photon), rad/s."""
-    return optomagnonic_coupling(params) * math.sqrt(intracavity_photon_number(params))
+    return optomagnonic_coupling(params) * _sqrt(intracavity_photon_number(params))
 
 
 def _transmittance(params: SystemParams) -> float:
@@ -148,8 +210,8 @@ def _loop_gain(params: SystemParams) -> float:
     squares that does not cancel when it is small (epsilon near 1, theta
     near pi).
     """
-    return ((1.0 + params.epsilon * math.cos(params.theta)) ** 2
-            + (params.epsilon * math.sin(params.theta)) ** 2)
+    return (_square(1.0 + params.epsilon * _cos(params.theta))
+            + _square(params.epsilon * _pointwise(math.sin, params.theta)))
 
 
 def feedback_damping(params: SystemParams) -> float:
@@ -166,11 +228,11 @@ def feedback_damping(params: SystemParams) -> float:
     """
     if params.diffusion_mode == "input_output":
         return params.kappa_c * _transmittance(params) / _loop_gain(params)
-    return params.kappa_c * (1.0 - 2.0 * params.epsilon * math.cos(params.theta))
+    return params.kappa_c * (1.0 - 2.0 * params.epsilon * _cos(params.theta))
 
 
 def derive(params: SystemParams) -> DerivedQuantities:
-    """Compute all derived quantities for one parameter point.
+    """Compute all derived quantities for one parameter point, or a grid.
 
     The feedback damping may be non-positive; whether a steady state exists
     is decided by the Hurwitz gate alone.
@@ -180,9 +242,9 @@ def derive(params: SystemParams) -> DerivedQuantities:
         omega_m=omega_m,
         g_m_eff=effective_coupling(params),
         k_fb=feedback_damping(params),
-        N_c=thermal_occupation(params.omega_c, params.temperature),
-        N_q=thermal_occupation(params.omega_q, params.temperature),
-        N_m=thermal_occupation(omega_m, params.temperature),
+        N_c=_pointwise(thermal_occupation, params.omega_c, params.temperature),
+        N_q=_pointwise(thermal_occupation, params.omega_q, params.temperature),
+        N_m=_pointwise(thermal_occupation, omega_m, params.temperature),
     )
 
 
@@ -200,14 +262,17 @@ def cavity_noise_factor(params: SystemParams) -> float:
     """
     u2 = _transmittance(params)
     if params.diffusion_mode == "paper":
-        return u2 * (1.0 - params.epsilon) ** 2
+        return u2 * _square(1.0 - params.epsilon)
     if params.diffusion_mode == "input_output":
         return u2 / _loop_gain(params)
-    return u2 * (1.0 - 2.0 * params.epsilon * math.cos(params.theta) + params.epsilon**2)
+    return u2 * (1.0 - 2.0 * params.epsilon * _cos(params.theta) + _square(params.epsilon))
 
 
 def build_blocks(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
     """The x' drift Q_x and diffusion D_x of one point, as one array (2, 3, 3).
+
+    On a grid from ``param_columns`` the array is (..., 2, 3, 3), one block
+    pair per point of the grid's broadcast shape.
 
     In the blue-sideband frame both couplings pair X_c with the Y quadratures
     of the qubit and the magnon, so x' = (X_c, Y_q, Y_m) never couples to
@@ -222,10 +287,12 @@ def build_blocks(params: SystemParams, derived: DerivedQuantities | None = None)
     d_c = params.kappa_c * cavity_noise_factor(params) * (2.0 * d.N_c + 1.0)
     d_q = gam * (2.0 * d.N_q + 1.0)
     d_m = k_m * (2.0 * d.N_m + 1.0)
-    return np.array([
-        [[-k_fb, g_q, -g_m], [-g_q, -gam, 0.0], [-g_m, 0.0, -k_m]],
-        [[d_c, 0.0, 0.0], [0.0, d_q, 0.0], [0.0, 0.0, d_m]],
-    ])
+    entries = (-k_fb, g_q, -g_m, -g_q, -gam, 0.0, -g_m, 0.0, -k_m,
+               d_c, 0.0, 0.0, 0.0, d_q, 0.0, 0.0, 0.0, d_m)
+    if isinstance(params, SystemParams):
+        return np.array(entries).reshape(2, 3, 3)
+    blocks = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return blocks.reshape(blocks.shape[:-1] + (2, 3, 3))
 
 
 def build_drift(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:

@@ -1,19 +1,21 @@
 """Single-point evaluation, parameter sweeps, presets and CSV emission.
 
-Every call evaluates its points as one stack. Each point is derived and its
-x' blocks built on its own; ``gaussian.steady_state_blocks`` then gates,
-solves and judges the stack, and the batched measures kernel measures the
-accepted points, computing only the requested outputs and
+Every call evaluates its points as one stack. A sweep is its base parameters
+plus at most two axis arrays, read as one grid by ``model.param_columns``:
+each axis is checked once, and the model builds the x' blocks of every
+point in one pass, with no per-point object. ``gaussian.steady_state_blocks``
+then gates, solves and judges the stack, and the batched measures kernel
+measures the accepted points, computing only the requested outputs and
 ``min_symplectic_eig``; it does not run when no point was accepted.
-``run_point`` is the same pipeline on a stack of one, and ``find_threshold``
-runs its grid as one stack and each bisection step as a stack of one,
-computing only the scanned measure. Rows are assembled in deterministic axis
-order, so identical sweep specifications produce byte-identical CSV files.
+``run_point`` is the same pipeline on one SystemParams, a stack of one, and
+``find_threshold`` runs its grid as one stack and each bisection step as a
+stack of one, computing only the scanned measure. Rows are assembled in
+deterministic axis order, so identical sweep specifications produce
+byte-identical CSV files.
 """
 
 from __future__ import annotations
 
-import io
 import numbers
 from dataclasses import dataclass, fields
 
@@ -46,6 +48,7 @@ from .model import (  # noqa: F401
     build_diffusion,
     build_drift,
     derive,
+    param_columns,
     params_from_dict,
 )
 
@@ -103,6 +106,9 @@ class SweepSpec:
         unknown = [k for k in outputs if k not in MEASURE_KEYS]
         if unknown:
             raise SpecError(f"unknown measure keys: {unknown}")
+        repeated = list(dict.fromkeys(k for k in outputs if outputs.count(k) > 1))
+        if repeated:
+            raise SpecError(f"duplicate measure keys: {repeated}")
         object.__setattr__(self, "outputs", outputs)
         if self.axis2 is not None and self.axis2.param == self.axis1.param:
             raise SpecError("axis1 and axis2 must sweep different parameters")
@@ -131,30 +137,29 @@ class PointResult:
         return flat
 
 
-def _steady_states(points: list[SystemParams]):
-    """Derive and build each point's x' blocks, then ``steady_state_blocks`` on the stack."""
-    system = np.empty((len(points), 2, 3, 3))  # Q_x, D_x
-    for k, params in enumerate(points):
-        system[k] = build_blocks(params, derive(params))
-    return steady_state_blocks(system)
+def _evaluate(params, outputs: tuple[str, ...]):
+    """Run one SystemParams, or a grid from ``param_columns``, through the pipeline.
 
-
-def _evaluate(points: list[SystemParams], outputs: tuple[str, ...]):
-    """Run the points through the pipeline as one stack.
-
-    Yields, per point in order, its largest drift eigenvalue real part, the
-    check that rejected it ("gate" or "residual", None if it was solved) and
-    its values of ``outputs + DIAGNOSTIC_KEYS``, or None in place of the
-    values if the point is unstable.
+    Returns, per point in row order, the check that rejected it ("gate" or
+    "residual", None if it was solved) and its largest drift eigenvalue real
+    part (NaN if it was solved), and per key of ``outputs + DIAGNOSTIC_KEYS``
+    a list of each point's value, None at the rejected points.
     """
-    max_real, reasons, blocks, residual = _steady_states(points)
-    values = iter(())
-    if len(blocks):  # an all-unstable stack leaves the kernel out
-        columns = measure_blocks(blocks, outputs + ("min_symplectic_eig",))
-        columns["lyap_residual"] = residual.tolist()
-        values = zip(*(columns[key] for key in outputs + DIAGNOSTIC_KEYS))
-    for real, reason in zip(max_real.tolist(), reasons):
-        yield real, reason, (None if reason else next(values))
+    # a grid's arithmetic overflows to inf without a warning, as floats do;
+    # the stage then fails such points closed
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = build_blocks(params, derive(params)).reshape(-1, 2, 3, 3)
+    max_real, reasons, blocks, residual = steady_state_blocks(system)
+    keys = outputs + DIAGNOSTIC_KEYS
+    if not len(blocks):  # an all-unstable stack leaves the kernel out
+        return reasons, max_real.tolist(), {key: [None] * len(reasons) for key in keys}
+    columns = measure_blocks(blocks, outputs + ("min_symplectic_eig",))
+    columns["lyap_residual"] = residual.tolist()
+    if len(blocks) < len(reasons):
+        for key in keys:
+            values = iter(columns[key])
+            columns[key] = [None if reason else next(values) for reason in reasons]
+    return reasons, max_real.tolist(), {key: columns[key] for key in keys}
 
 
 def run_point(params: SystemParams) -> PointResult:
@@ -164,10 +169,10 @@ def run_point(params: SystemParams) -> PointResult:
     bound, is reported as a structured result with status "unstable" and
     the rejecting check in ``reason``, rather than raised.
     """
-    [(max_real, reason, values)] = _evaluate([params], MEASURE_KEYS)
-    if values is None:
+    [reason], [max_real], columns = _evaluate(params, MEASURE_KEYS)
+    if reason:
         return PointResult(status="unstable", max_real_part=max_real, reason=reason)
-    flat = dict(zip(MEASURE_KEYS + DIAGNOSTIC_KEYS, values))
+    flat = {key: column[0] for key, column in columns.items()}
     return PointResult(
         status="ok",
         report=CorrelationReport.from_flat(flat),
@@ -185,14 +190,17 @@ def steady_state_covariance(params: SystemParams) -> np.ndarray:
         If the point fails the Hurwitz gate or its steady state fails the
         residual bound; ``reason`` says which.
     """
-    max_real, [reason], blocks, _ = _steady_states([params])
+    max_real, [reason], blocks, _ = steady_state_blocks(build_blocks(params, derive(params))[None])
     if reason:
         raise UnstableDrift(float(max_real[0]), reason)
     return assemble_blocks(blocks)[0]
 
 
 def grid_points(spec: SweepSpec) -> list[SystemParams]:
-    """Parameter points in deterministic row order (axis2 outer, axis1 inner)."""
+    """The grid's points as SystemParams, in row order (axis2 outer, axis1 inner).
+
+    ``run_sweep`` does not build them; this is the scalar view of its rows.
+    """
     outer = spec.axis2.grid() if spec.axis2 is not None else [None]
     points = []
     for outer_value in outer:
@@ -210,38 +218,45 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     Unstable points are emitted with status "unstable" and blank measure
     values instead of raising.
     """
-    axes = [spec.axis1.param] + ([spec.axis2.param] if spec.axis2 is not None else [])
-    keys = spec.outputs + DIAGNOSTIC_KEYS
-    blank = (None,) * len(keys)
-    points = grid_points(spec)
-    rows = []
-    for params, (_, _, values) in zip(points, _evaluate(points, spec.outputs)):
-        row = {axis: getattr(params, axis) for axis in axes}
-        row.update(zip(keys, blank if values is None else values))
-        row["status"] = "unstable" if values is None else "ok"
-        rows.append(row)
-    return rows
+    axes = {spec.axis1.param: spec.axis1.grid()}  # axis1 along rows, axis2 down columns
+    if spec.axis2 is not None:
+        axes[spec.axis2.param] = spec.axis2.grid()[:, None]
+    reasons, _, columns = _evaluate(param_columns(spec.base, axes), spec.outputs)
+    header = [*axes, *columns, "status"]
+    cells = [grid.ravel().tolist() for grid in np.broadcast_arrays(*axes.values())]
+    cells += columns.values()
+    cells.append(["unstable" if reason else "ok" for reason in reasons])
+    return [dict(zip(header, row)) for row in zip(*cells)]
 
 
 def format_csv(rows: list[dict]) -> str:
-    """Render sweep rows with 12 significant digits and a trailing status column."""
+    """Render sweep rows with 12 significant digits and a trailing status column.
+
+    A cell is blank for None, a string as it is and a number with ``.12g``.
+    Each column is typed once: a column of floats or of strings goes into
+    one row template as ``%.12g`` (the text of ``format(value, ".12g")``) or
+    ``%s``, and any other column is formatted cell by cell first.
+    """
     if not rows:
         return ""
-    header = list(rows[0].keys())
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        cells = []
-        for key in header:
-            value = row[key]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, str):
-                cells.append(value)
-            else:
-                cells.append(f"{value:.12g}")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    header = list(rows[0])
+    columns = [[row[key] for row in rows] for key in header]
+    specs = []
+    for index, values in enumerate(columns):
+        if all(type(value) is float for value in values):
+            specs.append("%.12g")
+            continue
+        if not all(type(value) is str for value in values):
+            columns[index] = [_cell(value) for value in values]
+        specs.append("%s")
+    template = ",".join(specs) + "\n"
+    return ",".join(header) + "\n" + "".join([template % cells for cells in zip(*columns)])
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else f"{value:.12g}"
 
 
 def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") -> float:
@@ -255,8 +270,9 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     Raises
     ------
     SpecError
-        If the sweep is two-dimensional, the direction is unknown, or the
-        measure is unknown or a steering class.
+        If the sweep is two-dimensional, the direction is unknown, the
+        measure is unknown or a steering class, or the axis1 values are not
+        strictly increasing.
     UnstableDrift
         If a point on the grid or a bisection step is unstable; its
         ``reason`` says whether it failed the gate or the residual bound.
@@ -276,19 +292,25 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
         raise SpecError(f"threshold search needs a numeric measure, not {measure!r}")
 
     grid = spec.axis1.grid()
+    increasing = bool((np.diff(grid) > 0.0).all())
     if direction == "rising":
         grid = grid[::-1]
 
-    def evaluate(axis_values) -> list[float]:
-        points = [spec.base.replace(**{spec.axis1.param: float(v)}) for v in axis_values]
-        measured = []
-        for max_real, reason, values in _evaluate(points, (measure,)):
-            if values is None:
-                raise UnstableDrift(max_real, reason)
-            measured.append(float(values[0]))
-        return measured
+    def points(axis_values):
+        return param_columns(spec.base, {spec.axis1.param: axis_values})
 
-    values = np.array(evaluate(grid))
+    def evaluate(grid_points) -> list[float]:
+        reasons, max_real, columns = _evaluate(grid_points, (measure,))
+        for reason, real in zip(reasons, max_real):
+            if reason:
+                raise UnstableDrift(real, reason)
+        return columns[measure]
+
+    on_grid = points(grid)  # checks the axis values first
+    if not increasing:
+        # bisection refines between neighbouring grid values
+        raise SpecError("threshold search needs axis1 values in strictly increasing order")
+    values = np.array(evaluate(on_grid))
     positive = values > 0.0
     if not positive[0]:
         raise NoCrossing("measure is zero at the start of the window")
@@ -302,7 +324,7 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     resolution = abs(hi - lo) / 256.0
     while abs(hi - lo) > resolution:
         mid = 0.5 * (lo + hi)
-        if evaluate([mid])[0] > 0.0:
+        if evaluate(points(np.array([mid])))[0] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -166,6 +166,17 @@ class TestSweep:
         assert err.startswith("error: ") and named in err
 
 
+    def test_duplicate_outputs_exit_code(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "axis1": {"param": "temperature", "start": 0, "stop": 0.1, "count": 3},
+            "outputs": ["LN_qm", "LN_qm"]}))
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 3
+        assert out == ""
+        assert err == "error: duplicate measure keys: ['LN_qm']\n"
+
+
 class TestPreset:
     def test_preset_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "preset", "--id", "fig3a")
@@ -234,6 +245,18 @@ class TestThreshold:
         assert payload["status"] == "unstable"
         assert payload["reason"] == "residual"
         assert payload["max_real_part"] < 0
+
+
+    def test_unordered_axis_values_exit_code(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "base": {"epsilon": 0.86, "diffusion_mode": "input_output"},
+            "axis1": {"param": "temperature", "values": [0.0, 0.5, 0.05, 0.3]}}))
+        code, out, err = run_cli(capsys, "threshold", "--spec", str(spec),
+                                 "--measure", "LN_qm")
+        assert code == 3
+        assert out == ""
+        assert "strictly increasing" in err
 
 
 class TestValidateOracle:

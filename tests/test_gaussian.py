@@ -20,11 +20,15 @@ from magnonsteer import (
 )
 from magnonsteer.analytic import analytic_covariance
 from magnonsteer.measures import measure_columns
+from magnonsteer.model import DIFFUSION_MODES, build_blocks, build_drift
+from magnonsteer.sweep import PRESET_IDS, grid_points, preset
 from magnonsteer.gaussian import (
     STABILITY_TOL,
     assemble_blocks,
+    block_gate,
     covariance_blocks,
     hurwitz_gate,
+    mirror_pairs,
     residual_accepted,
     solve_lyapunov_stack,
     symplectic_spectrum,
@@ -96,7 +100,7 @@ class TestSolveLyapunov:
         with pytest.raises(UnstableDrift):
             solve_lyapunov(drift, np.eye(6))
         _, residual = solve_lyapunov_stack(drift[None], np.eye(6)[None])
-        assert not residual_accepted(residual, np.eye(6))[0]
+        assert not residual_accepted(residual, np.linalg.norm(np.eye(6)))[0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unstable_exactly_where_the_gate_says(self, seed):
@@ -137,6 +141,92 @@ class TestSolveLyapunov:
         stacked = lyapunov_residual(drift[None], cov[None], diffusion[None])
         assert stacked.shape == (1,)
         assert stacked[0] == lyapunov_residual(drift, cov, diffusion)
+
+
+def gate_on_blocks_and_6x6(drift_x):
+    """block_gate's decisions, and hurwitz_gate's on the assembled 6x6 drifts."""
+    return block_gate(drift_x), hurwitz_gate(assemble_blocks(mirror_pairs(drift_x)))[1]
+
+
+def model_drifts(points):
+    return np.stack([build_blocks(params)[0] for params in points])
+
+
+class TestBlockGate:
+    """The Routh-Hurwitz test on Q_x decides as the 6x6 eigen-solve gate does."""
+
+    def test_preset_grids(self):
+        drifts = model_drifts([params for preset_id in PRESET_IDS
+                               for params in grid_points(preset(preset_id))])
+        on_blocks, on_6x6 = gate_on_blocks_and_6x6(drifts)
+        assert np.array_equal(on_blocks, on_6x6)
+
+    @pytest.mark.parametrize("mode", DIFFUSION_MODES)
+    def test_random_points(self, mode):
+        rng = np.random.default_rng(31)
+        drifts = model_drifts([
+            default_params(epsilon=float(rng.uniform(0.0, 0.999)),
+                           theta=float(rng.uniform(0.0, 2.0 * np.pi)),
+                           temperature=float(rng.uniform(0.0, 1.5)),
+                           g_q_ratio=float(rng.uniform(0.2, 4.0)), diffusion_mode=mode)
+            for _ in range(1000)])
+        on_blocks, on_6x6 = gate_on_blocks_and_6x6(drifts)
+        assert np.array_equal(on_blocks, on_6x6)
+        assert 0 < on_blocks.sum() < len(on_blocks)
+
+    def test_reflectivity_near_one(self):
+        drifts = model_drifts([default_params(epsilon=1.0 - 10.0**-k, theta=theta,
+                                              diffusion_mode=mode)
+                               for k in range(1, 17) for theta in (0.0, 2.0, np.pi)
+                               for mode in DIFFUSION_MODES])
+        on_blocks, on_6x6 = gate_on_blocks_and_6x6(drifts)
+        assert np.array_equal(on_blocks, on_6x6)
+
+    def test_reflectivity_steps_across_the_margin(self):
+        # at theta = 0 the drift crosses the margin near epsilon = 0.4947;
+        # step across it a thousandth of the margin's width at a time
+        def past_margin(epsilon):
+            drift = build_drift(default_params(epsilon=epsilon, theta=0.0))
+            max_real, _ = hurwitz_gate(drift)
+            return max_real + STABILITY_TOL * np.linalg.norm(drift) >= 0
+
+        lo, hi = 0.45, 0.5
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if past_margin(mid) else (mid, hi)
+        drifts = model_drifts([default_params(epsilon=lo + step * 1e-12, theta=0.0)
+                               for step in range(-1000, 1001)])
+        on_blocks, on_6x6 = gate_on_blocks_and_6x6(drifts)
+        assert np.array_equal(on_blocks, on_6x6)
+        assert on_blocks[0] and not on_blocks[-1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_drifts_across_the_margin(self, seed):
+        # general 3x3 drifts, complex eigenvalue pairs included, shifted so
+        # their largest real part steps across the margin and past zero
+        rng = np.random.default_rng(400 + seed)
+        base = rng.normal(size=(3, 3))
+        edge = float(np.max(np.linalg.eigvals(base).real))
+        margin = STABILITY_TOL * np.sqrt(2.0) * float(np.linalg.norm(base - edge * np.eye(3)))
+        drifts = np.stack([base - (edge - c * margin) * np.eye(3)
+                           for c in np.linspace(-3.0, 1.0, 9)])
+        on_blocks, on_6x6 = gate_on_blocks_and_6x6(drifts)
+        assert np.array_equal(on_blocks, on_6x6)
+        assert on_blocks.any() and not on_blocks.all()
+
+    def test_stack_of_one_decides_as_the_stack(self):
+        rng = np.random.default_rng(7)
+        drifts = model_drifts([default_params(epsilon=float(rng.uniform(0.0, 0.95)),
+                                              theta=float(rng.uniform(0.0, 2.0 * np.pi)))
+                               for _ in range(200)])
+        alone = [bool(block_gate(drift[None])[0]) for drift in drifts]
+        assert alone == block_gate(drifts).tolist()
+
+    def test_non_finite_drift_fails(self):
+        drift = -np.eye(3)[None].repeat(3, axis=0)
+        drift[0, 0, 1], drift[1, 2, 2] = np.nan, -np.inf
+        assert block_gate(drift).tolist() == [False, False, True]
+        assert not block_gate(drift[:1])[0]
 
 
 class TestPhaseCovariantBlocks:

@@ -40,7 +40,9 @@ from magnonsteer.model import (
     cavity_noise_factor,
     feedback_damping,
     intracavity_photon_number,
+    param_columns,
 )
+from magnonsteer.sweep import grid_points
 
 
 class TestThermalOccupation:
@@ -468,3 +470,42 @@ class TestParameterIngestion:
 
         names = {f.name for f in fields(SystemParams)}
         assert names - set(DEFAULT_DOCUMENT) == {"g_q"}
+
+
+# 2-D grids over fields the presets leave at their defaults: (axis1 field,
+# its values, axis2 field, its values), in internal units
+COLUMN_GRIDS = [
+    ("temperature", tuple(np.linspace(0.0, 1.5, 31)), "epsilon", (0.0, 0.3, 0.86, 0.95)),
+    ("B0", tuple(np.linspace(0.05, 0.2, 7)), "sphere_radius", (60e-6, 100e-6, 250e-6)),
+    ("kappa_c", tuple(TWO_PI * np.linspace(1e6, 10e6, 7)), "drive_power",
+     (0.0, 1e-3, 10e-3, 30e-3)),
+    ("omega_q", tuple(TWO_PI * np.linspace(8.3e9, 8.6e9, 7)), "theta",
+     (0.0, 1.0, math.pi, 5.0)),
+    ("epsilon", NEAR_UNIT_EPSILONS, "temperature", (0.0, 1e-3, 0.4)),
+]
+
+
+class TestParamColumns:
+    """A grid built as columns is its points built one at a time, bit for bit."""
+
+    @pytest.mark.parametrize("mode", DIFFUSION_MODES)
+    @pytest.mark.parametrize("grid", COLUMN_GRIDS, ids=[f"{g[0]}-{g[2]}" for g in COLUMN_GRIDS])
+    def test_grid_blocks_are_the_per_point_blocks(self, grid, mode):
+        name1, values1, name2, values2 = grid
+        spec = SweepSpec(base=default_params(epsilon=0.5, diffusion_mode=mode),
+                         axis1=Axis(name1, values=values1), axis2=Axis(name2, values=values2))
+        columns = param_columns(spec.base, {name1: spec.axis1.grid(),
+                                            name2: spec.axis2.grid()[:, None]})
+        stack = build_blocks(columns).reshape(-1, 2, 3, 3)
+        assert np.array_equal(stack, np.stack([build_blocks(p) for p in grid_points(spec)]))
+
+    def test_fields_off_the_axes_stay_floats(self):
+        base = default_params()
+        columns = param_columns(base, {"temperature": np.array([0.0, 0.1])})
+        assert columns.kappa_c == base.kappa_c and type(columns.kappa_c) is float
+        assert derive(columns).N_c.tolist() == [
+            derive(base.replace(temperature=t)).N_c for t in (0.0, 0.1)]
+
+    def test_rejects_fields_that_are_not_numeric_parameters(self):
+        with pytest.raises(SpecError, match="cannot sweep"):
+            param_columns(default_params(), {"diffusion_mode": np.zeros(2)})

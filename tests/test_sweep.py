@@ -27,8 +27,15 @@ from magnonsteer import (
     spec_from_dict,
     steady_state_covariance,
 )
-from magnonsteer.gaussian import STABILITY_TOL, assemble_blocks, hurwitz_gate
+from magnonsteer.gaussian import (
+    STABILITY_TOL,
+    assemble_blocks,
+    hurwitz_gate,
+    steady_state_blocks,
+)
+from magnonsteer.model import SystemParams, build_blocks
 from magnonsteer.sweep import PRESET_IDS, grid_points
+import magnonsteer.gaussian as gaussian_module
 import magnonsteer.sweep as sweep_module
 
 
@@ -134,7 +141,8 @@ class TestOneSteadyStatePath:
                                  g_q_ratio=float(rng.uniform(0.5, 3.0)),
                                  diffusion_mode=("paper", "consistent", "input_output")[k % 3])
                   for k in range(60)]
-        _, reasons, blocks, _ = sweep_module._steady_states(points)
+        system = np.stack([build_blocks(params) for params in points])
+        _, reasons, blocks, _ = steady_state_blocks(system)
         solved = [params for params, reason in zip(points, reasons) if reason is None]
         assert len(solved) >= 30
         for params, expected in zip(solved, assemble_blocks(blocks)):
@@ -183,6 +191,59 @@ class TestAxisAndSpec:
                       axis1=Axis("temperature", 0.0, 1.0, 3),
                       axis2=Axis("temperature", 0.0, 1.0, 3))
 
+    def test_spec_rejects_duplicate_outputs(self):
+        with pytest.raises(SpecError, match=r"duplicate measure keys: \['LN_qm', 'R_c'\]"):
+            spec_from_dict({"axis1": {"param": "temperature", "values": [0.0, 0.1]},
+                            "outputs": ["LN_qm", "R_c", "LN_cm", "R_c", "LN_qm"]})
+
+    @pytest.mark.parametrize("axis, message", [
+        ({"param": "temperature", "values": [0.1, -0.01]}, "temperature must be non-negative"),
+        ({"param": "epsilon", "values": [0.5, 1.0]}, "epsilon must lie in [0, 1)"),
+        ({"param": "epsilon", "start": 0.5, "stop": 1.5, "count": 5},
+         "epsilon must lie in [0, 1)"),
+        ({"param": "temperature", "values": [0.1, math.nan]},
+         "parameter temperature must be finite"),
+        ({"param": "g_q", "values": [1e6, -1.0]},
+         "couplings and drive power must be non-negative"),
+        ({"param": "kappa_c", "values": [1e6, 0.0]}, "parameter kappa_c must be positive"),
+    ])
+    def test_bad_axis_values_give_the_point_message(self, axis, message):
+        spec = spec_from_dict({"axis1": axis, "outputs": ["LN_qm"]})
+        for call in (grid_points, run_sweep, lambda s: find_threshold(s, "LN_qm")):
+            with pytest.raises(SpecError) as info:
+                call(spec)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("temperatures, epsilons", [
+        ((0.1, -1.0), (1.5, 0.2)),
+        ((0.1, -1.0), (0.2, 1.5)),
+        ((math.nan, 0.1), (0.2, 1.5)),
+        ((0.1, 0.2), (0.2, math.nan)),
+    ])
+    def test_first_invalid_row_names_the_error(self, temperatures, epsilons):
+        # rows run axis2 outer, axis1 inner; the grid reports the first bad row
+        spec = SweepSpec(base=default_params(), axis1=Axis("temperature", values=temperatures),
+                         axis2=Axis("epsilon", values=epsilons), outputs=("LN_qm",))
+        with pytest.raises(SpecError) as by_point:
+            grid_points(spec)
+        with pytest.raises(SpecError) as by_grid:
+            run_sweep(spec)
+        assert str(by_grid.value) == str(by_point.value)
+
+    def test_two_dimensional_rows_are_the_single_points(self):
+        spec = SweepSpec(base=default_params(theta=0.0, diffusion_mode="consistent"),
+                         axis1=Axis("temperature", values=(0.0, 0.05, 0.3)),
+                         axis2=Axis("epsilon", values=(0.0, 0.3, 0.6)),
+                         outputs=("LN_qm", "G_q_to_c", "class_cm", "R_min"))
+        rows = run_sweep(spec)
+        assert any(row["status"] == "unstable" for row in rows)
+        for params, row in zip(grid_points(spec), rows, strict=True):
+            assert (row["epsilon"], row["temperature"]) == (params.epsilon, params.temperature)
+            flat = run_point(params).to_flat_dict()
+            assert row["status"] == flat["status"]
+            for key in spec.outputs + ("lyap_residual", "min_symplectic_eig"):
+                assert row[key] == flat.get(key)
+
     def test_grid_points_order(self):
         spec = SweepSpec(
             base=default_params(),
@@ -222,6 +283,44 @@ class TestAxisAndSpec:
 
 
 class TestRunSweep:
+    def test_builds_no_point_objects_and_no_6x6_for_accepted_points(self, monkeypatch):
+        spec = preset("fig5")
+        # non-positive feedback damping over part of the phase circle
+        phases = spec_from_dict({"base": {"epsilon": 0.6}, "axis1": {
+            "param": "theta", "start": 0.0, "stop": 2.0 * math.pi, "count": 64}})
+        built, assembled = [], []
+        check = SystemParams.__post_init__
+        assemble = gaussian_module.assemble_blocks
+
+        def counting_check(self):
+            built.append(self)
+            check(self)
+
+        def recording_assemble(blocks):
+            assembled.append(len(blocks))
+            return assemble(blocks)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counting_check)
+        monkeypatch.setattr(gaussian_module, "assemble_blocks", recording_assemble)
+        # each axis is checked by its smallest and largest value, not per point
+        assert len(run_sweep(spec)) == 600 and len(built) == 4 and not assembled
+        built.clear()
+        rows = run_sweep(phases)
+        unstable = sum(row["status"] == "unstable" for row in rows)
+        assert 0 < unstable < 64
+        assert len(built) == 2 and assembled == [unstable]
+
+    def test_overflowing_grid_points_are_unstable_rows(self):
+        # past about 1e300 K the diffusion overflows to inf while it is built;
+        # each row is what the point gives alone, with no warning
+        spec = SweepSpec(base=default_params(),
+                         axis1=Axis("temperature", values=(0.01, 1e200, 1e300, 1e307)),
+                         outputs=("LN_qm",))
+        rows = run_sweep(spec)
+        assert [row["status"] for row in rows] == ["ok"] + ["unstable"] * 3
+        for params, row in zip(grid_points(spec), rows):
+            assert run_point(params).status == row["status"]
+
     def test_two_point_axis_structure(self):
         rows = run_sweep(small_spec(count=2))
         assert len(rows) == 2
@@ -366,8 +465,11 @@ class TestFindThreshold:
         profile = {0.0: 1.0, 0.1: 0.0, 0.2: 1.0, 0.3: 0.0}
 
         def fake_evaluate(points, outputs):
-            for params in points:
-                yield -1.0, None, (profile[round(params.temperature, 3)], 0.0, 0.5)
+            temperatures = np.atleast_1d(points.temperature).tolist()
+            count = len(temperatures)
+            return [None] * count, [math.nan] * count, {
+                "LN_qm": [profile[round(t, 3)] for t in temperatures],
+                "lyap_residual": [0.0] * count, "min_symplectic_eig": [0.5] * count}
 
         monkeypatch.setattr(sweep_module, "_evaluate", fake_evaluate)
         spec = SweepSpec(base=default_params(epsilon=0.0),
@@ -375,6 +477,27 @@ class TestFindThreshold:
                          outputs=("LN_qm",))
         with pytest.raises(NonMonotone):
             find_threshold(spec, "LN_qm")
+
+    @pytest.mark.parametrize("values", [(0.0, 0.5, 0.05, 0.3), (0.0, 0.05, 0.5, 0.05),
+                                        (0.0, 0.1, 0.1, 0.3)])
+    def test_rejects_axis_values_out_of_order(self, monkeypatch, values):
+        # bisection refines between neighbouring grid values; LN_qm is monotone
+        # here and dies near 0.10 K
+        def no_evaluation(points, outputs):
+            raise AssertionError("an unordered grid was evaluated")
+
+        monkeypatch.setattr(sweep_module, "_evaluate", no_evaluation)
+        spec = SweepSpec(base=default_params(epsilon=0.86, diffusion_mode="input_output"),
+                         axis1=Axis("temperature", values=values), outputs=("LN_qm",))
+        for direction in ("falling", "rising"):
+            with pytest.raises(SpecError, match="strictly increasing"):
+                find_threshold(spec, "LN_qm", direction)
+
+    def test_sorted_explicit_values_find_the_threshold(self):
+        spec = SweepSpec(base=default_params(epsilon=0.86, diffusion_mode="input_output"),
+                         axis1=Axis("temperature", values=(0.0, 0.05, 0.3, 0.5)),
+                         outputs=("LN_qm",))
+        assert 0.08 < find_threshold(spec, "LN_qm") < 0.12
 
     def test_rising_direction(self):
         # cavity-magnon entanglement turns on as the reflectivity grows
