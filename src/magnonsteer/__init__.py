@@ -55,6 +55,7 @@ from .sweep import (
     run_sweep,
     spec_from_dict,
     steady_state_covariance,
+    sweep_columns,
 )
 
 __version__ = "0.1.0"
@@ -99,5 +100,6 @@ __all__ = [
     "solve_lyapunov",
     "spec_from_dict",
     "steady_state_covariance",
+    "sweep_columns",
     "thermal_occupation",
 ]

@@ -184,7 +184,8 @@ def steady_state_blocks(system: np.ndarray):
     S V_x S; as r_p = r_x and D_p = D_x, the 6x6 residual is sqrt(2 r_x^2) and
     the 6x6 diffusion norm sqrt(2) ||D_x||_F, which ``residual_accepted``
     judges. Only the rejected points are assembled into 6x6 drifts, for
-    ``hurwitz_gate`` to report their largest eigenvalue real part.
+    ``hurwitz_gate`` to report their largest eigenvalue real part, and a
+    stack the gate rejects whole is not solved at all.
 
     Returns each point's largest drift eigenvalue real part (NaN where it
     was accepted), a list of each point's rejecting check ("gate",
@@ -198,10 +199,13 @@ def steady_state_blocks(system: np.ndarray):
     """
     gated = block_gate(system[:, 0])
     q, d = system[gated].swapaxes(0, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov, residual = solve_lyapunov_stack(q, d)
-        residual = np.sqrt(2.0 * np.square(residual))
-        passed = residual_accepted(residual, math.sqrt(2.0) * np.linalg.norm(d, axis=(-2, -1)))
+    if len(q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov, residual = solve_lyapunov_stack(q, d)
+            residual = np.sqrt(2.0 * np.square(residual))
+            passed = residual_accepted(residual, math.sqrt(2.0) * np.linalg.norm(d, axis=(-2, -1)))
+    else:  # the gate rejected every point, so there is nothing to solve
+        cov, residual, passed = q, np.empty(0), np.empty(0, dtype=bool)
     verdict = iter(passed.tolist())
     reason = [(None if next(verdict) else "residual") if ok else "gate"
               for ok in gated.tolist()]

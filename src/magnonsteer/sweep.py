@@ -9,9 +9,13 @@ measures the accepted points, computing only the requested outputs and
 ``min_symplectic_eig``; it does not run when no point was accepted.
 ``run_point`` is the same pipeline on one SystemParams, a stack of one, and
 ``find_threshold`` runs its grid as one stack and each bisection step as a
-stack of one, computing only the scanned measure. Rows are assembled in
-deterministic axis order, so identical sweep specifications produce
-byte-identical CSV files.
+stack of one, computing only the scanned measure.
+
+``sweep_columns`` returns a sweep as the evaluated columns, in the CSV's
+header order, and ``format_csv`` writes those columns as text, so a sweep
+reaches its CSV file without a per-point object; ``run_sweep`` is the row
+view of the same columns. Points are in deterministic axis order, so
+identical sweep specifications produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -199,7 +203,7 @@ def steady_state_covariance(params: SystemParams) -> np.ndarray:
 def grid_points(spec: SweepSpec) -> list[SystemParams]:
     """The grid's points as SystemParams, in row order (axis2 outer, axis1 inner).
 
-    ``run_sweep`` does not build them; this is the scalar view of its rows.
+    ``sweep_columns`` does not build them; this is the scalar view of its rows.
     """
     outer = spec.axis2.grid() if spec.axis2 is not None else [None]
     points = []
@@ -212,45 +216,58 @@ def grid_points(spec: SweepSpec) -> list[SystemParams]:
     return points
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the grid. One row per point, axis columns first.
+def sweep_columns(spec: SweepSpec) -> dict[str, list]:
+    """Evaluate the grid. One column per CSV field, in the CSV's header order.
 
-    Unstable points are emitted with status "unstable" and blank measure
-    values instead of raising.
+    The axis columns come first, then the requested measures,
+    ``lyap_residual``, ``min_symplectic_eig`` and ``status``; each holds one
+    cell per point, in row order (axis2 outer, axis1 inner). Unstable points
+    have status "unstable" and None in every measure and diagnostic column
+    instead of raising.
     """
     axes = {spec.axis1.param: spec.axis1.grid()}  # axis1 along rows, axis2 down columns
     if spec.axis2 is not None:
         axes[spec.axis2.param] = spec.axis2.grid()[:, None]
-    reasons, _, columns = _evaluate(param_columns(spec.base, axes), spec.outputs)
-    header = [*axes, *columns, "status"]
-    cells = [grid.ravel().tolist() for grid in np.broadcast_arrays(*axes.values())]
-    cells += columns.values()
-    cells.append(["unstable" if reason else "ok" for reason in reasons])
-    return [dict(zip(header, row)) for row in zip(*cells)]
+    reasons, _, measured = _evaluate(param_columns(spec.base, axes), spec.outputs)
+    columns = {param: grid.ravel().tolist()
+               for param, grid in zip(axes, np.broadcast_arrays(*axes.values()))}
+    columns.update(measured)
+    columns["status"] = ["unstable" if reason else "ok" for reason in reasons]
+    return columns
 
 
-def format_csv(rows: list[dict]) -> str:
-    """Render sweep rows with 12 significant digits and a trailing status column.
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """The rows of ``sweep_columns(spec)``: one dict per point, keyed by column."""
+    columns = sweep_columns(spec)
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    A cell is blank for None, a string as it is and a number with ``.12g``.
-    Each column is typed once: a column of floats or of strings goes into
-    one row template as ``%.12g`` (the text of ``format(value, ".12g")``) or
-    ``%s``, and any other column is formatted cell by cell first.
+
+def format_csv(columns: dict[str, list]) -> str:
+    """Render sweep columns, as ``sweep_columns`` returns them, as CSV text.
+
+    The header is the mapping's keys in order, and each row takes one cell
+    from every column. A cell is blank for None, a string as it is and a
+    number with ``.12g``, so floats carry 12 significant digits. Each column
+    is typed once: a column of floats or of strings goes into one row
+    template as ``%.12g`` (the text of ``format(value, ".12g")``) or ``%s``,
+    and any other column is formatted cell by cell first. A table without
+    rows renders as the empty string.
     """
-    if not rows:
+    header = list(columns)
+    cells = list(columns.values())
+    if not cells or not cells[0]:
         return ""
-    header = list(rows[0])
-    columns = [[row[key] for row in rows] for key in header]
     specs = []
-    for index, values in enumerate(columns):
-        if all(type(value) is float for value in values):
+    for index, values in enumerate(cells):
+        types = set(map(type, values))
+        if types == {float}:
             specs.append("%.12g")
             continue
-        if not all(type(value) is str for value in values):
-            columns[index] = [_cell(value) for value in values]
+        if types != {str}:
+            cells[index] = [_cell(value) for value in values]
         specs.append("%s")
     template = ",".join(specs) + "\n"
-    return ",".join(header) + "\n" + "".join([template % cells for cells in zip(*columns)])
+    return ",".join(header) + "\n" + "".join([template % row for row in zip(*cells)])
 
 
 def _cell(value) -> str:

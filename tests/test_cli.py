@@ -4,7 +4,8 @@ import math
 import pytest
 
 from magnonsteer import sweep
-from magnonsteer.cli import main
+from magnonsteer.cli import build_parser, main
+from magnonsteer.measures import MEASURE_KEYS
 from magnonsteer.model import DIFFUSION_MODES
 from magnonsteer.sweep import PRESET_IDS
 
@@ -166,6 +167,27 @@ class TestSweep:
         assert err.startswith("error: ") and named in err
 
 
+    def test_mixed_two_dimensional_sweep_is_written_from_its_columns(self, capsys, tmp_path):
+        # every point at epsilon = 0.3 is stable, every one at 0.9 unstable
+        document = {"axis1": {"param": "theta", "start": 0.0, "stop": 0.5, "count": 8},
+                    "axis2": {"param": "epsilon", "values": [0.3, 0.9]}}
+        spec = sweep.spec_from_dict(document)
+        columns = sweep.sweep_columns(spec)
+        assert list(columns) == ["theta", "epsilon", *MEASURE_KEYS,
+                                 "lyap_residual", "min_symplectic_eig", "status"]
+        assert columns["status"] == ["ok"] * 8 + ["unstable"] * 8
+        assert sweep.run_sweep(spec) == [dict(zip(columns, row))
+                                         for row in zip(*columns.values())]
+        spec_path, out_csv = tmp_path / "spec.json", tmp_path / "mixed.csv"
+        spec_path.write_text(json.dumps(document))
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec_path), "--out", str(out_csv))
+        assert (code, out) == (0, "")
+        assert out_csv.read_bytes() == sweep.format_csv(columns).encode()
+        for line in out_csv.read_text().splitlines()[9:]:
+            cells = line.split(",")
+            assert cells[-1] == "unstable"
+            assert cells[1] == "0.9" and cells[2:-1] == [""] * (len(columns) - 3)
+
     def test_duplicate_outputs_exit_code(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -295,3 +317,37 @@ class TestVersion:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"axis1": {"param": "temperature", "values": [0.0, 0.1]},
+                                    "outputs": ["LN_qm"]}))
+        calls = [
+            ["solve"],
+            ["preset", "--id", "fig3a"],
+            ["sweep", "--spec", str(spec)],
+            ["threshold", "--preset", "fig3a", "--measure", "LN_qm"],
+            ["solve", "--diffusion", "nonsense"],
+            ["--version"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, "exit 2", "exit 0"]
+        assert "invalid choice: 'nonsense'" in fresh[4][2]

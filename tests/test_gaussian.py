@@ -31,8 +31,10 @@ from magnonsteer.gaussian import (
     mirror_pairs,
     residual_accepted,
     solve_lyapunov_stack,
+    steady_state_blocks,
     symplectic_spectrum,
 )
+import magnonsteer.gaussian as gaussian_module
 
 from _oracles import (
     Bipartition,
@@ -227,6 +229,23 @@ class TestBlockGate:
         drift[0, 0, 1], drift[1, 2, 2] = np.nan, -np.inf
         assert block_gate(drift).tolist() == [False, False, True]
         assert not block_gate(drift[:1])[0]
+
+
+class TestSteadyStateBlocks:
+    def test_stack_rejected_whole_is_not_solved(self, monkeypatch):
+        system = np.stack([build_blocks(default_params(epsilon=0.9, theta=theta))
+                           for theta in np.linspace(0.0, 0.5, 8)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_lyapunov_stack ran with no gated point")
+
+        monkeypatch.setattr(gaussian_module, "solve_lyapunov_stack", refuse)
+        max_real, reason, blocks, residual = steady_state_blocks(system)
+        assert reason == ["gate"] * 8
+        assert np.array_equal(max_real, hurwitz_gate(assemble_blocks(mirror_pairs(system[:, 0])))[0])
+        assert (max_real > 0).all()
+        assert blocks.shape == (0, 2, 3, 3) and residual.shape == (0,)
+        assert blocks.dtype == residual.dtype == np.float64
 
 
 class TestPhaseCovariantBlocks:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magnonsteer import build_diffusion, derive, format_csv, preset, run_sweep
+from magnonsteer import build_diffusion, derive, format_csv, preset, sweep_columns
 from magnonsteer.gaussian import LYAPUNOV_RESIDUAL_TOL
 from magnonsteer.measures import ZERO_CLAMP
 from magnonsteer.sweep import PRESET_IDS, grid_points
@@ -46,7 +46,7 @@ def cell_matches(column: str, got: str, want: str, bound: float) -> bool:
 @pytest.mark.parametrize("preset_id", PRESET_IDS)
 def test_preset_matches_golden_csv(preset_id):
     spec = preset(preset_id)
-    got = read_rows(format_csv(run_sweep(spec)))
+    got = read_rows(format_csv(sweep_columns(spec)))
     want = read_rows((REFERENCE_DIR / f"{preset_id}.csv").read_text())
     assert len(got) == len(want)
     assert list(got[0]) == list(want[0])

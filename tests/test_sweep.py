@@ -26,6 +26,7 @@ from magnonsteer import (
     solve_lyapunov,
     spec_from_dict,
     steady_state_covariance,
+    sweep_columns,
 )
 from magnonsteer.gaussian import (
     STABILITY_TOL,
@@ -404,17 +405,19 @@ class TestRunSweep:
 
     def test_deterministic_across_runs(self):
         spec = small_spec(count=6)
-        assert format_csv(run_sweep(spec)) == format_csv(run_sweep(spec))
+        assert format_csv(sweep_columns(spec)) == format_csv(sweep_columns(spec))
 
     def test_csv_formatting(self):
-        text = format_csv([
-            {"temperature": 0.1, "LN_qm": 0.123456789012345, "status": "ok"},
-            {"temperature": 0.2, "LN_qm": None, "status": "unstable"},
-        ])
+        text = format_csv({
+            "temperature": [0.1, 0.2],
+            "LN_qm": [0.123456789012345, None],
+            "status": ["ok", "unstable"],
+        })
         lines = text.strip().split("\n")
         assert lines[0] == "temperature,LN_qm,status"
         assert lines[1] == "0.1,0.123456789012,ok"
         assert lines[2] == "0.2,,unstable"
+        assert format_csv({"count": [3, None]}) == "count\n3\n\n"
 
     def test_rows_pass_physicality_without_feedback(self):
         rows = run_sweep(small_spec(count=4))
@@ -431,7 +434,7 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert len(rows) == 4
         assert list(rows[0])[:2] == ["temperature", "epsilon"]
-        text = format_csv(rows)
+        text = format_csv(sweep_columns(spec))
         assert text.startswith("temperature,epsilon,LN_qm")
         assert len(text.strip().split("\n")) == 5
 
