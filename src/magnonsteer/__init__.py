@@ -26,7 +26,6 @@ from .gaussian import (
     solve_lyapunov,
 )
 from .measures import (
-    CorrelationReport,
     classify_steering,
     correlation_report,
 )
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "CorrelationReport",
     "DegenerateDenominator",
     "DerivedQuantities",
     "MagnonSteerError",

@@ -25,6 +25,7 @@ is far larger than nu's at the sub-vacuum states of the model.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,13 +45,25 @@ PHASE_COVARIANCE_TOL = 1e-12
 # Stability margin relative to ||Q||_F, scale-free across rad/s magnitudes
 STABILITY_TOL = 1e-9
 
+# The block gate's margin on Q_x, relative to ||Q_x||_F: ||Q||_F = sqrt(2) ||Q_x||_F
+_BLOCK_TOL = STABILITY_TOL * math.sqrt(2.0)
+
 # Rows of x' and p' in the quadrature ordering, the signs of p', and S_i S_j of V_p = S V_x S
 _ROWS = np.array([[0, 3, 5], [1, 2, 4]])[:, :, None]
 _COLS = _ROWS.swapaxes(-1, -2)
 _SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
 _SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
 _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
-_EYE3 = np.eye(3).ravel()
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes, by the formula of ``np.linalg.norm``."""
+    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
+
+
+def _max_real_part(drift: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue real part of each matrix of a stack (..., n, n)."""
+    return np.linalg.eigvals(drift).real.max(axis=-1)
 
 
 def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,8 +74,8 @@ def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gate is scale-free. Takes one matrix or a stack (..., n, n).
     """
     q = np.asarray(drift, dtype=float)
-    max_real = np.linalg.eigvals(q).real.max(axis=-1)
-    return max_real, max_real < -STABILITY_TOL * np.linalg.norm(q, axis=(-2, -1))
+    max_real = _max_real_part(q)
+    return max_real, max_real < -STABILITY_TOL * _frobenius(q)
 
 
 def block_gate(drift_x: np.ndarray) -> np.ndarray:
@@ -79,13 +92,22 @@ def block_gate(drift_x: np.ndarray) -> np.ndarray:
     on Python floats, with the same roundings and no numpy call per
     operation. A non-finite coefficient fails.
     """
-    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = STABILITY_TOL * math.sqrt(2.0) * np.sqrt(np.square(q).sum(axis=1))
-        entries = (q + shift[:, None] * _EYE3).T
-        if len(q) == 1:
-            return np.array([_routh_hurwitz(*entries[:, 0].tolist())])
-        return _routh_hurwitz(*entries)
+        return _block_gate(drift_x)
+
+
+def _block_gate(drift_x: np.ndarray) -> np.ndarray:
+    """``block_gate`` without its ``np.errstate``, for callers already inside one."""
+    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
+    shift = _BLOCK_TOL * np.sqrt(np.add.reduce(q * q, axis=1))
+    if len(q) == 1:
+        entries, shift = q[0].tolist(), shift.item()
+    else:
+        entries = list(q.T)
+    for diagonal in (0, 4, 8):
+        entries[diagonal] = entries[diagonal] + shift
+    stable = _routh_hurwitz(*entries)
+    return np.array([stable]) if len(q) == 1 else stable
 
 
 def _routh_hurwitz(a00, a01, a02, a10, a11, a12, a20, a21, a22):
@@ -130,8 +152,7 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
 def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray):
     """Frobenius norm of Q V + V Q^T + D, one per matrix of a stack (..., n, n)."""
-    return np.linalg.norm(drift @ cov + cov @ drift.swapaxes(-1, -2) + diffusion,
-                          axis=(-2, -1))
+    return _frobenius(drift @ cov + cov @ drift.swapaxes(-1, -2) + diffusion)
 
 
 def residual_accepted(residual: np.ndarray, diffusion_norm: np.ndarray) -> np.ndarray:
@@ -162,10 +183,10 @@ def solve_lyapunov_stack(drift: np.ndarray,
     q = np.asarray(drift, dtype=float)
     d = np.asarray(diffusion, dtype=float)
     count, n = q.shape[:2]
-    eye = np.eye(n)
-    # kron(I, Q) + kron(Q, I), entry [(i, a), (j, b)] = I_ij Q_ab + Q_ij I_ab
-    coeff = (eye[None, :, None, :, None] * q[:, None, :, None, :]
-             + q[:, :, None, :, None] * eye[None, None, :, None, :]).reshape(count, n * n, n * n)
+    ab, eye_ij, ij, eye_ab = _kronecker_tables(n)
+    entries = q.reshape(count, n * n)
+    coeff = (eye_ij * entries.take(ab, axis=1)
+             + entries.take(ij, axis=1) * eye_ab).reshape(count, n * n, n * n)
     try:
         vec = np.linalg.solve(coeff, -d.reshape(count, n * n, 1))
     except np.linalg.LinAlgError as exc:
@@ -173,6 +194,18 @@ def solve_lyapunov_stack(drift: np.ndarray,
     cov = vec.reshape(count, n, n)
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     return cov, lyapunov_residual(q, cov, d)
+
+
+@functools.cache
+def _kronecker_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Gathers of kron(I, Q) + kron(Q, I) from the row-major entries of Q (n, n).
+
+    Entry [(i, a), (j, b)] of the sum is I_ij Q_ab + Q_ij I_ab; the tables
+    hold, over the n^4 entries in row-major order, the index of Q_ab, I_ij,
+    the index of Q_ij and I_ab.
+    """
+    i, a, j, b = np.indices((n, n, n, n)).reshape(4, -1)
+    return a * n + b, (i == j).astype(float), i * n + j, (a == b).astype(float)
 
 
 def steady_state_blocks(system: np.ndarray):
@@ -184,36 +217,50 @@ def steady_state_blocks(system: np.ndarray):
     S V_x S; as r_p = r_x and D_p = D_x, the 6x6 residual is sqrt(2 r_x^2) and
     the 6x6 diffusion norm sqrt(2) ||D_x||_F, which ``residual_accepted``
     judges. Only the rejected points are assembled into 6x6 drifts, for
-    ``hurwitz_gate`` to report their largest eigenvalue real part, and a
-    stack the gate rejects whole is not solved at all.
+    the eigen-solve of ``hurwitz_gate`` to report their largest eigenvalue
+    real part, and a stack the gate rejects whole is not solved at all.
+    Every step runs under one ``np.errstate``, so overflowing entries give
+    inf or NaN and no warning. Every point is computed alike, whatever else
+    its stack holds.
 
     Returns each point's largest drift eigenvalue real part (NaN where it
-    was accepted), a list of each point's rejecting check ("gate",
-    "residual" or None), and the block pairs (n, 2, 3, 3) and residuals (n,)
-    of the accepted points, in order.
+    was accepted, and where a drift entry is not finite, which fails the
+    gate), a list of each point's rejecting check ("gate", "residual" or
+    None), and the block pairs (n, 2, 3, 3) and residuals (n,) of the
+    accepted points, in order.
 
     Raises
     ------
     SingularSystem
         If the linear solve is rank-deficient.
     """
-    gated = block_gate(system[:, 0])
-    q, d = system[gated].swapaxes(0, 1)
-    if len(q):
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov, residual = solve_lyapunov_stack(q, d)
+    # laid out as a copy of its gated rows would be, so a stack that passes
+    # whole is solved uncopied with the same roundings
+    system = np.ascontiguousarray(system, dtype=float)
+    count = len(system)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gated = _block_gate(system[:, 0])
+        gates = gated.tolist()
+        solved = system if all(gates) else system[gated]
+        if len(solved):
+            cov, residual = solve_lyapunov_stack(solved[:, 0], solved[:, 1])
             residual = np.sqrt(2.0 * np.square(residual))
-            passed = residual_accepted(residual, math.sqrt(2.0) * np.linalg.norm(d, axis=(-2, -1)))
-    else:  # the gate rejected every point, so there is nothing to solve
-        cov, residual, passed = q, np.empty(0), np.empty(0, dtype=bool)
-    verdict = iter(passed.tolist())
-    reason = [(None if next(verdict) else "residual") if ok else "gate"
-              for ok in gated.tolist()]
-    max_real = np.full(len(system), np.nan)
-    rejected = np.flatnonzero([r is not None for r in reason])
-    if len(rejected):
-        max_real[rejected] = hurwitz_gate(assemble_blocks(mirror_pairs(system[rejected, 0])))[0]
-    return max_real, reason, mirror_pairs(cov)[passed], residual[passed]
+            passed = residual_accepted(residual, math.sqrt(2.0) * _frobenius(solved[:, 1]))
+            blocks = mirror_pairs(cov)
+        else:  # the gate rejected every point, so there is nothing to solve
+            blocks, residual, passed = np.empty((0, 2, 3, 3)), np.empty(0), np.empty(0, dtype=bool)
+        verdicts = passed.tolist()
+        if len(verdicts) == count and all(verdicts):
+            return np.full(count, np.nan), [None] * count, blocks, residual
+        verdict = iter(verdicts)
+        reason = [(None if next(verdict) else "residual") if ok else "gate" for ok in gates]
+        max_real = np.full(count, np.nan)
+        rejected = np.flatnonzero([r is not None for r in reason])
+        # a drift with a non-finite entry has no eigen-solve; its max_real stays NaN
+        finite = rejected[np.isfinite(system[rejected, 0]).all(axis=(1, 2))]
+        if len(finite):
+            max_real[finite] = _max_real_part(assemble_blocks(mirror_pairs(system[finite, 0])))
+    return max_real, reason, blocks[passed], residual[passed]
 
 
 def mirror_pairs(cov_x: np.ndarray) -> np.ndarray:

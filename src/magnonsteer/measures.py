@@ -88,10 +88,12 @@ def _pair(a: str, b: str) -> str:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All scalar correlation measures computed at one parameter point.
+    """The measures of one point grouped by kind: the nested view of a flat mapping.
 
     Maps are keyed by mode labels ("c", "q", "m") and pair strings ("cq",
-    "cm", "qm"); bipartition keys are ordered "a_to_b" strings.
+    "cm", "qm"); bipartition keys are ordered "a_to_b" strings. The pipeline
+    builds none: ``sweep.PointResult.report`` builds it on access from its
+    flat ``measures``.
     """
 
     ln_pairs: dict[str, float]
@@ -127,7 +129,8 @@ class CorrelationReport:
     def from_flat(cls, flat: dict[str, float | str]) -> "CorrelationReport":
         """The report holding the values of a flat mapping over MEASURE_KEYS."""
         def by_kind(kind):
-            return {k[len(kind) + 1:]: flat[k] for k in _KEYS_BY_KIND[kind]}
+            return {k[len(kind) + 1:]: flat[k] for k in MEASURE_KEYS
+                    if k.startswith(kind + "_")}
 
         return cls(
             ln_pairs={pair: flat[f"LN_{pair}"] for pair in _PAIRS},
@@ -152,10 +155,6 @@ MEASURE_KEYS = (
     "mono_out_c", "mono_in_c", "mono_out_q", "mono_in_q", "mono_out_m", "mono_in_m",
     "class_cq", "class_cm", "class_qm",
 )
-
-
-_KEYS_BY_KIND = {kind: tuple(k for k in MEASURE_KEYS if k.partition("_")[0] == kind)
-                 for kind in ("G", "asym", "class", "mono")}
 
 
 # --- the kernel ----------------------------------------------------------------
@@ -346,11 +345,11 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
         return table
 
     r_min = "R_min" in outputs
-    asym = derived([k for k in _KEYS_BY_KIND["asym"] if k in outputs])
+    asym = derived([k for k in MEASURE_KEYS if k.startswith("asym_") and k in outputs])
     residual = derived([f"R_{p}" for p in MODE_LABELS if r_min or f"R_{p}" in outputs])
     if r_min:
         rows.append("R_min")
-    mono = derived([k for k in _KEYS_BY_KIND["mono"] if k in outputs])
+    mono = derived([k for k in MEASURE_KEYS if k.startswith("mono_") and k in outputs])
     return _Plan(
         one_mode=_table([_ONE_MODE[k] for k in one]) if one else None,
         two_mode=_table([_TWO_MODE[k][0] for k in two]) if two else None,
@@ -431,7 +430,7 @@ def measure_columns(covs: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     return measure_blocks(covariance_blocks(covs), outputs)
 
 
-def correlation_report(cov6: np.ndarray) -> CorrelationReport:
-    """Compute every supported measure for a three-mode covariance matrix."""
+def correlation_report(cov6: np.ndarray) -> dict[str, float | str]:
+    """Every measure of one three-mode covariance matrix, keyed as MEASURE_KEYS, in order."""
     columns = measure_columns(np.asarray(cov6, dtype=float)[None])
-    return CorrelationReport.from_flat({key: col[0] for key, col in columns.items()})
+    return {key: column[0] for key, column in columns.items()}

@@ -150,6 +150,19 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def _divide(numerator, denominator):
+    """numerator / denominator, on floats as numpy divides arrays, and without a warning.
+
+    A denominator that underflowed to zero gives inf (NaN over a zero
+    numerator) on floats too, instead of raising ZeroDivisionError.
+    """
+    if type(denominator) is float and denominator:
+        return numerator / denominator
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.divide(numerator, denominator)
+    return quotient if quotient.ndim else float(quotient)
+
+
 def _square(x):
     return _pointwise(pow, x, 2)
 
@@ -174,7 +187,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / KB / temperature
     if x > 700.0:  # exp would overflow; occupation is below double tiny
         return 0.0
-    return 1.0 / math.expm1(x)
+    # x is zero when hbar omega underflows; 1 / expm1(0) is then inf
+    return 1.0 / math.expm1(x) if x else math.inf
 
 
 def optomagnonic_coupling(params: SystemParams) -> float:
@@ -184,13 +198,13 @@ def optomagnonic_coupling(params: SystemParams) -> float:
     """
     volume = (4.0 * math.pi / 3.0) * _pointwise(pow, params.sphere_radius, 3)
     return (params.verdet * SPEED_OF_LIGHT / params.refractive_index
-            * _sqrt(2.0 / (params.spin_density * volume)))
+            * _sqrt(_divide(2.0, params.spin_density * volume)))
 
 
 def intracavity_photon_number(params: SystemParams) -> float:
     """Photon number 2 P / (kappa_c hbar Omega_drive) sustained by the drive."""
     omega_drive = TWO_PI * SPEED_OF_LIGHT / params.drive_wavelength
-    return 2.0 * params.drive_power / (params.kappa_c * HBAR * omega_drive)
+    return _divide(2.0 * params.drive_power, params.kappa_c * HBAR * omega_drive)
 
 
 def effective_coupling(params: SystemParams) -> float:

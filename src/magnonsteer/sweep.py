@@ -118,21 +118,43 @@ class SweepSpec:
             raise SpecError("axis1 and axis2 must sweep different parameters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointResult:
-    """Evaluation of one parameter point: report plus solver diagnostics."""
+    """Evaluation of one parameter point: its measures plus solver diagnostics.
+
+    ``measures`` maps every key of MEASURE_KEYS to its value, in that order,
+    and is None for an unstable point. ``report`` is the nested
+    ``CorrelationReport`` view of the same values, built on each access; a
+    ``report`` passed to the constructor (as ``dataclasses.replace`` does)
+    stands in for ``measures``. The benchmark's own tests perturb results
+    through that view.
+    """
 
     status: str  # "ok" or "unstable"
-    report: CorrelationReport | None = None
+    measures: dict | None = None
     lyap_residual: float | None = None
     min_symplectic_eig: float | None = None
     max_real_part: float | None = None
     reason: str | None = None  # for "unstable": "gate" or "residual"
 
+    def __init__(self, status: str, measures: dict | None = None,
+                 lyap_residual: float | None = None, min_symplectic_eig: float | None = None,
+                 max_real_part: float | None = None, reason: str | None = None,
+                 report: CorrelationReport | None = None):
+        if report is not None:
+            measures = report.to_flat_dict()
+        for name, value in (("status", status), ("measures", measures),
+                            ("lyap_residual", lyap_residual),
+                            ("min_symplectic_eig", min_symplectic_eig),
+                            ("max_real_part", max_real_part), ("reason", reason)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def report(self) -> CorrelationReport | None:
+        return None if self.measures is None else CorrelationReport.from_flat(self.measures)
+
     def to_flat_dict(self) -> dict:
-        flat: dict = {}
-        if self.report is not None:
-            flat.update(self.report.to_flat_dict())
+        flat = {} if self.measures is None else dict(self.measures)
         if self.lyap_residual is not None:
             flat["lyap_residual"] = self.lyap_residual
         if self.min_symplectic_eig is not None:
@@ -176,12 +198,11 @@ def run_point(params: SystemParams) -> PointResult:
     [reason], [max_real], columns = _evaluate(params, MEASURE_KEYS)
     if reason:
         return PointResult(status="unstable", max_real_part=max_real, reason=reason)
-    flat = {key: column[0] for key, column in columns.items()}
     return PointResult(
         status="ok",
-        report=CorrelationReport.from_flat(flat),
-        lyap_residual=flat["lyap_residual"],
-        min_symplectic_eig=flat["min_symplectic_eig"],
+        measures={key: columns[key][0] for key in MEASURE_KEYS},
+        lyap_residual=columns["lyap_residual"][0],
+        min_symplectic_eig=columns["min_symplectic_eig"][0],
     )
 
 

@@ -321,7 +321,7 @@ def test_criterion_8_two_mode_squeezed_oracles():
     for r in (0.1, 0.5, 1.0):
         # the package on the phase-covariant form of the state, the oracles
         # on the textbook form
-        flat = correlation_report(tmsv_with_spectator(r)).to_flat_dict()
+        flat = correlation_report(tmsv_with_spectator(r))
         cov = tmsv_cm(r)
         worst_ln = max(worst_ln,
                        abs(flat["LN_cq"] - 2 * r),

@@ -37,6 +37,16 @@ NEGATIVE_PARAMS = [
 ]
 
 
+# documents whose model quantities overflow or underflow to inf, with the
+# exit code and what the output must hold
+EXTREME_PARAMS = [
+    ({"kappa_c": 1e-300}, 3, "parameter g_q must be finite"),
+    ({"sphere_radius": 1e-200}, 3, "parameter g_q must be finite"),
+    ({"B0": 1e-320}, 2, "residual"),
+    ({"kappa_m": 1e300}, 2, "gate"),
+]
+
+
 class TestSolve:
     def test_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "solve")
@@ -45,6 +55,7 @@ class TestSolve:
         assert payload["status"] == "ok"
         assert payload["LN_qm"] > 0
         assert "lyap_residual" in payload and "min_symplectic_eig" in payload
+        assert set(payload) == {*MEASURE_KEYS, "lyap_residual", "min_symplectic_eig", "status"}
 
     def test_params_file_and_diffusion_override(self, capsys, tmp_path):
         params = tmp_path / "params.json"
@@ -97,6 +108,19 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--params", "/nonexistent.json")
         assert code == 3
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("document, expected, named", EXTREME_PARAMS,
+                             ids=[next(iter(d)) for d, _, _ in EXTREME_PARAMS])
+    def test_extreme_parameters_exit_code(self, capsys, tmp_path, document, expected, named):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "solve", "--params", str(params))
+        assert code == expected
+        if expected == 3:
+            assert out == "" and err == f"error: {named}\n"
+        else:
+            payload = json.loads(out)
+            assert (payload["status"], payload["reason"]) == ("unstable", named)
 
 
 class TestSweep:
@@ -187,6 +211,17 @@ class TestSweep:
             cells = line.split(",")
             assert cells[-1] == "unstable"
             assert cells[1] == "0.9" and cells[2:-1] == [""] * (len(columns) - 3)
+
+    @pytest.mark.parametrize("document", [
+        {"axis1": {"param": "kappa_m", "values": [6e6, 6e300]}},
+        {"base": {"g_q": 1e6}, "axis1": {"param": "sphere_radius", "values": [1e-4, 1e-200]}},
+    ], ids=["kappa_m", "sphere_radius"])
+    def test_overflowing_axis_gives_an_unstable_row(self, capsys, tmp_path, document):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**document, "outputs": ["LN_qm"]}))
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 0
+        assert out.splitlines()[-1].endswith(",,,,unstable")
 
     def test_duplicate_outputs_exit_code(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

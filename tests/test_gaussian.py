@@ -19,7 +19,7 @@ from magnonsteer import (
     steady_state_covariance,
 )
 from magnonsteer.analytic import analytic_covariance
-from magnonsteer.measures import measure_columns
+from magnonsteer.measures import MEASURE_KEYS, measure_blocks, measure_columns
 from magnonsteer.model import DIFFUSION_MODES, build_blocks, build_drift
 from magnonsteer.sweep import PRESET_IDS, grid_points, preset
 from magnonsteer.gaussian import (
@@ -154,6 +154,11 @@ def model_drifts(points):
     return np.stack([build_blocks(params)[0] for params in points])
 
 
+def bits(values):
+    """Measure values with each float as its exact hex text, so -0.0 != 0.0."""
+    return [value.hex() if isinstance(value, float) else value for value in values]
+
+
 class TestBlockGate:
     """The Routh-Hurwitz test on Q_x decides as the 6x6 eigen-solve gate does."""
 
@@ -246,6 +251,64 @@ class TestSteadyStateBlocks:
         assert (max_real > 0).all()
         assert blocks.shape == (0, 2, 3, 3) and residual.shape == (0,)
         assert blocks.dtype == residual.dtype == np.float64
+
+    def test_point_alone_is_the_point_in_a_mixed_stack(self):
+        # ok rows, gate rows (one with an infinite coupling) and the paper point
+        # that passes the gate by a hair and fails the residual bound
+        points = [default_params(), default_params(epsilon=0.9, theta=0.3),
+                  default_params(epsilon=0.4947298263, theta=0.0),
+                  default_params(epsilon=0.3, theta=1.0, temperature=0.5,
+                                 diffusion_mode="input_output"),
+                  default_params(kappa_c=1e-300, g_q=1e6),
+                  default_params(drive_power=1e4, g_q=0.2e6),
+                  default_params(epsilon=0.86, diffusion_mode="consistent")]
+        system = np.stack([build_blocks(p) for p in points])
+        max_real, reason, blocks, residual = steady_state_blocks(system)
+        assert reason == [None, "gate", "residual", None, "gate", "gate", None]
+        outputs = MEASURE_KEYS + ("min_symplectic_eig",)
+        columns = measure_blocks(blocks, outputs)
+        accepted = 0
+        for index, point in enumerate(system):
+            alone = steady_state_blocks(point[None])
+            assert alone[0].tobytes() == max_real[index:index + 1].tobytes()
+            assert alone[1] == [reason[index]]
+            if reason[index] is not None:
+                assert alone[2].shape == (0, 2, 3, 3) and alone[3].shape == (0,)
+                continue
+            assert alone[2].tobytes() == blocks[accepted:accepted + 1].tobytes()
+            assert alone[3].tobytes() == residual[accepted:accepted + 1].tobytes()
+            measured = measure_blocks(alone[2], outputs)
+            assert {key: bits(values) for key, values in measured.items()} == {
+                key: bits(values[accepted:accepted + 1]) for key, values in columns.items()}
+            accepted += 1
+        assert accepted == len(blocks) == 3
+
+    def test_non_finite_drift_has_no_eigen_solve(self, monkeypatch):
+        # an infinite optomagnonic coupling (the sphere volume underflows)
+        system = np.stack([build_blocks(default_params(epsilon=0.9, theta=0.3)),
+                           build_blocks(default_params(sphere_radius=1e-200, g_q=1e6))])
+        assert np.isinf(system[1, 0]).any()
+        solved = []
+        max_real_part = gaussian_module._max_real_part
+
+        def finite_only(drift):
+            assert np.isfinite(drift).all()
+            solved.append(len(drift))
+            return max_real_part(drift)
+
+        monkeypatch.setattr(gaussian_module, "_max_real_part", finite_only)
+        max_real, reason, blocks, _ = steady_state_blocks(system)
+        assert reason == ["gate", "gate"] and solved == [1] and len(blocks) == 0
+        assert max_real[0] > 0 and np.isnan(max_real[1])
+        assert steady_state_blocks(system[1:])[0].tobytes() == max_real[1:].tobytes()
+        assert solved == [1]
+
+    def test_overflowing_drift_is_rejected_without_a_warning(self):
+        # pytest turns RuntimeWarning into an error: the squares of the drift
+        # overflow in the gate and in the rejected row's eigen-solve
+        system = build_blocks(default_params(kappa_m=1e300))[None]
+        max_real, reason, blocks, _ = steady_state_blocks(system)
+        assert reason == ["gate"] and np.isfinite(max_real[0]) and len(blocks) == 0
 
 
 class TestPhaseCovariantBlocks:

@@ -324,7 +324,7 @@ def test_singular_two_mode_party_raises_like_the_helper():
 
 def test_report_delegates_to_the_kernel():
     cov = random_states(1, seed=8)[0]
-    assert correlation_report(cov).to_flat_dict() == {
+    assert correlation_report(cov) == {
         key: column[0] for key, column in measure_columns(cov[None]).items()}
 
 

@@ -35,10 +35,6 @@ from _oracles import (
 CROSS_TOL = 1e-10
 
 
-def flat_report(cov):
-    return correlation_report(cov).to_flat_dict()
-
-
 R_KEYS = ("R_c", "R_q", "R_m", "R_min")
 MONO_KEYS = tuple(k for k in MEASURE_KEYS if k.startswith("mono_"))
 PAIRS = ("cq", "cm", "qm")
@@ -47,14 +43,14 @@ LABELS = "cqm"
 
 class TestLogNegativityTwoMode:
     def test_vacuum_is_separable(self):
-        flat = flat_report(vacuum_cm(3))
+        flat = correlation_report(vacuum_cm(3))
         for pair in PAIRS:
             assert flat[f"LN_{pair}"] == 0.0
         assert log_negativity_2mode(vacuum_cm(2)) == 0.0
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
     def test_tmsv_value(self, r):
-        assert flat_report(tmsv_with_spectator(r))["LN_cq"] == pytest.approx(2 * r, abs=1e-12)
+        assert correlation_report(tmsv_with_spectator(r))["LN_cq"] == pytest.approx(2 * r, abs=1e-12)
         assert log_negativity_2mode(tmsv_cm(r)) == pytest.approx(2 * r, abs=1e-12)
         assert log_negativity_2mode_pt(tmsv_cm(r)) == pytest.approx(2 * r, abs=1e-12)
 
@@ -64,7 +60,7 @@ class TestLogNegativityTwoMode:
         # complex eigen-solve of the partial transpose
         rng = np.random.default_rng(500 + seed)
         cov = random_phase_covariant_cm(rng)
-        flat = flat_report(cov)
+        flat = correlation_report(cov)
         for a, b in ((0, 1), (0, 2), (1, 2)):
             sub = extract_submatrix(cov, [a, b])
             got = flat[f"LN_{LABELS[a]}{LABELS[b]}"]
@@ -72,7 +68,7 @@ class TestLogNegativityTwoMode:
             assert got == pytest.approx(log_negativity_2mode_pt(sub), abs=CROSS_TOL)
 
     def test_system_output_entanglement_structure(self):
-        flat = flat_report(steady_state_covariance(default_params(epsilon=0.0)))
+        flat = correlation_report(steady_state_covariance(default_params(epsilon=0.0)))
         assert flat["LN_qm"] > 0
         assert flat["LN_cm"] == 0.0
         assert flat["LN_cq"] == 0.0
@@ -96,30 +92,30 @@ class TestLogNegativityTwoMode:
 
 class TestLogNegativityOneVsTwo:
     def test_vacuum(self):
-        flat = flat_report(vacuum_cm(3))
+        flat = correlation_report(vacuum_cm(3))
         for key in ("LN_c_qm", "LN_q_cm", "LN_m_cq"):
             assert flat[key] == 0.0
 
     def test_tmsv_with_spectator(self):
         r = 0.5
-        flat = flat_report(tmsv_with_spectator(r))
+        flat = correlation_report(tmsv_with_spectator(r))
         assert flat["LN_c_qm"] == pytest.approx(2 * r, abs=1e-12)
         assert flat["LN_m_cq"] == 0.0
         assert log_negativity_1v2(tmsv_with_spectator(r), 0) == pytest.approx(2 * r, abs=1e-12)
 
     def test_feedback_generates_one_vs_two_entanglement(self):
         cov = steady_state_covariance(default_params(epsilon=0.9))
-        assert flat_report(cov)["LN_m_cq"] > 0
+        assert correlation_report(cov)["LN_m_cq"] > 0
 
 
 class TestResidualContangle:
     def test_vacuum(self):
-        flat = flat_report(vacuum_cm(3))
+        flat = correlation_report(vacuum_cm(3))
         for key in R_KEYS:
             assert flat[key] == 0.0
 
     def test_bipartite_only_state_has_no_residual(self):
-        flat = flat_report(tmsv_with_spectator(0.5))
+        flat = correlation_report(tmsv_with_spectator(0.5))
         for key in R_KEYS:
             assert flat[key] == pytest.approx(0.0, abs=1e-9)
 
@@ -127,12 +123,12 @@ class TestResidualContangle:
         for temperature in (0.0, 0.05, 0.3):
             cov = steady_state_covariance(
                 default_params(epsilon=0.0, temperature=temperature))
-            assert flat_report(cov)["R_min"] >= -1e-10
+            assert correlation_report(cov)["R_min"] >= -1e-10
 
 
 class TestGaussianSteering:
     def test_product_state_cannot_steer(self):
-        flat = flat_report(vacuum_cm(3))
+        flat = correlation_report(vacuum_cm(3))
         for key in MEASURE_KEYS:
             if key.startswith("G_"):
                 assert flat[key] == 0.0, key
@@ -141,7 +137,7 @@ class TestGaussianSteering:
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
     def test_tmsv_closed_form(self, r):
         expected = math.log(math.cosh(2 * r))
-        flat = flat_report(tmsv_with_spectator(r))
+        flat = correlation_report(tmsv_with_spectator(r))
         assert flat["G_c_to_q"] == pytest.approx(expected, abs=1e-12)
         assert flat["G_q_to_c"] == pytest.approx(expected, abs=1e-12)
         for split in (((0,), (1,)), ((1,), (0,))):
@@ -152,25 +148,25 @@ class TestGaussianSteering:
     def test_agrees_with_brute_force_blocks(self, seed):
         rng = np.random.default_rng(900 + seed)
         cov = random_phase_covariant_cm(rng)
-        flat = flat_report(cov)
+        flat = correlation_report(cov)
         for key, split in (("G_c_to_q", ((0,), (1,))), ("G_m_to_cq", ((2,), (0, 1))),
                            ("G_cq_to_m", ((0, 1), (2,)))):
             assert flat[key] == pytest.approx(brute_steering(cov, *split), abs=1e-10)
 
     def test_spectator_mode_does_not_contribute(self):
-        flat = flat_report(tmsv_with_spectator(0.5))
+        flat = correlation_report(tmsv_with_spectator(0.5))
         assert flat["G_c_to_qm"] == pytest.approx(flat["G_c_to_q"], abs=1e-12)
 
     def test_magnon_is_never_steered_at_moderate_temperature(self):
         for temperature in (0.1, 0.3, 0.5):
-            flat = flat_report(steady_state_covariance(
+            flat = correlation_report(steady_state_covariance(
                 default_params(epsilon=0.86, temperature=temperature)))
             assert flat["G_c_to_m"] == 0.0
             assert flat["G_q_to_m"] == 0.0
 
     def test_steering_implies_entanglement_without_feedback(self):
         for temperature in (0.0, 0.1, 0.25):
-            flat = flat_report(steady_state_covariance(
+            flat = correlation_report(steady_state_covariance(
                 default_params(epsilon=0.0, temperature=temperature)))
             for a, b in PAIRS:
                 if flat[f"G_{a}_to_{b}"] > 1e-9 or flat[f"G_{b}_to_{a}"] > 1e-9:
@@ -179,7 +175,7 @@ class TestGaussianSteering:
 
 class TestSteeringAsymmetry:
     def test_symmetric_tmsv(self):
-        flat = flat_report(tmsv_with_spectator(0.5))
+        flat = correlation_report(tmsv_with_spectator(0.5))
         assert flat["G_c_to_q"] > 0
         for pair in PAIRS:
             assert flat[f"asym_{pair}"] == 0.0
@@ -187,7 +183,7 @@ class TestSteeringAsymmetry:
     def test_equals_absolute_difference(self):
         rng = np.random.default_rng(77)
         cov = random_phase_covariant_cm(rng)
-        flat = flat_report(cov)
+        flat = correlation_report(cov)
         for a, b in ((0, 1), (0, 2), (1, 2)):
             forward = gaussian_steering(cov, Bipartition((a,), (b,)))
             backward = gaussian_steering(cov, Bipartition((b,), (a,)))
@@ -196,7 +192,7 @@ class TestSteeringAsymmetry:
 
     def test_bounded_by_ln_two_without_feedback(self):
         for temperature in (0.0, 0.1, 0.3):
-            flat = flat_report(steady_state_covariance(
+            flat = correlation_report(steady_state_covariance(
                 default_params(epsilon=0.0, temperature=temperature)))
             for pair in PAIRS:
                 assert flat[f"asym_{pair}"] <= math.log(2) + 1e-9
@@ -221,19 +217,19 @@ class TestClassifySteering:
 
 class TestSteeringMonogamy:
     def test_vacuum(self):
-        flat = flat_report(vacuum_cm(3))
+        flat = correlation_report(vacuum_cm(3))
         for key in MONO_KEYS:
             assert flat[key] == 0.0
 
     def test_holds_without_feedback(self):
         for temperature in (0.0, 0.1, 0.4):
-            flat = flat_report(steady_state_covariance(
+            flat = correlation_report(steady_state_covariance(
                 default_params(epsilon=0.0, temperature=temperature)))
             for key in MONO_KEYS:
                 assert flat[key] >= -1e-10
 
     def test_trivial_at_high_temperature(self):
-        flat = flat_report(steady_state_covariance(
+        flat = correlation_report(steady_state_covariance(
             default_params(epsilon=0.86, temperature=10.0,
                            diffusion_mode="consistent")))
         for key in MONO_KEYS:
@@ -243,12 +239,12 @@ class TestSteeringMonogamy:
 class TestCorrelationReport:
     def test_flat_keys_are_complete_and_stable(self):
         cov = steady_state_covariance(default_params(epsilon=0.0))
-        flat = correlation_report(cov).to_flat_dict()
-        assert set(flat) == set(MEASURE_KEYS)
+        flat = correlation_report(cov)
+        assert list(flat) == list(MEASURE_KEYS)
 
     def test_report_values_match_direct_calls(self):
         cov = steady_state_covariance(default_params(epsilon=0.0))
-        flat = correlation_report(cov).to_flat_dict()
+        flat = correlation_report(cov)
         assert flat["LN_qm"] == pytest.approx(
             log_negativity_2mode(extract_submatrix(cov, [1, 2])), abs=CROSS_TOL)
         assert flat["G_q_to_c"] == pytest.approx(
@@ -263,7 +259,7 @@ class TestCorrelationReport:
     def test_report_residuals_match_standalone_operations(self, seed):
         rng = np.random.default_rng(300 + seed)
         cov = random_phase_covariant_cm(rng)
-        flat = correlation_report(cov).to_flat_dict()
+        flat = correlation_report(cov)
 
         def ln(*modes):
             return log_negativity_2mode(extract_submatrix(cov, sorted(modes)))
@@ -285,12 +281,12 @@ class TestCorrelationReport:
         # permuting the modes of the state and renaming the measures must agree
         rng = np.random.default_rng(11)
         cov = random_phase_covariant_cm(rng)
-        flat = correlation_report(cov).to_flat_dict()
+        flat = correlation_report(cov)
 
         # swap the roles of the second and third modes (q <-> m)
         perm = [0, 2, 1]
         idx = [q for m in perm for q in (2 * m, 2 * m + 1)]
-        swapped = correlation_report(cov[np.ix_(idx, idx)]).to_flat_dict()
+        swapped = correlation_report(cov[np.ix_(idx, idx)])
 
         renames = {
             "LN_cq": "LN_cm", "LN_cm": "LN_cq", "LN_qm": "LN_qm",
@@ -303,7 +299,7 @@ class TestCorrelationReport:
             assert flat[before] == pytest.approx(swapped[after], abs=1e-12)
 
     def test_zero_clamp(self):
-        flat = flat_report(tmsv_with_spectator(1e-13))
+        flat = correlation_report(tmsv_with_spectator(1e-13))
         assert flat["LN_cq"] == 0.0
         assert flat["G_c_to_q"] == 0.0
 
@@ -321,7 +317,7 @@ class TestUniversalBounds:
     @given(seed=st.integers(0, 2**32 - 1), nu_max=st.floats(0.5, 4.0))
     def test_physical_states_obey_the_bounds(self, seed, nu_max):
         cov = random_phase_covariant_cm(np.random.default_rng(seed), nu_max)
-        flat = flat_report(cov)
+        flat = correlation_report(cov)
         for pair in PAIRS:
             a, b = pair
             assert flat[f"asym_{pair}"] <= math.log(2) + 1e-9

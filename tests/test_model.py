@@ -509,3 +509,52 @@ class TestParamColumns:
     def test_rejects_fields_that_are_not_numeric_parameters(self):
         with pytest.raises(SpecError, match="cannot sweep"):
             param_columns(default_params(), {"diffusion_mode": np.zeros(2)})
+
+
+# parameter documents whose derived quantities underflow a denominator to
+# zero, with the field each one sweeps in a grid and that field's value
+UNDERFLOWING = [
+    ({"kappa_c": 1e-300, "g_q": 1e6}, "kappa_c"),        # kappa_c hbar Omega
+    ({"sphere_radius": 1e-200, "g_q": 1e6}, "sphere_radius"),  # the sphere volume
+    ({"B0": 1e-320}, "B0"),                               # hbar omega_m / kB
+]
+
+
+class TestUnderflowingDenominators:
+    """A denominator that underflows to zero gives inf, on a point and on a grid alike."""
+
+    def test_scalar_quotients_are_inf(self):
+        assert thermal_occupation(1e-300, 1.0) == math.inf
+        starved = default_params(kappa_c=1e-300, g_q=1e6)
+        assert intracavity_photon_number(starved) == math.inf
+        assert effective_coupling(starved) == math.inf
+        assert math.isnan(intracavity_photon_number(starved.replace(drive_power=0.0)))
+        assert optomagnonic_coupling(default_params(sphere_radius=1e-200, g_q=1e6)) == math.inf
+        assert derive(default_params(B0=1e-320)).N_m == math.inf
+
+    @pytest.mark.parametrize("document, field", UNDERFLOWING, ids=[f for _, f in UNDERFLOWING])
+    def test_grid_matches_its_points(self, document, field):
+        extreme = default_params(**document)
+        base = extreme.replace(**{field: getattr(default_params(), field)})
+        values = np.array([getattr(base, field), getattr(extreme, field)])
+        grid = derive(param_columns(base, {field: values}))
+        for index, point in enumerate((base, extreme)):
+            alone = derive(point)
+            for name in ("g_m_eff", "N_c", "N_q", "N_m"):
+                got = np.broadcast_to(getattr(grid, name), values.shape)[index]
+                assert np.array_equal(got, getattr(alone, name)), name
+        assert math.isinf(derive(extreme).g_m_eff) or math.isinf(derive(extreme).N_m)
+
+    @pytest.mark.parametrize("document", [{"kappa_c": 1e-300}, {"sphere_radius": 1e-200}])
+    def test_infinite_coupling_ratio_is_a_spec_error(self, document):
+        with pytest.raises(SpecError, match="parameter g_q must be finite"):
+            params_from_dict(document)
+
+    def test_points_are_unstable_rows(self):
+        for document, reason in (({"kappa_c": 1e-300, "g_q": 1e6}, "gate"),
+                                 ({"sphere_radius": 1e-200, "g_q": 1e6}, "gate"),
+                                 ({"B0": 1e-320}, "residual")):
+            result = run_point(default_params(**document))
+            assert (result.status, result.reason) == ("unstable", reason), document
+        # an infinite drift entry has no eigenvalues to report
+        assert math.isnan(run_point(default_params(kappa_c=1e-300, g_q=1e6)).max_real_part)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -15,6 +16,7 @@ from magnonsteer import (
     UnstableDrift,
     build_diffusion,
     build_drift,
+    correlation_report,
     default_params,
     derive,
     effective_coupling,
@@ -34,6 +36,7 @@ from magnonsteer.gaussian import (
     hurwitz_gate,
     steady_state_blocks,
 )
+from magnonsteer.measures import MEASURE_KEYS
 from magnonsteer.model import SystemParams, build_blocks
 from magnonsteer.sweep import PRESET_IDS, grid_points
 import magnonsteer.gaussian as gaussian_module
@@ -82,9 +85,32 @@ class TestRunPoint:
     def test_unstable_point_is_structured(self):
         result = run_point(default_params(drive_power=1e4, g_q=0.2e6))
         assert result.status == "unstable"
-        assert result.report is None
+        assert result.measures is None
         assert result.max_real_part > 0
         assert result.reason == "gate"
+
+    def test_measures_are_the_flat_mapping(self):
+        params = default_params(epsilon=0.86)
+        result = run_point(params)
+        assert list(result.measures) == list(MEASURE_KEYS)
+        assert result.measures == correlation_report(steady_state_covariance(params))
+        assert result.to_flat_dict() == {**result.measures,
+                                         "lyap_residual": result.lyap_residual,
+                                         "min_symplectic_eig": result.min_symplectic_eig,
+                                         "status": "ok"}
+
+    def test_report_is_a_view_of_the_measures(self):
+        result = run_point(default_params(epsilon=0.86))
+        report = result.report
+        assert report.to_flat_dict() == result.measures
+        assert report.ln_pairs["qm"] == result.measures["LN_qm"]
+        changed = dataclasses.replace(result, report=dataclasses.replace(
+            report, asymmetry={**report.asymmetry, "cq": -1.0}))
+        assert changed.measures == {**result.measures, "asym_cq": -1.0}
+        assert changed.lyap_residual == result.lyap_residual
+        flipped = dataclasses.replace(result, status="unstable", report=None)
+        assert flipped.measures == result.measures and flipped.status == "unstable"
+        assert run_point(default_params(drive_power=1e4, g_q=0.2e6)).report is None
 
     def test_unstable_points_skip_the_kernel(self, monkeypatch):
         def refuse(*args, **kwargs):
