@@ -2,7 +2,9 @@
 
 Subcommands: solve, sweep, preset, threshold, validate-oracle. Exit codes:
 0 on success, 2 when no steady state exists (unstable drift), 3 on invalid
-specifications or parameter documents.
+specifications or parameter documents. JSON output is strict: a number that
+is not finite (the NaN ``max_real_part`` of a drift with a non-finite entry)
+is written as null.
 
 ``main`` parses with one argument parser per process, built on its first
 call, so a program that calls ``main`` many times (the presets one after
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,6 +70,12 @@ def _write_text(path: str | None, text: str) -> None:
             raise SpecError(f"cannot write {path}: {exc}") from exc
 
 
+def _dumps(payload: dict, **options) -> str:
+    """``json.dumps`` of a flat mapping, with every non-finite float written as null."""
+    return json.dumps({key: None if isinstance(value, float) and not math.isfinite(value)
+                       else value for key, value in payload.items()}, **options)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     document = _load_json(args.params) if args.params else {}
     if args.diffusion:
@@ -77,7 +86,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if result.status != "ok":
         payload["max_real_part"] = result.max_real_part
         payload["reason"] = result.reason
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if result.status == "ok" else EXIT_UNSTABLE
 
 
@@ -199,8 +208,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UnstableDrift as exc:
-        print(json.dumps({"status": "unstable", "max_real_part": exc.max_real_part,
-                          "reason": exc.reason}),
+        print(_dumps({"status": "unstable", "max_real_part": exc.max_real_part,
+                      "reason": exc.reason}),
               file=sys.stderr)
         return EXIT_UNSTABLE
     except MagnonSteerError as exc:

@@ -15,12 +15,22 @@ point on Q_x alone: the spectrum of the 6x6 drift is that of Q_x twice,
 and ``block_gate`` decides from three elementwise Routh-Hurwitz
 coefficients of the shifted Q_x, with no eigen-solve. A stack of N block
 pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
-``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6. The
-symplectic eigenvalues are the singular values of B^T T A, with A and B the
-Cholesky factors of V_x and V_p and T = I; partially transposing mode k
-flips the sign of its x' or p' quadrature, which puts -1 at position k of
-the diagonal of T either way. No route here forms nu^2, whose rounding error
-is far larger than nu's at the sub-vacuum states of the model.
+``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6.
+
+``solve_lyapunov_stack`` solves for the n(n+1)/2 entries of the upper
+triangle of V (its half-vectorisation, vech), six unknowns for a 3x3 block,
+and gathers V from them, so V is symmetric by construction.
+
+The symplectic eigenvalues are the singular values of M = B^T T A, with A
+and B the Cholesky factors of V_x and V_p and T = I; partially transposing
+mode k flips the sign of its x' or p' quadrature, which puts -1 at position
+k of the diagonal of T either way. ``min_symplectic_eig`` takes the
+smallest as nu_min = lambda_max(X X^T)^(-1/2), X = M^-1 = A^-1 T B^-T, from
+closed-form inverses of the triangular factors and one symmetric
+eigen-solve. The largest eigenvalue of a symmetric matrix has a small
+relative error, so nu_min keeps one too; no route here forms nu^2, whose
+rounding error is far larger than nu's at the sub-vacuum states of the
+model.
 """
 
 from __future__ import annotations
@@ -54,6 +64,11 @@ _COLS = _ROWS.swapaxes(-1, -2)
 _SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
 _SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
 _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
+
+# The identity, the strictly lower triangle, and the sign row of the state itself
+_EYE = np.eye(3)
+_STRICT = np.tri(3, k=-1)
+_UNSIGNED = np.ones((1, 3))
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -151,8 +166,13 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
 
 def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray):
-    """Frobenius norm of Q V + V Q^T + D, one per matrix of a stack (..., n, n)."""
-    return _frobenius(drift @ cov + cov @ drift.swapaxes(-1, -2) + diffusion)
+    """Frobenius norm of Q V + V Q^T + D for symmetric V, one per matrix of a stack (..., n, n).
+
+    With V symmetric, V Q^T is the transpose of R = Q V, so the residual is
+    R + R^T + D.
+    """
+    product = drift @ cov
+    return _frobenius(product + product.swapaxes(-1, -2) + diffusion)
 
 
 def residual_accepted(residual: np.ndarray, diffusion_norm: np.ndarray) -> np.ndarray:
@@ -170,10 +190,13 @@ def solve_lyapunov_stack(drift: np.ndarray,
                          diffusion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve Q V + V Q^T = -D for each of (N, n, n) drifts already known to be stable.
 
-    Uses the Kronecker vectorisation (I (x) Q + Q (x) I) vec(V) = -vec(D),
-    exact for the small dense systems handled here, in one solve for the
-    whole stack. Returns the symmetrised covariances and their residuals
-    ||Q V + V Q^T + D||_F; the callers judge them with ``residual_accepted``.
+    The unknowns are vech(V), the n(n+1)/2 entries V_ij with i <= j, and the
+    equations the same entries of Q V + V Q^T = -D. The coefficients of the
+    whole stack are one product of Q's n^2 entries with a constant table
+    (``_vech_tables``), and one solve serves the stack; V is gathered from
+    vech(V) and is symmetric by construction. Returns the covariances and
+    their residuals ||Q V + V Q^T + D||_F; the callers judge them with
+    ``residual_accepted``.
 
     Raises
     ------
@@ -183,29 +206,41 @@ def solve_lyapunov_stack(drift: np.ndarray,
     q = np.asarray(drift, dtype=float)
     d = np.asarray(diffusion, dtype=float)
     count, n = q.shape[:2]
-    ab, eye_ij, ij, eye_ab = _kronecker_tables(n)
-    entries = q.reshape(count, n * n)
-    coeff = (eye_ij * entries.take(ab, axis=1)
-             + entries.take(ij, axis=1) * eye_ab).reshape(count, n * n, n * n)
+    table, upper, gather = _vech_tables(n)
+    coeff = (q.reshape(count, n * n) @ table).reshape(count, len(upper), len(upper))
     try:
-        vec = np.linalg.solve(coeff, -d.reshape(count, n * n, 1))
+        vech = np.linalg.solve(coeff, d.reshape(count, n * n)[:, upper])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    cov = vec.reshape(count, n, n)
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    cov = vech.reshape(count, -1)[:, gather].reshape(count, n, n)
     return cov, lyapunov_residual(q, cov, d)
 
 
 @functools.cache
-def _kronecker_tables(n: int) -> tuple[np.ndarray, ...]:
-    """Gathers of kron(I, Q) + kron(Q, I) from the row-major entries of Q (n, n).
+def _vech_tables(n: int) -> tuple[np.ndarray, ...]:
+    """The vech system of -(Q V + V Q^T) = D for (n, n) matrices.
 
-    Entry [(i, a), (j, b)] of the sum is I_ij Q_ab + Q_ij I_ab; the tables
-    hold, over the n^4 entries in row-major order, the index of Q_ab, I_ij,
-    the index of Q_ij and I_ab.
+    Row r of the system is entry (i, j), i <= j, of the upper triangle in
+    row-major order, and so is unknown r of vech(V). Entry (i, j) of
+    Q V + V Q^T is sum_k Q_ik V_kj + Q_jk V_ik, so the coefficient table
+    (n^2, m^2), m = n(n+1)/2, holds -1 at [(i, k), (r, vech index of V_kj)]
+    and at [(j, k), (r, vech index of V_ik)] for every k, summed: the entries
+    of Q times the table are the negated coefficients, row-major. Also
+    returns the row-major indices (m, 1) of the upper triangle, which read
+    vech(D) as a column, and the vech index (n^2,) of each entry of V.
     """
-    i, a, j, b = np.indices((n, n, n, n)).reshape(4, -1)
-    return a * n + b, (i == j).astype(float), i * n + j, (a == b).astype(float)
+    rows = [(i, j) for i in range(n) for j in range(i, n)]
+    m = len(rows)
+    index = np.empty((n, n), dtype=int)
+    for r, (i, j) in enumerate(rows):
+        index[i, j] = index[j, i] = r
+    table = np.zeros((n * n, m * m))
+    for r, (i, j) in enumerate(rows):
+        for k in range(n):
+            table[i * n + k, r * m + index[k, j]] -= 1.0
+            table[j * n + k, r * m + index[i, k]] -= 1.0
+    upper = np.array([[i * n + j] for i, j in rows])
+    return table, upper, index.ravel()
 
 
 def steady_state_blocks(system: np.ndarray):
@@ -303,13 +338,18 @@ def covariance_blocks(cov: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def symplectic_spectrum(blocks: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
-    """Symplectic eigenvalues of a stack of block pairs (N, 2, ..., n, n), descending.
+def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Smallest symplectic eigenvalue of each block pair (N, 2, 3, 3) per sign row (k, 3).
 
-    The singular values of B^T T A, with A and B the Cholesky factors of the
-    V_x and V_p blocks and T = diag(signs); ``signs`` (..., n) holds -1 at
-    each partially transposed mode and broadcasts against the stack. One
-    factorisation and one singular-value call serve the whole stack.
+    Returns (N, k): nu_min of V_x (+) V_p with T = diag(signs[i]), -1 at
+    each partially transposed mode. The symplectic eigenvalues are the
+    singular values of M = B^T T A for the Cholesky factors A, B of V_x and
+    V_p, so nu_min = lambda_max(X X^T)^(-1/2) with X = M^-1 = A^-1 T B^-T.
+    Each factor L = D (I + W), D its diagonal and W strictly lower, has the
+    closed-form inverse L^-1 = (I - W + W^2) D^-1, as W^3 = 0. T scales the
+    columns of A^-1 before the product, one factorisation serves every sign
+    row, and one symmetric eigen-solve the whole (N, k, 3, 3) stack. Its
+    largest eigenvalue has a small relative error, and so has nu_min.
 
     Raises
     ------
@@ -320,10 +360,11 @@ def symplectic_spectrum(blocks: np.ndarray, signs: np.ndarray | None = None) -> 
         factors = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
         raise NonPositiveInput("covariance block is not positive definite") from exc
-    bt = factors[:, 1].swapaxes(-1, -2)
-    if signs is not None:
-        bt = bt * signs[..., None, :]
-    return np.linalg.svd(bt @ factors[:, 0], compute_uv=False)
+    recip = 1.0 / factors.diagonal(0, -2, -1)
+    strict = factors * (_STRICT * recip[..., :, None])
+    inverse = ((_EYE - strict) + strict @ strict) * recip[..., None, :]
+    x = (inverse[:, 0, None] * signs[:, None, :]) @ inverse[:, 1, None].swapaxes(-1, -2)
+    return 1.0 / np.sqrt(np.linalg.eigvalsh(x @ x.swapaxes(-1, -2))[..., -1])
 
 
 def check_physicality(cov: np.ndarray) -> tuple[bool, float]:
@@ -332,5 +373,5 @@ def check_physicality(cov: np.ndarray) -> tuple[bool, float]:
     Physical means min symplectic eigenvalue >= 1/2 - PHYSICALITY_TOL,
     equivalent to V + i Omega / 2 >= 0.
     """
-    nu_min = float(symplectic_spectrum(covariance_blocks(np.asarray(cov)[None]))[0, -1])
+    nu_min = min_symplectic_eig(covariance_blocks(np.asarray(cov)[None]), _UNSIGNED).item()
     return nu_min >= VACUUM_VARIANCE - PHYSICALITY_TOL, nu_min

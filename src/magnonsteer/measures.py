@@ -20,11 +20,14 @@ requested slots:
   elementwise: a pair is a padded party, so both are the singular values of
   M = B^T T A for the closed-form Cholesky factors A, B of a 2x2 conditional,
   nu_max from two ``hypot`` terms and nu_min = a11 a22 b11 b22 / nu_max;
-- the 3x3 cuts: one Cholesky factorisation and one singular-value call
-  (``symplectic_spectrum``) over the stacked sign rows give the
-  one-versus-two negativities and the smallest symplectic eigenvalue.
+- the 3x3 cuts: ``gaussian.min_symplectic_eig`` gives the one-versus-two
+  negativities and the smallest symplectic eigenvalue from one Cholesky
+  factorisation of the blocks and one symmetric eigen-solve of the inverse
+  Gram matrices (M^T M)^-1 over the stacked sign rows.
 
-No route forms nu^2. The derived measures are one array operation per kind.
+Every pass returns symplectic eigenvalues; one -ln 2 nu and one clamp turn
+all of them into measures. No route forms nu^2. The derived measures are
+one array operation per kind.
 ``measure_columns`` and ``correlation_report`` split 6x6 covariances into
 blocks around it.
 """
@@ -41,7 +44,7 @@ from .errors import NonPositiveInput, SingularBlock
 from .gaussian import (
     CONDITION_CUTOFF,
     covariance_blocks,
-    symplectic_spectrum,
+    min_symplectic_eig,
 )
 
 # measures below this are reported as exactly zero to stabilise classification
@@ -227,7 +230,7 @@ def _check(top, bottom, positive, message: str) -> None:
 
 
 def _one_mode(x11, x12, x22, z1, z2, y):
-    """Steering of one steered mode, from the entries (2, slots, N) of ``_ONE_MODE``.
+    """Symplectic eigenvalue nu of each slot of ``_ONE_MODE``, from its entries (2, slots, N).
 
     With L the Cholesky factor of X, the conditional variance is
     c = y - |L^-1 z|^2 in each block, and nu = sqrt(c_x c_p).
@@ -241,7 +244,7 @@ def _one_mode(x11, x12, x22, z1, z2, y):
     mean, radius = 0.5 * (x11 + x22), np.hypot(0.5 * (x11 - x22), x12)
     _check(np.maximum(*(mean + radius)), np.minimum(*(mean - radius)), c,
            "conditional block is not positive definite")
-    return _clamp(-np.log(2.0 * np.sqrt(c[0]) * np.sqrt(c[1])))
+    return np.sqrt(c[0]) * np.sqrt(c[1])
 
 
 def _two_mode_spectra(x, z1, z2, y11, y12, y22, sign):
@@ -265,13 +268,6 @@ def _two_mode_spectra(x, z1, z2, y11, y12, y22, sign):
     m11, m12, m21, m22 = sign * b11 * a11 + b21 * a21, b21 * a22, b22 * a21, b22 * a22
     nu_max = 0.5 * (np.hypot(m11 + m22, m12 - m21) + np.hypot(m11 - m22, m12 + m21))
     return nu_max, det[0] * (det[1] / nu_max)
-
-
-def _two_mode(entries, sign, both):
-    """max[0, -ln 2 nu_min] of each two-mode slot, plus ``both`` times max[0, -ln 2 nu_max]."""
-    nu_max, nu_min = _two_mode_spectra(*entries, sign)
-    return _clamp(np.maximum(-np.log(2.0 * nu_min), 0.0)
-                  + both * np.maximum(-np.log(2.0 * nu_max), 0.0))
 
 
 def _entry_table(b: np.ndarray) -> np.ndarray:
@@ -309,15 +305,18 @@ class _Plan(NamedTuple):
 
     The passes fill the rows of one array, in order: the one-mode slots, the
     two-mode slots, the 3x3 cuts, then the derived ``asym``, ``R``, ``R_min``
-    and ``mono`` rows. Each derived table holds, per source, the rows its
-    outputs are computed from.
+    and ``mono`` rows. Their symplectic eigenvalues come in that order, then
+    the two-mode nu_max rows. Each derived table holds, per source, the rows
+    its outputs are computed from.
     """
 
     one_mode: np.ndarray | None  # (6, 2, slots) rows of the entries
     two_mode: np.ndarray | None  # (6, 2, slots) rows of the entries
     signs: tuple  # the two-mode (sign, both) arguments, each (slots, 1)
     cuts: np.ndarray | None  # (k, 3) sign rows
-    cut_negativities: int  # how many of the cuts are negativities
+    two_rows: tuple  # the nu_min and nu_max rows of the two-mode slots
+    measured: int  # how many rows the passes fill
+    raw: slice | None  # the rows that are min_symplectic_eig, not a negativity
     asym: np.ndarray | None  # (2, n)
     residual: np.ndarray | None  # (3, n)
     r_min: bool
@@ -336,6 +335,7 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
     two = [k for k in _TWO_MODE if k in wanted]
     cuts = [k for k in _CUTS if k in wanted]
     rows = one + two + cuts
+    measured = len(rows)
 
     def derived(keys):
         if not keys:
@@ -356,7 +356,9 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
         signs=(np.array([[_TWO_MODE[k][1]] for k in two]),
                np.array([[float(k.startswith("G_"))] for k in two])),
         cuts=np.array([_CUTS[k] for k in cuts]) if cuts else None,
-        cut_negativities=sum(k.startswith("LN_") for k in cuts),
+        two_rows=(slice(len(one), len(one) + len(two)), slice(measured, measured + len(two))),
+        measured=measured,
+        raw=slice(measured - 1, measured) if "min_symplectic_eig" in cuts else None,
         asym=asym, residual=residual, r_min=r_min, mono=mono,
         columns=tuple((k, tuple(map(rows.index, _sources(k))) if k.startswith("class_")
                        else rows.index(k)) for k in outputs),
@@ -372,8 +374,9 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     are computed from are evaluated, in one pass per kind of split: the
     one-steered-mode steerings elementwise, the pair negativities and
     two-steered-mode spectra elementwise, and the one-versus-two
-    negativities with ``min_symplectic_eig`` in one factorisation of the
-    3x3 blocks. The derived measures take one array operation per kind.
+    negativities with ``min_symplectic_eig`` by ``gaussian.min_symplectic_eig``
+    on the 3x3 blocks. One -ln 2 nu and one clamp serve every pass, and the
+    derived measures take one array operation per kind.
 
     Raises
     ------
@@ -388,19 +391,27 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     if not plan.columns:
         return {}
     b = np.asarray(blocks, dtype=float)
-    parts = []
-    if plan.one_mode is not None or plan.two_mode is not None:
-        table = _entry_table(b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if plan.one_mode is not None:
-                parts.append(_one_mode(*table[plan.one_mode]))
-            if plan.two_mode is not None:
-                parts.append(_two_mode(table[plan.two_mode], *plan.signs))
-    if plan.cuts is not None:
-        nu = symplectic_spectrum(b[:, :, None], plan.cuts)[..., -1].T
-        k = plan.cut_negativities
-        parts += [_clamp(-np.log(2.0 * nu[:k])), nu[k:]]
-    base = np.concatenate(parts)
+    spectra = []  # nu of the one-mode slots, nu_min of the two-mode slots and cuts, then nu_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if plan.one_mode is not None or plan.two_mode is not None:
+            table = _entry_table(b)
+        if plan.one_mode is not None:
+            spectra.append(_one_mode(*table[plan.one_mode]))
+        if plan.two_mode is not None:
+            nu_max, nu_min = _two_mode_spectra(*table[plan.two_mode], plan.signs[0])
+            spectra.append(nu_min)
+        if plan.cuts is not None:
+            spectra.append(min_symplectic_eig(b, plan.cuts).T)
+        if plan.two_mode is not None:
+            spectra.append(nu_max)
+        nu = np.concatenate(spectra)
+        logs = -np.log(2.0 * nu)
+        if plan.two_mode is not None:  # a 1 -> 2 steering adds its nu_max term
+            low, high = plan.two_rows
+            logs[low] = np.maximum(logs[low], 0.0) + plan.signs[1] * np.maximum(logs[high], 0.0)
+        base = _clamp(logs[:plan.measured])
+    if plan.raw is not None:
+        base[plan.raw] = nu[plan.raw]
     values = [base]
     if plan.asym is not None:
         ab, ba = base[plan.asym]

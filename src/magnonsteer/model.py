@@ -69,7 +69,8 @@ class SystemParams:
                 raise SpecError(f"parameter {name} must be finite")
         for name in ("omega_c", "omega_q", "B0", "gyromagnetic_ratio",
                      "kappa_c", "kappa_m", "gamma_q", "verdet",
-                     "refractive_index", "spin_density", "sphere_radius"):
+                     "refractive_index", "spin_density", "sphere_radius",
+                     "drive_wavelength"):
             if getattr(self, name) <= 0:
                 raise SpecError(f"parameter {name} must be positive")
         if not 0.0 <= self.epsilon < 1.0:
@@ -171,6 +172,14 @@ def _cos(x):
     return _pointwise(math.cos, x)
 
 
+def _cube(x: float) -> float:
+    """``pow(x, 3)`` of a positive x, and inf where that overflows instead of OverflowError."""
+    try:
+        return pow(x, 3)
+    except OverflowError:
+        return math.inf
+
+
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1 / (exp(hbar omega / kB T) - 1).
 
@@ -196,7 +205,7 @@ def optomagnonic_coupling(params: SystemParams) -> float:
 
     Verdet constant times c/n_r times sqrt(2 / (spin density * sphere volume)).
     """
-    volume = (4.0 * math.pi / 3.0) * _pointwise(pow, params.sphere_radius, 3)
+    volume = (4.0 * math.pi / 3.0) * _pointwise(_cube, params.sphere_radius)
     return (params.verdet * SPEED_OF_LIGHT / params.refractive_index
             * _sqrt(_divide(2.0, params.spin_density * volume)))
 

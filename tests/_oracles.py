@@ -55,6 +55,29 @@ def direct_symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     return mags.reshape(n, 2).mean(axis=1)
 
 
+def symplectic_spectrum(blocks: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
+    """Symplectic eigenvalues of a stack of block pairs (N, 2, ..., n, n), descending.
+
+    The singular values of B^T T A, with A and B the Cholesky factors of the
+    V_x and V_p blocks and T = diag(signs); ``signs`` (..., n) holds -1 at
+    each partially transposed mode and broadcasts against the stack. One
+    factorisation and one singular-value call serve the whole stack.
+
+    Raises
+    ------
+    NonPositiveInput
+        If a block is not positive definite.
+    """
+    try:
+        factors = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveInput("covariance block is not positive definite") from exc
+    bt = factors[:, 1].swapaxes(-1, -2)
+    if signs is not None:
+        bt = bt * signs[..., None, :]
+    return np.linalg.svd(bt @ factors[:, 0], compute_uv=False)
+
+
 def rotation_symplectic(phi: float) -> np.ndarray:
     return np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
 

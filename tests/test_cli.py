@@ -123,6 +123,48 @@ class TestSolve:
             assert (payload["status"], payload["reason"]) == ("unstable", named)
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, as strict JSON readers do."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# edge documents with the exit code each must give, and what it must print
+EDGE_DOCUMENTS = [
+    ({"sphere_radius": 1e200}, 0, "ok"),  # the sphere volume overflows to inf
+    ({"drive_wavelength": 0}, 3, "parameter drive_wavelength must be positive"),
+    ({"drive_wavelength": -1}, 3, "parameter drive_wavelength must be positive"),
+]
+
+
+@pytest.mark.parametrize("document, expected, shown", EDGE_DOCUMENTS,
+                         ids=["sphere_radius", "wavelength_zero", "wavelength_negative"])
+def test_edge_documents_exit_codes(capsys, tmp_path, document, expected, shown):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "solve", "--params", str(params))
+    assert code == expected
+    if expected == 3:
+        assert out == "" and err == f"error: {shown}\n"
+        return
+    assert strict_json(out)["status"] == shown
+
+
+def test_solve_output_is_strict_json(capsys, tmp_path):
+    # the drift of this point has an infinite entry, so it has no eigenvalue
+    # to report: its max_real_part is NaN, written as null
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"kappa_c": 1e-300, "g_q": 1e6}))
+    code, out, _ = run_cli(capsys, "solve", "--params", str(params))
+    assert code == 2
+    payload = strict_json(out)
+    assert payload["max_real_part"] is None
+    assert (payload["status"], payload["reason"]) == ("unstable", "gate")
+    with pytest.raises(ValueError, match="NaN"):
+        strict_json('{"max_real_part": NaN}')
+
+
 class TestSweep:
     def test_sweep_to_file(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

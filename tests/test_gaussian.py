@@ -2,6 +2,7 @@
 generic 6x6 oracle helpers in _oracles that the block kernel is checked
 against."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,14 @@ from magnonsteer import (
 )
 from magnonsteer.analytic import analytic_covariance
 from magnonsteer.measures import MEASURE_KEYS, measure_blocks, measure_columns
-from magnonsteer.model import DIFFUSION_MODES, build_blocks, build_drift
+from magnonsteer.model import (
+    DIFFUSION_MODES,
+    build_blocks,
+    build_diffusion,
+    build_drift,
+    derive,
+    param_columns,
+)
 from magnonsteer.sweep import PRESET_IDS, grid_points, preset
 from magnonsteer.gaussian import (
     STABILITY_TOL,
@@ -28,11 +36,11 @@ from magnonsteer.gaussian import (
     block_gate,
     covariance_blocks,
     hurwitz_gate,
+    min_symplectic_eig,
     mirror_pairs,
     residual_accepted,
     solve_lyapunov_stack,
     steady_state_blocks,
-    symplectic_spectrum,
 )
 import magnonsteer.gaussian as gaussian_module
 
@@ -48,6 +56,7 @@ from _oracles import (
     random_symplectic,
     schur_complement_steered,
     symplectic_eigenvalues,
+    symplectic_spectrum,
     tmsv_cm,
     tmsv_with_spectator,
     vacuum_cm,
@@ -143,6 +152,26 @@ class TestSolveLyapunov:
         stacked = lyapunov_residual(drift[None], cov[None], diffusion[None])
         assert stacked.shape == (1,)
         assert stacked[0] == lyapunov_residual(drift, cov, diffusion)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_stack_solve_is_exactly_symmetric(self, n):
+        # V is gathered from its n(n+1)/2 unknowns, so no symmetrising pass
+        rng = np.random.default_rng(40 + n)
+        drift = rng.normal(size=(5, n, n)) - 3.0 * n * np.eye(n)
+        root = rng.normal(size=(5, n, n))
+        diffusion = root @ root.swapaxes(-1, -2)
+        if n == 3:
+            spec = preset("fig10")
+            grid = param_columns(spec.base, {spec.axis1.param: spec.axis1.grid()[::20]})
+            system = build_blocks(grid, derive(grid)).reshape(-1, 2, 3, 3)
+        else:
+            points = [default_params(epsilon=e) for e in (0.0, 0.3, 0.86)]
+            system = np.array([[build_drift(p), build_diffusion(p)] for p in points])
+        drift = np.concatenate([drift, system[:, 0]])
+        diffusion = np.concatenate([diffusion, system[:, 1]])
+        cov, residual = solve_lyapunov_stack(drift, diffusion)
+        assert np.array_equal(cov, cov.swapaxes(-1, -2))
+        assert residual_accepted(residual, np.linalg.norm(diffusion, axis=(-2, -1))).all()
 
 
 def gate_on_blocks_and_6x6(drift_x):
@@ -399,6 +428,89 @@ class TestSymplecticSpectrum:
         blocks = covariance_blocks(phase_covariant_cm(0.5 * np.eye(3), vp)[None])
         with pytest.raises(NonPositiveInput):
             symplectic_spectrum(blocks)
+
+
+# sign rows of the three one-versus-two partial transposes and of the state
+CUT_SIGNS = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+
+
+def random_block_pairs():
+    """60 random physical states, 20 each with symplectic eigenvalues up to 2.5, 50 and 1e3."""
+    rng = np.random.default_rng(16)
+    return covariance_blocks(np.array([random_phase_covariant_cm(rng, nu_max=top)
+                                       for top in (2.5, 50.0, 1e3) for _ in range(20)]))
+
+
+def model_block_pairs():
+    """Steady states of every diffusion mode along the fig3b, fig10 and fig6 axes, 72 in all.
+
+    The paper-mode states reach nu_min = 0.0019, far below the vacuum floor.
+    """
+    pairs = []
+    for mode in DIFFUSION_MODES:
+        for preset_id in ("fig3b", "fig10", "fig6"):
+            spec = preset(preset_id)
+            grid = param_columns(spec.base.replace(diffusion_mode=mode),
+                                 {spec.axis1.param: spec.axis1.grid()[::25]})
+            system = build_blocks(grid, derive(grid)).reshape(-1, 2, 3, 3)
+            pairs.append(steady_state_blocks(system)[2])
+    return np.concatenate(pairs)
+
+
+def mp_min_symplectic(pair: np.ndarray, signs: np.ndarray):
+    """nu_min of the block pair with T = diag(signs), to 40 digits.
+
+    At this precision forming nu^2 as the eigenvalues of T V_x T V_p is harmless.
+    """
+    with mpmath.workdps(40):
+        flip = mpmath.diag([int(sign) for sign in signs])
+        vx, vp = (mpmath.matrix(block.tolist()) for block in pair)
+        eigenvalues = mpmath.eig(flip * vx * flip * vp, left=False, right=False)
+        return min(mpmath.sqrt(mpmath.re(e)) for e in eigenvalues)
+
+
+class TestMinSymplecticEig:
+    """The inverse-Gram route against the SVD oracle and a 40-digit reference."""
+
+    @pytest.fixture(scope="class", params=["random", "model"])
+    def pairs(self, request):
+        return random_block_pairs() if request.param == "random" else model_block_pairs()
+
+    def test_matches_40_digit_reference(self, pairs):
+        got = min_symplectic_eig(pairs, CUT_SIGNS)
+        worst = max(float(abs(nu - want) / want)
+                    for pair, nus in zip(pairs, got)
+                    for signs, nu in zip(CUT_SIGNS, nus)
+                    for want in [mp_min_symplectic(pair, signs)])
+        assert worst <= 1e-14
+
+    def test_matches_svd_oracle(self, pairs):
+        # the SVD oracle itself errs by up to 1.4e-14 on the model states
+        got = min_symplectic_eig(pairs, CUT_SIGNS)
+        want = symplectic_spectrum(pairs[:, :, None], CUT_SIGNS)[..., -1]
+        assert got.shape == (len(pairs), len(CUT_SIGNS))
+        assert np.allclose(got, want, rtol=3e-14, atol=0.0)
+
+    def test_vacuum_and_tmsv(self):
+        blocks = covariance_blocks(np.array([vacuum_cm(3), tmsv_with_spectator(0.5)]))
+        nus = min_symplectic_eig(blocks, CUT_SIGNS)
+        assert np.allclose(nus[0], 0.5, rtol=1e-15)
+        assert nus[1, 0] == pytest.approx(np.exp(-1.0) / 2, rel=1e-14)
+        assert nus[1, 1] == pytest.approx(np.exp(-1.0) / 2, rel=1e-14)
+        assert nus[1, 2:] == pytest.approx([0.5, 0.5], rel=1e-14)
+
+    def test_rejects_indefinite_block(self):
+        vp = 0.5 * np.eye(3)
+        vp[2, 2] = -0.1
+        blocks = covariance_blocks(phase_covariant_cm(0.5 * np.eye(3), vp)[None])
+        with pytest.raises(NonPositiveInput):
+            min_symplectic_eig(blocks, CUT_SIGNS)
+
+    def test_is_the_physicality_check(self):
+        for cov in (vacuum_cm(3), tmsv_with_spectator(0.5),
+                    steady_state_covariance(default_params(epsilon=0.9))):
+            nu = min_symplectic_eig(covariance_blocks(cov[None]), CUT_SIGNS[-1:])
+            assert check_physicality(cov)[1] == nu[0, 0]
 
 
 class TestSymplecticEigenvalues:

@@ -558,3 +558,32 @@ class TestUnderflowingDenominators:
             assert (result.status, result.reason) == ("unstable", reason), document
         # an infinite drift entry has no eigenvalues to report
         assert math.isnan(run_point(default_params(kappa_c=1e-300, g_q=1e6)).max_real_part)
+
+
+class TestOverflowingSphereVolume:
+    """A sphere volume that overflows is inf, so the bare coupling is zero, not an OverflowError."""
+
+    def test_point_and_grid(self):
+        huge = default_params(sphere_radius=1e200)
+        assert optomagnonic_coupling(huge) == 0.0
+        assert derive(huge).g_m_eff == 0.0
+        radii = np.array([1e-4, 2.5e-4, 1e200])
+        grid = optomagnonic_coupling(param_columns(default_params(), {"sphere_radius": radii}))
+        assert grid.tolist() == [optomagnonic_coupling(default_params(sphere_radius=r))
+                                 for r in radii.tolist()]
+
+    def test_normal_radii_keep_every_bit(self):
+        for radius in (1e-6, 1e-4, 2.5e-4, 1e-2, 1e100):
+            volume = (4.0 * math.pi / 3.0) * pow(radius, 3)
+            params = default_params(sphere_radius=radius)
+            assert optomagnonic_coupling(params) == (
+                params.verdet * SPEED_OF_LIGHT / params.refractive_index
+                * math.sqrt(2.0 / (params.spin_density * volume)))
+
+
+@pytest.mark.parametrize("wavelength", [0.0, -1.0, -1550e-9])
+def test_drive_wavelength_must_be_positive(wavelength):
+    with pytest.raises(SpecError, match="parameter drive_wavelength must be positive"):
+        params_from_dict({"drive_wavelength": wavelength})
+    with pytest.raises(SpecError, match="drive_wavelength must be positive"):
+        param_columns(default_params(), {"drive_wavelength": np.array([1550e-9, wavelength])})
