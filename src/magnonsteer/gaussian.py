@@ -13,7 +13,8 @@ solve of the p' block gives exactly S V_x S and the same residual as the x'
 block, and ``steady_state_blocks`` solves V_x alone. It also gates each
 point on Q_x alone: the spectrum of the 6x6 drift is that of Q_x twice,
 and ``block_gate`` decides from three elementwise Routh-Hurwitz
-coefficients of the shifted Q_x, with no eigen-solve. A stack of N block
+coefficients of the shifted Q_x, with no eigen-solve; only a rejected
+point's largest eigenvalue real part takes one, of Q_x. A stack of N block
 pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
 ``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6.
 
@@ -251,9 +252,9 @@ def steady_state_blocks(system: np.ndarray):
     that pass have their x' block solved and V_p written as its mirror
     S V_x S; as r_p = r_x and D_p = D_x, the 6x6 residual is sqrt(2 r_x^2) and
     the 6x6 diffusion norm sqrt(2) ||D_x||_F, which ``residual_accepted``
-    judges. Only the rejected points are assembled into 6x6 drifts, for
-    the eigen-solve of ``hurwitz_gate`` to report their largest eigenvalue
-    real part, and a stack the gate rejects whole is not solved at all.
+    judges. Only the rejected points have an eigen-solve, of Q_x, whose
+    largest eigenvalue real part is the 6x6 drift's, and a stack the gate
+    rejects whole is not solved at all.
     Every step runs under one ``np.errstate``, so overflowing entries give
     inf or NaN and no warning. Every point is computed alike, whatever else
     its stack holds.
@@ -294,7 +295,7 @@ def steady_state_blocks(system: np.ndarray):
         # a drift with a non-finite entry has no eigen-solve; its max_real stays NaN
         finite = rejected[np.isfinite(system[rejected, 0]).all(axis=(1, 2))]
         if len(finite):
-            max_real[finite] = _max_real_part(assemble_blocks(mirror_pairs(system[finite, 0])))
+            max_real[finite] = _max_real_part(system[finite, 0])
     return max_real, reason, blocks[passed], residual[passed]
 
 

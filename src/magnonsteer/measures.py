@@ -27,7 +27,9 @@ requested slots:
 
 Every pass returns symplectic eigenvalues; one -ln 2 nu and one clamp turn
 all of them into measures. No route forms nu^2. The derived measures are
-one array operation per kind.
+described once, in ``_DERIVED`` (each key's formula kind and source keys):
+the requested keys are closed over it, and each kind is one array operation
+on the rows of its sources.
 ``measure_columns`` and ``correlation_report`` split 6x6 covariances into
 blocks around it.
 """
@@ -85,10 +87,6 @@ def _rest(label: str) -> str:
     return "".join(lbl for lbl in MODE_LABELS if lbl != label)
 
 
-def _pair(a: str, b: str) -> str:
-    return "".join(sorted(a + b, key=MODE_LABELS.index))
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """The measures of one point grouped by kind: the nested view of a flat mapping.
@@ -110,41 +108,19 @@ class CorrelationReport:
 
     def to_flat_dict(self) -> dict[str, float | str]:
         """Flat JSON-ready mapping with stable, documented key names."""
-        flat: dict[str, float | str] = {}
-        for pair, value in self.ln_pairs.items():
-            flat[f"LN_{pair}"] = value
-        for pivot, value in self.ln_one_two.items():
-            flat[f"LN_{pivot}_{_rest(pivot)}"] = value
-        for key, value in self.steering.items():
-            flat[f"G_{key}"] = value
-        for pair, value in self.asymmetry.items():
-            flat[f"asym_{pair}"] = value
-        for pivot, value in self.contangle_residuals.items():
-            flat[f"R_{pivot}"] = value
-        flat["R_min"] = self.r_min
-        for key, value in self.steering_monogamy.items():
-            flat[f"mono_{key}"] = value
-        for pair, value in self.steering_class.items():
-            flat[f"class_{pair}"] = value
-        return flat
+        return {key: getattr(self, field) if nested is None else getattr(self, field)[nested]
+                for key, (field, nested) in _REPORT_SLOTS.items()}
 
     @classmethod
     def from_flat(cls, flat: dict[str, float | str]) -> "CorrelationReport":
         """The report holding the values of a flat mapping over MEASURE_KEYS."""
-        def by_kind(kind):
-            return {k[len(kind) + 1:]: flat[k] for k in MEASURE_KEYS
-                    if k.startswith(kind + "_")}
-
-        return cls(
-            ln_pairs={pair: flat[f"LN_{pair}"] for pair in _PAIRS},
-            ln_one_two={p: flat[f"LN_{p}_{_rest(p)}"] for p in MODE_LABELS},
-            steering=by_kind("G"),
-            asymmetry=by_kind("asym"),
-            steering_class=by_kind("class"),
-            contangle_residuals={p: flat[f"R_{p}"] for p in MODE_LABELS},
-            r_min=flat["R_min"],
-            steering_monogamy=by_kind("mono"),
-        )
+        fields = {}
+        for key, (field, nested) in _REPORT_SLOTS.items():
+            if nested is None:
+                fields[field] = flat[key]
+            else:
+                fields.setdefault(field, {})[nested] = flat[key]
+        return cls(**fields)
 
 
 MEASURE_KEYS = (
@@ -158,6 +134,21 @@ MEASURE_KEYS = (
     "mono_out_c", "mono_in_c", "mono_out_q", "mono_in_q", "mono_out_m", "mono_in_m",
     "class_cq", "class_cm", "class_qm",
 )
+
+_FIELDS = {"LN": "ln_pairs", "G": "steering", "asym": "asymmetry",
+           "R": "contangle_residuals", "mono": "steering_monogamy", "class": "steering_class"}
+
+
+def _report_slot(key: str) -> tuple[str, str | None]:
+    """The CorrelationReport field holding a measure key, and its key in that field's map."""
+    kind, _, rest = key.partition("_")
+    if kind == "LN" and "_" in rest:
+        return "ln_one_two", rest[0]
+    return ("r_min", None) if key == "R_min" else (_FIELDS[kind], rest)
+
+
+# Each measure key's place in the report, in MEASURE_KEYS order
+_REPORT_SLOTS = {key: _report_slot(key) for key in MEASURE_KEYS}
 
 
 # --- the kernel ----------------------------------------------------------------
@@ -190,6 +181,40 @@ _TWO_MODE.update({f"G_{p}_to_{i}{j}": ((p + p, p + i, p + j, i + i, i + j, j + j
 _CUTS = {f"LN_{p}_{_rest(p)}": [-1.0 if lbl == p else 1.0 for lbl in MODE_LABELS]
          for p in MODE_LABELS}
 _CUTS["min_symplectic_eig"] = [1.0, 1.0, 1.0]
+
+# The derived measures, in MEASURE_KEYS order: each key's formula kind and the
+# keys it is computed from, in formula order. A derived source (R_min's R_*)
+# comes before its key. A class_ab is classified per point from the G rows its
+# asym_ab reads; the other kinds are one array operation each (``_FORMULAS``).
+_DERIVED = {
+    **{f"asym_{a}{b}": ("asym", (f"G_{a}_to_{b}", f"G_{b}_to_{a}")) for a, b in _PAIRS},
+    **{f"R_{p}": ("R", (f"LN_{p}_{_rest(p)}", *(f"LN_{pair}" for pair in _PAIRS if p in pair)))
+       for p in MODE_LABELS},
+    "R_min": ("R_min", ("R_c", "R_q", "R_m")),
+    **{f"mono_{way}_{p}": ("mono", tuple(f"G_{p}_to_{s}" if way == "out" else f"G_{s}_to_{p}"
+                                          for s in (i + j, i, j)))
+       for p in MODE_LABELS for i, j in [_rest(p)] for way in ("out", "in")},
+    **{f"class_{a}{b}": ("class", (f"G_{a}_to_{b}", f"G_{b}_to_{a}")) for a, b in _PAIRS},
+}
+
+
+def _residual(terms):
+    """whole - first - second of the stacked rows (3, ...) of a three-term residual."""
+    return terms[0] - terms[1] - terms[2]
+
+
+# Each kind's formula over the rows (sources, keys, N) of its sources, in
+# MEASURE_KEYS kind order. R_* is the residual contangle C_{i|jk} - C_{i|j} -
+# C_{i|k}, C = LN^2, and R_min its minimum (positive: genuine tripartite
+# entanglement); mono_* is the steering monogamy residual G(i -> jk) -
+# G(i -> j) - G(i -> k) (out) or G(jk -> i) - G(j -> i) - G(k -> i) (in), kept
+# signed like R_*.
+_FORMULAS = {
+    "asym": lambda g: np.abs(g[0] - g[1]),
+    "R": lambda ln: _residual(np.square(ln)),
+    "R_min": lambda r: r.min(axis=0),
+    "mono": _residual,
+}
 
 
 def _table(entries) -> np.ndarray:
@@ -279,35 +304,14 @@ def _entry_table(b: np.ndarray) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _sources(key: str) -> tuple[str, ...]:
-    """The keys of the passes a measure key is computed from, in formula order."""
-    if key in _ONE_MODE or key in _TWO_MODE or key in _CUTS:
-        return (key,)
-    kind, _, rest = key.partition("_")
-    if kind in ("asym", "class"):
-        a, b = rest
-        return (f"G_{a}_to_{b}", f"G_{b}_to_{a}")
-    if key == "R_min":
-        return tuple(src for p in MODE_LABELS for src in _sources(f"R_{p}"))
-    if kind == "R":
-        i, j = _rest(rest)
-        return (f"LN_{rest}_{i}{j}", f"LN_{_pair(rest, i)}", f"LN_{_pair(rest, j)}")
-    direction, pivot = rest.split("_")
-    i, j = _rest(pivot)
-    if direction == "out":
-        return (f"G_{pivot}_to_{i}{j}", f"G_{pivot}_to_{i}", f"G_{pivot}_to_{j}")
-    return (f"G_{i}{j}_to_{pivot}", f"G_{i}_to_{pivot}", f"G_{j}_to_{pivot}")
-
-
 class _Plan(NamedTuple):
     """What ``measure_blocks`` computes for one tuple of outputs.
 
-    The passes fill the rows of one array, in order: the one-mode slots, the
-    two-mode slots, the 3x3 cuts, then the derived ``asym``, ``R``, ``R_min``
-    and ``mono`` rows. Their symplectic eigenvalues come in that order, then
-    the two-mode nu_max rows. Each derived table holds, per source, the rows
-    its outputs are computed from.
+    The passes fill the first ``measured`` rows of one array, in order: the
+    one-mode slots, the two-mode slots, then the 3x3 cuts. Their symplectic
+    eigenvalues come in that order, then the two-mode nu_max rows. The
+    derived rows follow, one block per kind, each written by its formula from
+    the rows of its sources.
     """
 
     one_mode: np.ndarray | None  # (6, 2, slots) rows of the entries
@@ -317,10 +321,8 @@ class _Plan(NamedTuple):
     two_rows: tuple  # the nu_min and nu_max rows of the two-mode slots
     measured: int  # how many rows the passes fill
     raw: slice | None  # the rows that are min_symplectic_eig, not a negativity
-    asym: np.ndarray | None  # (2, n)
-    residual: np.ndarray | None  # (3, n)
-    r_min: bool
-    mono: np.ndarray | None  # (3, n)
+    derived: tuple  # per kind: (formula, its rows, (sources, keys) rows read)
+    size: int  # how many rows in all
     columns: tuple  # per output: (key, row), or (key, (G_ab row, G_ba row)) for class_
 
 
@@ -330,26 +332,22 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
     unknown = [k for k in outputs if k not in MEASURE_KEYS and k != "min_symplectic_eig"]
     if unknown:
         raise ValueError(f"unknown measure keys: {unknown}")
-    wanted = {src for key in outputs for src in _sources(key)}
+    wanted = set(outputs)
+    for key in reversed(_DERIVED):  # each key before the derived sources it reads
+        if key in wanted:
+            wanted.update(_DERIVED[key][1])
     one = [k for k in _ONE_MODE if k in wanted]
     two = [k for k in _TWO_MODE if k in wanted]
     cuts = [k for k in _CUTS if k in wanted]
     rows = one + two + cuts
     measured = len(rows)
-
-    def derived(keys):
-        if not keys:
-            return None
-        table = np.array([[rows.index(src) for src in _sources(k)] for k in keys]).T
-        rows.extend(keys)
-        return table
-
-    r_min = "R_min" in outputs
-    asym = derived([k for k in MEASURE_KEYS if k.startswith("asym_") and k in outputs])
-    residual = derived([f"R_{p}" for p in MODE_LABELS if r_min or f"R_{p}" in outputs])
-    if r_min:
-        rows.append("R_min")
-    mono = derived([k for k in MEASURE_KEYS if k.startswith("mono_") and k in outputs])
+    derived = []
+    for kind, formula in _FORMULAS.items():
+        keys = [k for k, (k_kind, _) in _DERIVED.items() if k_kind == kind and k in wanted]
+        if keys:
+            sources = np.array([[rows.index(src) for src in _DERIVED[k][1]] for k in keys]).T
+            derived.append((formula, slice(len(rows), len(rows) + len(keys)), sources))
+            rows += keys
     return _Plan(
         one_mode=_table([_ONE_MODE[k] for k in one]) if one else None,
         two_mode=_table([_TWO_MODE[k][0] for k in two]) if two else None,
@@ -359,8 +357,9 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
         two_rows=(slice(len(one), len(one) + len(two)), slice(measured, measured + len(two))),
         measured=measured,
         raw=slice(measured - 1, measured) if "min_symplectic_eig" in cuts else None,
-        asym=asym, residual=residual, r_min=r_min, mono=mono,
-        columns=tuple((k, tuple(map(rows.index, _sources(k))) if k.startswith("class_")
+        derived=tuple(derived),
+        size=len(rows),
+        columns=tuple((k, tuple(map(rows.index, _DERIVED[k][1])) if k.startswith("class_")
                        else rows.index(k)) for k in outputs),
     )
 
@@ -409,24 +408,13 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
         if plan.two_mode is not None:  # a 1 -> 2 steering adds its nu_max term
             low, high = plan.two_rows
             logs[low] = np.maximum(logs[low], 0.0) + plan.signs[1] * np.maximum(logs[high], 0.0)
-        base = _clamp(logs[:plan.measured])
+        values = np.empty((plan.size, len(b)))
+        values[:plan.measured] = _clamp(logs[:plan.measured])
     if plan.raw is not None:
-        base[plan.raw] = nu[plan.raw]
-    values = [base]
-    if plan.asym is not None:
-        ab, ba = base[plan.asym]
-        values.append(np.abs(ab - ba))
-    if plan.residual is not None:  # residual contangle C_{i|jk} - C_{i|j} - C_{i|k}, C = LN^2
-        whole, first, second = np.square(base[plan.residual])
-        values.append(whole - first - second)
-        if plan.r_min:  # positive: genuine tripartite entanglement
-            values.append(values[-1].min(axis=0, keepdims=True))
-    if plan.mono is not None:
-        # steering monogamy residual G(i -> jk) - G(i -> j) - G(i -> k) (out) or
-        # G(jk -> i) - G(j -> i) - G(k -> i) (in); kept signed, like R_*
-        whole, first, second = base[plan.mono]
-        values.append(whole - first - second)
-    rows = np.concatenate(values).tolist()
+        values[plan.raw] = nu[plan.raw]
+    for formula, target, sources in plan.derived:
+        values[target] = formula(values[sources])
+    rows = values.tolist()
     return {key: ([classify_steering(ab, ba) for ab, ba in zip(rows[row[0]], rows[row[1]])]
                   if isinstance(row, tuple) else rows[row])
             for key, row in plan.columns}

@@ -183,10 +183,12 @@ def _cube(x: float) -> float:
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1 / (exp(hbar omega / kB T) - 1).
 
-    Exactly zero at T = 0 and monotone increasing in T.
+    Exactly zero at T = 0 and monotone increasing in T. A zero omega (a
+    magnon frequency gyromagnetic_ratio * B0 that underflows) gives the limit
+    omega -> 0+: zero at T = 0 and inf above, as a subnormal omega does.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if omega < 0:
+        raise ValueError("omega must be non-negative")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     if temperature == 0.0:

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnonsteer import sweep
 from magnonsteer.cli import build_parser, main
 from magnonsteer.measures import MEASURE_KEYS
-from magnonsteer.model import DIFFUSION_MODES
+from magnonsteer.model import DIFFUSION_MODES, NUMERIC_FIELDS, default_params
 from magnonsteer.sweep import PRESET_IDS
 
 
@@ -135,11 +141,15 @@ EDGE_DOCUMENTS = [
     ({"sphere_radius": 1e200}, 0, "ok"),  # the sphere volume overflows to inf
     ({"drive_wavelength": 0}, 3, "parameter drive_wavelength must be positive"),
     ({"drive_wavelength": -1}, 3, "parameter drive_wavelength must be positive"),
+    # gyromagnetic_ratio * B0 underflows to a zero magnon frequency, whose
+    # occupation is inf above T = 0, as at B0 = 1e-320: the residual bound fails
+    ({"B0": 1e-3, "gyromagnetic_ratio": 5e-324}, 2, "unstable"),
 ]
 
 
 @pytest.mark.parametrize("document, expected, shown", EDGE_DOCUMENTS,
-                         ids=["sphere_radius", "wavelength_zero", "wavelength_negative"])
+                         ids=["sphere_radius", "wavelength_zero", "wavelength_negative",
+                              "magnon_frequency_zero"])
 def test_edge_documents_exit_codes(capsys, tmp_path, document, expected, shown):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(document))
@@ -163,6 +173,49 @@ def test_solve_output_is_strict_json(capsys, tmp_path):
     assert (payload["status"], payload["reason"]) == ("unstable", "gate")
     with pytest.raises(ValueError, match="NaN"):
         strict_json('{"max_real_part": NaN}')
+
+
+# a numeric field of a parameter document: zero, a subnormal, or a magnitude
+# log-uniform in [1e-300, 1e300], of either sign
+EDGE_VALUE = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from((1.0, -1.0)),
+              st.one_of(st.floats(5e-324, 2e-308), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)))
+    .map(lambda signed: signed[0] * signed[1]))
+
+
+def run_quietly(*argv):
+    """``main(argv)``, its exit code and output; a warning raises, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(document=st.dictionaries(st.sampled_from(NUMERIC_FIELDS + ("g_q_ratio",)), EDGE_VALUE,
+                                max_size=3),
+       field=st.sampled_from(NUMERIC_FIELDS), value=EDGE_VALUE)
+def test_every_finite_document_gives_an_exit_code(document, field, value):
+    # solve on the document with one more field, and a sweep and a threshold
+    # scan over that field from its default to the drawn value (sorted, as
+    # bisection needs); every call ends in exit 0, 2 or 3 with no traceback
+    # and no warning, and what solve and threshold print is strict JSON
+    axis = {"param": field, "values": sorted([getattr(default_params(), field), value])}
+    with tempfile.TemporaryDirectory() as directory:
+        params, spec = Path(directory, "params.json"), Path(directory, "spec.json")
+        params.write_text(json.dumps({**document, field: value}))
+        spec.write_text(json.dumps({"base": document, "axis1": axis}))
+        code, out = run_quietly("solve", "--params", str(params))
+        if code != 3:
+            assert strict_json(out)["status"] == ("ok" if code == 0 else "unstable")
+        run_quietly("sweep", "--spec", str(spec))
+        out = run_quietly("threshold", "--spec", str(spec), "--measure", "LN_qm")[1]
+        if out:
+            strict_json(out)
 
 
 class TestSweep:

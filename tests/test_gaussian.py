@@ -276,7 +276,11 @@ class TestSteadyStateBlocks:
         monkeypatch.setattr(gaussian_module, "solve_lyapunov_stack", refuse)
         max_real, reason, blocks, residual = steady_state_blocks(system)
         assert reason == ["gate"] * 8
-        assert np.array_equal(max_real, hurwitz_gate(assemble_blocks(mirror_pairs(system[:, 0])))[0])
+        # the eigen-solve of Q_x, whose spectrum is the 6x6 drift's twice,
+        # agrees with that of the 6x6 drift at roundoff
+        assert np.array_equal(max_real, np.linalg.eigvals(system[:, 0]).real.max(axis=-1))
+        six = hurwitz_gate(assemble_blocks(mirror_pairs(system[:, 0])))[0]
+        assert np.abs(max_real - six).max() <= 1e-12 * np.abs(six).min()
         assert (max_real > 0).all()
         assert blocks.shape == (0, 2, 3, 3) and residual.shape == (0,)
         assert blocks.dtype == residual.dtype == np.float64

@@ -233,7 +233,8 @@ def test_empty_block():
     assert columns == {"LN_cq": [], "G_cq_to_m": [], "class_qm": []}
 
 
-@pytest.mark.parametrize("key", ["LN_xx", "mono_out_z", "asym_cc", "G_c_to_c", "R_x", "foo"])
+@pytest.mark.parametrize("key", ["LN_xx", "mono_out_z", "asym_cc", "G_c_to_c", "R_x", "foo",
+                                 "class_mq", "mono_in_cq", "R_min_c"])
 def test_unknown_measure_key_is_a_value_error(key):
     # named in the error, not an unpacking or lookup failure inside the kernel
     covs = random_states(2, seed=3)
@@ -242,6 +243,32 @@ def test_unknown_measure_key_is_a_value_error(key):
         measure_columns(covs, ("LN_qm", key))
     with pytest.raises(ValueError, match=message):
         measure_blocks(covariance_blocks(covs), (key, "min_symplectic_eig"))
+
+
+def test_every_measure_key_is_one_pass_slot_or_one_derived_entry():
+    slots = [*measures._ONE_MODE, *measures._TWO_MODE, *measures._CUTS]
+    for key in MEASURE_KEYS:
+        assert slots.count(key) + (key in measures._DERIVED) == 1, key
+    assert set(slots) | set(measures._DERIVED) == {*MEASURE_KEYS, "min_symplectic_eig"}
+    # a derived source is entered before the key that reads it
+    order = list(measures._DERIVED)
+    for key, (_, sources) in measures._DERIVED.items():
+        assert all(order.index(src) < order.index(key) for src in sources if src in order), key
+
+
+def test_each_derived_kind_is_one_block_of_rows_after_its_sources():
+    plan = measures._plan(MEASURE_KEYS)
+    rows = {key: row for key, row in plan.columns if isinstance(row, int)}
+    start = plan.measured
+    assert len(plan.derived) == len(measures._FORMULAS)
+    for (kind, formula), (used, block, sources) in zip(measures._FORMULAS.items(), plan.derived):
+        keys = [key for key, (k_kind, _) in measures._DERIVED.items() if k_kind == kind]
+        assert used is formula
+        assert block == slice(start, start + len(keys))
+        assert [rows[key] for key in keys] == list(range(block.start, block.stop))
+        assert sources.max() < block.start
+        start = block.stop
+    assert start == plan.size
 
 
 def unphysical_pair_state():

@@ -82,7 +82,7 @@ class TestThermalOccupation:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            thermal_occupation(0.0, 1.0)
+            thermal_occupation(-1.0, 1.0)
         with pytest.raises(ValueError):
             thermal_occupation(1e9, -0.1)
 
@@ -517,6 +517,7 @@ UNDERFLOWING = [
     ({"kappa_c": 1e-300, "g_q": 1e6}, "kappa_c"),        # kappa_c hbar Omega
     ({"sphere_radius": 1e-200, "g_q": 1e6}, "sphere_radius"),  # the sphere volume
     ({"B0": 1e-320}, "B0"),                               # hbar omega_m / kB
+    ({"B0": 1e-3, "gyromagnetic_ratio": 5e-324}, "gyromagnetic_ratio"),  # omega_m itself
 ]
 
 
@@ -525,6 +526,8 @@ class TestUnderflowingDenominators:
 
     def test_scalar_quotients_are_inf(self):
         assert thermal_occupation(1e-300, 1.0) == math.inf
+        # omega = 0, the limit omega -> 0+
+        assert thermal_occupation(0.0, 1.0) == math.inf and thermal_occupation(0.0, 0.0) == 0.0
         starved = default_params(kappa_c=1e-300, g_q=1e6)
         assert intracavity_photon_number(starved) == math.inf
         assert effective_coupling(starved) == math.inf
@@ -553,7 +556,8 @@ class TestUnderflowingDenominators:
     def test_points_are_unstable_rows(self):
         for document, reason in (({"kappa_c": 1e-300, "g_q": 1e6}, "gate"),
                                  ({"sphere_radius": 1e-200, "g_q": 1e6}, "gate"),
-                                 ({"B0": 1e-320}, "residual")):
+                                 ({"B0": 1e-320}, "residual"),
+                                 ({"B0": 1e-3, "gyromagnetic_ratio": 5e-324}, "residual")):
             result = run_point(default_params(**document))
             assert (result.status, result.reason) == ("unstable", reason), document
         # an infinite drift entry has no eigenvalues to report

@@ -335,7 +335,7 @@ class TestRunSweep:
         rows = run_sweep(phases)
         unstable = sum(row["status"] == "unstable" for row in rows)
         assert 0 < unstable < 64
-        assert len(built) == 2 and assembled == [unstable]
+        assert len(built) == 2 and not assembled
 
     def test_overflowing_grid_points_are_unstable_rows(self):
         # past about 1e300 K the diffusion overflows to inf while it is built;
@@ -379,8 +379,13 @@ class TestRunSweep:
         params = grid_points(spec)[2]
         derived = derive(params)
         drift = build_drift(params, derived)
-        max_real, stable = hurwitz_gate(drift)
+        six, stable = hurwitz_gate(drift)
         assert stable
+        # reported from the eigen-solve of Q_x; it differs from the 6x6 drift's
+        # at roundoff of ||Q||_F, which this near-marginal -0.139 rad/s is not
+        # large against
+        max_real = np.linalg.eigvals(build_blocks(params, derived)[0]).real.max()
+        assert abs(max_real - six) <= 1e-12 * np.linalg.norm(drift)
         result = run_point(params)
         assert result.status == "unstable"
         assert result.reason == "residual"
