@@ -8,8 +8,8 @@ then gates, solves and judges the stack, and the batched measures kernel
 measures the accepted points, computing only the requested outputs and
 ``min_symplectic_eig``; it does not run when no point was accepted.
 ``run_point`` is the same pipeline on one SystemParams, a stack of one, and
-``find_threshold`` runs its grid as one stack and each bisection step as a
-stack of one, computing only the scanned measure.
+``find_threshold`` runs its grid as one stack and each bisection step on one
+SystemParams, computing only the scanned measure.
 
 ``sweep_columns`` returns a sweep as the evaluated columns, in the CSV's
 header order, and ``format_csv`` writes those columns as text, so a sweep
@@ -20,6 +20,7 @@ identical sweep specifications produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -89,11 +90,18 @@ class Axis:
             raise SpecError("axis count must be at least 2")
         if not self.start < self.stop:
             raise SpecError("axis start must be below stop")
+        if not math.isfinite(self.stop - self.start):
+            raise SpecError("axis stop - start must be finite")
 
     def grid(self) -> np.ndarray:
         if self.values:
             return np.asarray(self.values, dtype=float)
-        return np.linspace(self.start, self.stop, self.count)
+        try:
+            return np.linspace(self.start, self.stop, self.count)
+        except (ValueError, IndexError) as exc:
+            # numpy refuses a count it cannot hold before allocating: ValueError,
+            # or IndexError for one that rounds to 2**63
+            raise SpecError(f"cannot make an axis of {self.count} points: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -334,17 +342,14 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     if direction == "rising":
         grid = grid[::-1]
 
-    def points(axis_values):
-        return param_columns(spec.base, {spec.axis1.param: axis_values})
-
-    def evaluate(grid_points) -> list[float]:
-        reasons, max_real, columns = _evaluate(grid_points, (measure,))
+    def evaluate(params) -> list[float]:
+        reasons, max_real, columns = _evaluate(params, (measure,))
         for reason, real in zip(reasons, max_real):
             if reason:
                 raise UnstableDrift(real, reason)
         return columns[measure]
 
-    on_grid = points(grid)  # checks the axis values first
+    on_grid = param_columns(spec.base, {spec.axis1.param: grid})  # checks the axis values first
     if not increasing:
         # bisection refines between neighbouring grid values
         raise SpecError("threshold search needs axis1 values in strictly increasing order")
@@ -362,7 +367,7 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     resolution = abs(hi - lo) / 256.0
     while abs(hi - lo) > resolution:
         mid = 0.5 * (lo + hi)
-        if evaluate(points(np.array([mid])))[0] > 0.0:
+        if evaluate(spec.base.replace(**{spec.axis1.param: float(mid)}))[0] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -50,6 +51,7 @@ EXTREME_PARAMS = [
     ({"sphere_radius": 1e-200}, 3, "parameter g_q must be finite"),
     ({"B0": 1e-320}, 2, "residual"),
     ({"kappa_m": 1e300}, 2, "gate"),
+    ({"temperature": 1e200}, 2, "residual"),  # the residual bound overflows
 ]
 
 
@@ -61,6 +63,7 @@ class TestSolve:
         assert payload["status"] == "ok"
         assert payload["LN_qm"] > 0
         assert "lyap_residual" in payload and "min_symplectic_eig" in payload
+        assert len(MEASURE_KEYS) == 34
         assert set(payload) == {*MEASURE_KEYS, "lyap_residual", "min_symplectic_eig", "status"}
 
     def test_params_file_and_diffusion_override(self, capsys, tmp_path):
@@ -218,6 +221,28 @@ def test_every_finite_document_gives_an_exit_code(document, field, value):
             strict_json(out)
 
 
+# an end of a linspace axis: an EDGE_VALUE, or the largest finite float of
+# either sign, so that a span can overflow
+AXIS_END = st.one_of(st.just(-sys.float_info.max), st.just(sys.float_info.max), EDGE_VALUE)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(NUMERIC_FIELDS), ends=st.lists(AXIS_END, min_size=2, max_size=2),
+       count=st.sampled_from((2, 3, 2**62, 10**30)))
+def test_every_linspace_axis_gives_an_exit_code(field, ends, count):
+    # a sweep and a threshold scan over a linspace axis between the drawn ends,
+    # sorted; the large counts are ones numpy refuses before allocating, and
+    # no count numpy would try to allocate is drawn
+    axis = {"param": field, "start": min(ends), "stop": max(ends), "count": count}
+    with tempfile.TemporaryDirectory() as directory:
+        spec = Path(directory, "spec.json")
+        spec.write_text(json.dumps({"axis1": axis}))
+        run_quietly("sweep", "--spec", str(spec))
+        out = run_quietly("threshold", "--spec", str(spec), "--measure", "LN_qm")[1]
+        if out:
+            strict_json(out)
+
+
 class TestSweep:
     def test_sweep_to_file(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -259,7 +284,12 @@ class TestSweep:
       + [({"axis1": {"param": "temperature", "values": [0.01, 0.02], "count": 200}},
           "not both"),
          ({"axis1": {"param": "temperature", "start": 0, "stop": 0.1, "count": 3,
-                     "step": 0.05}}, "unknown axis keys: ['step']")])
+                     "step": 0.05}}, "unknown axis keys: ['step']")]
+      # a span that overflows, and counts numpy refuses before allocating
+      + [({"axis1": {"param": "theta", "start": -1e308, "stop": 1e308, "count": 3}},
+          "axis stop - start must be finite")]
+      + [({"axis1": {"param": "theta", "start": 0, "stop": 1, "count": count}},
+          f"cannot make an axis of {count} points") for count in (2**62, 2**63, 10**30)])
     def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
         document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
                               "count": 3},

@@ -11,9 +11,12 @@ from magnonsteer import (
     classify_steering,
     correlation_report,
     default_params,
+    effective_coupling,
     steady_state_covariance,
 )
-from magnonsteer.measures import CLASS_TOL, MEASURE_KEYS, measure_columns
+from magnonsteer.gaussian import PHYSICALITY_TOL, steady_state_blocks
+from magnonsteer.measures import CLASS_TOL, MEASURE_KEYS, measure_blocks, measure_columns
+from magnonsteer.model import DIFFUSION_MODES, build_blocks, derive, param_columns
 
 from _oracles import (
     UNPHYSICAL_4X4,
@@ -357,3 +360,25 @@ class TestUniversalBounds:
         assert flat["R_c"] == pytest.approx(oracle, abs=CROSS_TOL)
         assert flat["R_c"] == pytest.approx(-1.259e-3, rel=1e-3)
         assert min(flat[key] for key in MONO_KEYS) >= -1e-12
+
+
+def test_negative_monogamy_residuals_sit_at_sub_vacuum_steady_states():
+    # 2,000 seeded steady states per diffusion mode, each mode one stack:
+    # epsilon < 0.95, any theta, T <= 1 K, g_q from 0.2 to 4 times the
+    # optomagnonic coupling. Every mono_* or R_* below -1e-12 is at a state
+    # below the vacuum floor, and input_output has none (README "Acceptance suite")
+    rng = np.random.default_rng(11)
+    base = default_params()
+    axes = {"epsilon": rng.uniform(0.0, 0.95, 2000), "theta": rng.uniform(0.0, 2 * math.pi, 2000),
+            "temperature": rng.uniform(0.0, 1.0, 2000),
+            "g_q": rng.uniform(0.2, 4.0, 2000) * effective_coupling(base)}
+    negative = {}
+    for mode in DIFFUSION_MODES:
+        grid = param_columns(base.replace(diffusion_mode=mode), axes)
+        blocks = steady_state_blocks(build_blocks(grid, derive(grid)).reshape(-1, 2, 3, 3))[2]
+        columns = measure_blocks(blocks, MONO_KEYS + R_KEYS + ("min_symplectic_eig",))
+        residual = np.min([columns[key] for key in MONO_KEYS + R_KEYS], axis=0)
+        sub_vacuum = np.array(columns["min_symplectic_eig"]) < 0.5 - PHYSICALITY_TOL
+        negative[mode] = int((residual < -1e-12).sum())
+        assert not (residual < -1e-12)[~sub_vacuum].any(), mode
+    assert negative["input_output"] == 0 < min(negative["paper"], negative["consistent"])
