@@ -52,7 +52,9 @@ def _load_json(path: str) -> dict:
             document = json.load(handle)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, a byte that is not UTF-8, an integer of more digits
+        # than int() converts, or arrays nested deeper than the decoder recurses
         raise SpecError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(document, dict):
         raise SpecError(f"{path} must contain a JSON object")
@@ -116,6 +118,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise SpecError("--trials must be at least 1")
+    if args.seed < 0:
+        raise SpecError("--seed must be non-negative")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise SpecError("--tolerance must be finite and non-negative")
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(DIFFUSION_MODES, 0.0)
     trials = dict.fromkeys(DIFFUSION_MODES, 0)

@@ -9,23 +9,23 @@ exactly zero.
 
 Every measure is computed on the phase-covariant blocks (V_x, V_p) of the
 state (see ``gaussian``): a partial transpose is a sign, and a conditional
-state is the Schur complement of each block. ``measure_blocks`` evaluates a
-stack of block pairs in one pass per kind of split, each computing only the
-requested slots:
+state is the Schur complement of each block, whose Cholesky factor is the
+trailing block of the Cholesky factor of the whole matrix.
+``measure_blocks`` evaluates a stack of block pairs in two passes, each
+computing only the requested slots:
 
-- one steered mode (the 1->1 and 2->1 steerings), elementwise: with L the
-  closed-form Cholesky factor of the party's 2x2 block (a one-mode party
-  padded to diag(x, x)), c = y - |L^-1 z|^2 per block and nu = sqrt(c_x c_p);
-- two-mode spectra (the pair negativities and the 1->2 steerings),
-  elementwise: a pair is a padded party, so both are the singular values of
-  M = B^T T A for the closed-form Cholesky factors A, B of a 2x2 conditional,
-  nu_max from two ``hypot`` terms and nu_min = a11 a22 b11 b22 / nu_max;
+- the conditional pass (every steering and the pair negativities),
+  elementwise: one closed-form Cholesky factor L of each slot's 3x3
+  (party, steered) matrix, a pair being steered by the padded party x = 1,
+  z = 0. One steered mode has nu = l33_x l33_p; two have the singular
+  values of M = B^T T A for the trailing 2x2 factors A, B, nu_max from two
+  ``hypot`` terms and nu_min = a22 a33 b22 b33 / nu_max;
 - the 3x3 cuts: ``gaussian.min_symplectic_eig`` gives the one-versus-two
   negativities and the smallest symplectic eigenvalue from one Cholesky
   factorisation of the blocks and one symmetric eigen-solve of the inverse
   Gram matrices (M^T M)^-1 over the stacked sign rows.
 
-Every pass returns symplectic eigenvalues; one -ln 2 nu and one clamp turn
+Both passes return symplectic eigenvalues; one -ln 2 nu and one clamp turn
 all of them into measures. No route forms nu^2. The derived measures are
 described once, in ``_DERIVED`` (each key's formula kind and source keys):
 the requested keys are closed over it, and each kind is one array operation
@@ -153,28 +153,25 @@ _REPORT_SLOTS = {key: _report_slot(key) for key in MEASURE_KEYS}
 
 # --- the kernel ----------------------------------------------------------------
 
-# The elementwise passes read every entry from one table of 20 rows per point:
+# The conditional pass reads every entry from one table of 20 rows per point:
 # the 18 entries of its block pair, flattened as (block, row, column), then a
-# zero and a one that pad the splits narrower than their pass.
+# zero and a one that pad the splits narrower than three modes.
 _PAD = {0: 18, 1: 19}
 
-# One steered mode: (x11, x12, x22, z1, z2, y) of each split, the steering
-# party's 2x2 block X, its coupling z to the steered mode, and that mode's
-# variance y. A one-mode party a is padded to X = diag(x_aa, x_aa) and
-# z = (z_a, 0), which keeps its conditional and its condition number.
-_ONE_MODE = {f"G_{a}_to_{b}": (a + a, 0, a + a, a + b, 0, b + b)
-             for a in MODE_LABELS for b in MODE_LABELS if a != b}
-_ONE_MODE.update({f"G_{i}{j}_to_{p}": (i + i, i + j, j + j, i + p, j + p, p + p)
-                  for p in MODE_LABELS for i, j in [_rest(p)]})
-
-# Two-mode spectra: (x, z1, z2, y11, y12, y22) of each split, a one-mode
-# steering party's variance x, its couplings z to the two steered modes and
-# their 2x2 block Y, then the sign of the first steered mode. A pair is the
-# padded party x = 1, z = 0, whose conditional is the pair's own block, with
-# its first mode transposed.
-_TWO_MODE = {f"LN_{a}{b}": ((1, 0, 0, a + a, a + b, b + b), -1.0) for a, b in _PAIRS}
-_TWO_MODE.update({f"G_{p}_to_{i}{j}": ((p + p, p + i, p + j, i + i, i + j, j + j), 1.0)
-                  for p in MODE_LABELS for i, j in [_rest(p)]})
+# The conditional slots: the lower entries (P11, P21, P22, P31, P32, P33) of
+# each split's 3x3 matrix P, steering party first, then the modes it steers.
+# A one-mode party a steering one mode b is padded to the party
+# diag(x_aa, x_aa) coupled by (z_ab, 0), which keeps its conditional and its
+# condition number; a pair is steered by the party x = 1, z = 0, whose
+# conditional is the pair's own block. A key's last label names the steered
+# modes; the slots steering one mode come first.
+_SLOTS = {f"G_{a}_to_{b}": (a + a, 0, a + a, a + b, 0, b + b)
+          for a in MODE_LABELS for b in MODE_LABELS if a != b}
+_SLOTS.update({f"G_{i}{j}_to_{p}": (i + i, i + j, j + j, i + p, j + p, p + p)
+               for p in MODE_LABELS for i, j in [_rest(p)]})
+_SLOTS.update({f"LN_{a}{b}": (1, 0, a + a, 0, a + b, b + b) for a, b in _PAIRS})
+_SLOTS.update({f"G_{p}_to_{i}{j}": (p + p, p + i, i + i, p + j, i + j, j + j)
+               for p in MODE_LABELS for i, j in [_rest(p)]})
 
 # The 3x3 cuts: the sign row of each one-versus-two negativity, transposing
 # its pivot; the state's own row, last, gives its smallest symplectic eigenvalue
@@ -218,7 +215,7 @@ _FORMULAS = {
 
 
 def _table(entries) -> np.ndarray:
-    """Rows (6, 2, slots) of the 20-row table holding each slot's entries, per block."""
+    """Rows (width, 2, slots) of the 20-row table holding each slot's entries, per block."""
     def row(entry, block):
         if entry in _PAD:
             return _PAD[entry]
@@ -229,74 +226,68 @@ def _table(entries) -> np.ndarray:
                      for block in (0, 1)]).transpose(2, 0, 1)
 
 
-def _check(top, bottom, positive, message: str) -> None:
+def _check(high, low, positive) -> None:
     """Raise unless every party is well conditioned and ``positive`` is, in both blocks.
 
-    ``top`` and ``bottom`` are each steering party's largest and smallest
-    eigenvalue over its two blocks; ``positive`` (2, slots, N) is what must
-    be positive for each block's conditional to be positive definite, and
-    is NaN where it is not.
+    ``high`` and ``low`` (2, parties, N) are twice the largest and smallest
+    eigenvalue of each steering party in each block, and its condition
+    number is the largest over the smallest across both blocks;
+    ``positive`` is the last diagonal entry of each slot's Cholesky factor
+    in each block, NaN where the slot's conditional is not positive
+    definite.
 
     Raises
     ------
     SingularBlock
         If a party has condition number above CONDITION_CUTOFF.
     NonPositiveInput
-        If a party's block is not positive definite, or else with
-        ``message`` if a conditional block is not.
+        If a party's block, or else a conditional block, is not positive
+        definite.
     """
-    if ((top <= CONDITION_CUTOFF * bottom) & (np.minimum(*positive) > 0.0)).all():
+    if (high[:, None] <= CONDITION_CUTOFF * low).all() and (positive > 0.0).all():
         return
+    top, bottom = np.maximum(*high), np.minimum(*low)
     if np.any((bottom >= 0.0) & (top > CONDITION_CUTOFF * bottom)):
         raise SingularBlock("steering-party block is numerically singular")
     if not np.all(bottom > 0.0):
         raise NonPositiveInput("covariance block is not positive definite")
-    raise NonPositiveInput(message)
+    raise NonPositiveInput("conditional block is not positive definite")
 
 
-def _one_mode(x11, x12, x22, z1, z2, y):
-    """Symplectic eigenvalue nu of each slot of ``_ONE_MODE``, from its entries (2, slots, N).
+def _conditional(table: np.ndarray, plan: "_Plan"):
+    """Symplectic eigenvalues of the slots of ``plan``, from the 20-row ``table``.
 
-    With L the Cholesky factor of X, the conditional variance is
-    c = y - |L^-1 z|^2 in each block, and nu = sqrt(c_x c_p).
-    """
-    l11 = np.sqrt(x11)
-    l21 = x12 / l11
-    l22 = np.sqrt(x22 - l21 * l21)
-    w1 = z1 / l11
-    w2 = (z2 - l21 * w1) / l22
-    c = y - (w1 * w1 + w2 * w2)
-    mean, radius = 0.5 * (x11 + x22), np.hypot(0.5 * (x11 - x22), x12)
-    _check(np.maximum(*(mean + radius)), np.minimum(*(mean - radius)), c,
-           "conditional block is not positive definite")
-    return np.sqrt(c[0]) * np.sqrt(c[1])
-
-
-def _two_mode_spectra(x, z1, z2, y11, y12, y22, sign):
-    """Symplectic eigenvalues (nu_max, nu_min) of the two-mode slots of ``_TWO_MODE``.
-
-    The conditional block C = Y - w w^T, w = z / sqrt(x), has Cholesky
-    factors A (x' block) and B (p' block), and the symplectic eigenvalues
-    are the singular values of M = B^T T A, T = diag(sign, 1). With
+    A split's conditional is the Schur complement of its party in each
+    block, and its Cholesky factor is the trailing block of the factor L of
+    P. The first ``plan.split`` slots steer one mode, whose factor is l33,
+    so nu = l33_x l33_p. The others steer two: with A (x' block) and B (p'
+    block) the factors (l22, l32, l33), their symplectic eigenvalues are the
+    singular values of M = B^T T A, T = diag(sign, 1). With
     h+- = hypot(m11 +- m22, m12 -+ m21), nu_max = (h+ + h-) / 2 and
-    nu_min = |det M| / nu_max = a11 a22 b11 b22 / nu_max, so no route
-    forms nu^2.
+    nu_min = |det M| / nu_max = a22 a33 b22 b33 / nu_max, so no route
+    forms nu^2. Returns the one-mode nu, then nu_min and nu_max.
     """
-    root = np.sqrt(x)
-    w1, w2 = z1 / root, z2 / root
-    l11 = np.sqrt(y11 - w1 * w1)
-    l21 = (y12 - w1 * w2) / l11
-    l22 = np.sqrt(y22 - w2 * w2 - l21 * l21)
-    det = l11 * l22
-    _check(np.maximum(*x), np.minimum(*x), det, "covariance block is not positive definite")
-    (a11, b11), (a21, b21), (a22, b22) = l11, l21, l22
-    m11, m12, m21, m22 = sign * b11 * a11 + b21 * a21, b21 * a22, b22 * a21, b22 * a22
+    p11, p21, p22, p31, p32, p33 = table[plan.slots]
+    l11 = np.sqrt(p11)
+    l21 = p21 / l11
+    l22 = np.sqrt(p22 - l21 * l21)
+    l31 = p31 / l11
+    l32 = (p32 - l21 * l31) / l22
+    l33 = np.sqrt((p33 - l31 * l31) - l32 * l32)
+    x11, x21, x22 = table[plan.parties]  # with eigenvalues (trace +- gap) / 2
+    trace, gap = x11 + x22, np.hypot(x11 - x22, x21 + x21)
+    _check(trace + gap, trace - gap, l33)
+    split = plan.split
+    (a22, b22), (a32, b32), (a33, b33) = (l[:, split:] for l in (l22, l32, l33))
+    m11 = plan.signs[0] * b22 * a22 + b32 * a32
+    m12, m21, m22 = b32 * a33, b33 * a32, b33 * a33
     nu_max = 0.5 * (np.hypot(m11 + m22, m12 - m21) + np.hypot(m11 - m22, m12 + m21))
-    return nu_max, det[0] * (det[1] / nu_max)
+    det = (l22 * l33)[:, split:]
+    return l33[0, :split] * l33[1, :split], det[0] * (det[1] / nu_max), nu_max
 
 
 def _entry_table(b: np.ndarray) -> np.ndarray:
-    """The 20 rows (20, N) the elementwise passes read a stack (N, 2, 3, 3) from."""
+    """The 20 rows (20, N) the conditional pass reads a stack (N, 2, 3, 3) from."""
     n = len(b)
     table = np.empty((20, n))
     table[:18] = b.reshape(n, 18).T
@@ -307,16 +298,17 @@ def _entry_table(b: np.ndarray) -> np.ndarray:
 class _Plan(NamedTuple):
     """What ``measure_blocks`` computes for one tuple of outputs.
 
-    The passes fill the first ``measured`` rows of one array, in order: the
-    one-mode slots, the two-mode slots, then the 3x3 cuts. Their symplectic
-    eigenvalues come in that order, then the two-mode nu_max rows. The
-    derived rows follow, one block per kind, each written by its formula from
-    the rows of its sources.
+    The two passes fill the first ``measured`` rows of one array, in order:
+    the conditional slots (one steered mode, then two), then the 3x3 cuts.
+    Their symplectic eigenvalues come in that order, then the nu_max rows of
+    the slots steering two modes. The derived rows follow, one block per
+    kind, each written by its formula from the rows of its sources.
     """
 
-    one_mode: np.ndarray | None  # (6, 2, slots) rows of the entries
-    two_mode: np.ndarray | None  # (6, 2, slots) rows of the entries
-    signs: tuple  # the two-mode (sign, both) arguments, each (slots, 1)
+    slots: np.ndarray | None  # (6, 2, slots) rows of the entries
+    parties: np.ndarray | None  # (3, 2, parties) rows of each steering party's 2x2 block
+    split: int  # how many slots steer one mode
+    signs: tuple  # the (sign, both) arguments of the two-mode slots, each (slots, 1)
     cuts: np.ndarray | None  # (k, 3) sign rows
     two_rows: tuple  # the nu_min and nu_max rows of the two-mode slots
     measured: int  # how many rows the passes fill
@@ -336,10 +328,14 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
     for key in reversed(_DERIVED):  # each key before the derived sources it reads
         if key in wanted:
             wanted.update(_DERIVED[key][1])
-    one = [k for k in _ONE_MODE if k in wanted]
-    two = [k for k in _TWO_MODE if k in wanted]
+    slots = [k for k in _SLOTS if k in wanted]
+    split = sum(len(k.rpartition("_")[2]) == 1 for k in slots)
+    both = np.array([float(k.startswith("G_")) for k in slots[split:]])[:, None]
+    # each slot's party once, as (P11, P21, P22), a one-mode party x read as (x, 0, x)
+    parties = dict.fromkeys(e[:3] if k < split else (e[0], 0, e[0])
+                            for k, e in enumerate(map(_SLOTS.get, slots)))
     cuts = [k for k in _CUTS if k in wanted]
-    rows = one + two + cuts
+    rows = slots + cuts
     measured = len(rows)
     derived = []
     for kind, formula in _FORMULAS.items():
@@ -349,12 +345,12 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
             derived.append((formula, slice(len(rows), len(rows) + len(keys)), sources))
             rows += keys
     return _Plan(
-        one_mode=_table([_ONE_MODE[k] for k in one]) if one else None,
-        two_mode=_table([_TWO_MODE[k][0] for k in two]) if two else None,
-        signs=(np.array([[_TWO_MODE[k][1]] for k in two]),
-               np.array([[float(k.startswith("G_"))] for k in two])),
+        slots=_table([_SLOTS[k] for k in slots]) if slots else None,
+        parties=_table(parties) if parties else None,
+        split=split,
+        signs=(2.0 * both - 1.0, both),
         cuts=np.array([_CUTS[k] for k in cuts]) if cuts else None,
-        two_rows=(slice(len(one), len(one) + len(two)), slice(measured, measured + len(two))),
+        two_rows=(slice(split, len(slots)), slice(measured, measured + len(both))),
         measured=measured,
         raw=slice(measured - 1, measured) if "min_symplectic_eig" in cuts else None,
         derived=tuple(derived),
@@ -370,12 +366,11 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     Returns one list of N values per key. ``outputs`` may also name
     ``min_symplectic_eig``, the smallest symplectic eigenvalue of each
     state. Only the requested keys and the negativities and steerings they
-    are computed from are evaluated, in one pass per kind of split: the
-    one-steered-mode steerings elementwise, the pair negativities and
-    two-steered-mode spectra elementwise, and the one-versus-two
-    negativities with ``min_symplectic_eig`` by ``gaussian.min_symplectic_eig``
-    on the 3x3 blocks. One -ln 2 nu and one clamp serve every pass, and the
-    derived measures take one array operation per kind.
+    are computed from are evaluated, in two passes: the conditional pass,
+    elementwise, for every steering and pair negativity, and
+    ``gaussian.min_symplectic_eig`` on the 3x3 blocks for the one-versus-two
+    negativities and ``min_symplectic_eig``. One -ln 2 nu and one clamp serve
+    both passes, and the derived measures take one array operation per kind.
 
     Raises
     ------
@@ -390,22 +385,16 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     if not plan.columns:
         return {}
     b = np.asarray(blocks, dtype=float)
-    spectra = []  # nu of the one-mode slots, nu_min of the two-mode slots and cuts, then nu_max
+    spectra, tail = [], []  # nu of the slots (nu_min if two are steered) and cuts; nu_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        if plan.one_mode is not None or plan.two_mode is not None:
-            table = _entry_table(b)
-        if plan.one_mode is not None:
-            spectra.append(_one_mode(*table[plan.one_mode]))
-        if plan.two_mode is not None:
-            nu_max, nu_min = _two_mode_spectra(*table[plan.two_mode], plan.signs[0])
-            spectra.append(nu_min)
+        if plan.slots is not None:
+            *spectra, nu_max = _conditional(_entry_table(b), plan)
+            tail.append(nu_max)
         if plan.cuts is not None:
             spectra.append(min_symplectic_eig(b, plan.cuts).T)
-        if plan.two_mode is not None:
-            spectra.append(nu_max)
-        nu = np.concatenate(spectra)
+        nu = np.concatenate(spectra + tail)
         logs = -np.log(2.0 * nu)
-        if plan.two_mode is not None:  # a 1 -> 2 steering adds its nu_max term
+        if plan.slots is not None:  # a 1 -> 2 steering adds its nu_max term
             low, high = plan.two_rows
             logs[low] = np.maximum(logs[low], 0.0) + plan.signs[1] * np.maximum(logs[high], 0.0)
         values = np.empty((plan.size, len(b)))

@@ -407,7 +407,10 @@ def params_from_dict(document: dict) -> SystemParams:
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise SpecError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # a JSON integer beyond the largest double
+        raise SpecError(f"{what} does not fit in a double") from exc
 
 
 def params_from_json(text: str) -> SystemParams:

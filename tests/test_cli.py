@@ -147,12 +147,14 @@ EDGE_DOCUMENTS = [
     # gyromagnetic_ratio * B0 underflows to a zero magnon frequency, whose
     # occupation is inf above T = 0, as at B0 = 1e-320: the residual bound fails
     ({"B0": 1e-3, "gyromagnetic_ratio": 5e-324}, 2, "unstable"),
+    # a JSON integer beyond the largest double
+    ({"temperature": 10**400}, 3, "parameter temperature does not fit in a double"),
 ]
 
 
 @pytest.mark.parametrize("document, expected, shown", EDGE_DOCUMENTS,
                          ids=["sphere_radius", "wavelength_zero", "wavelength_negative",
-                              "magnon_frequency_zero"])
+                              "magnon_frequency_zero", "temperature_huge_integer"])
 def test_edge_documents_exit_codes(capsys, tmp_path, document, expected, shown):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(document))
@@ -289,7 +291,14 @@ class TestSweep:
       + [({"axis1": {"param": "theta", "start": -1e308, "stop": 1e308, "count": 3}},
           "axis stop - start must be finite")]
       + [({"axis1": {"param": "theta", "start": 0, "stop": 1, "count": count}},
-          f"cannot make an axis of {count} points") for count in (2**62, 2**63, 10**30)])
+          f"cannot make an axis of {count} points") for count in (2**62, 2**63, 10**30)]
+      # JSON integers beyond the largest double, as a value and as an end
+      + [({"axis1": {"param": "temperature", "values": [0.1, 10**400]}},
+          "axis value does not fit in a double"),
+         ({"axis1": {"param": "temperature", "start": -10**400, "stop": 0.1, "count": 3}},
+          "axis start does not fit in a double"),
+         ({"axis1": {"param": "temperature", "start": 0, "stop": 10**400, "count": 3}},
+          "axis stop does not fit in a double")])
     def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
         document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
                               "count": 3},
@@ -441,6 +450,23 @@ class TestThreshold:
         assert "strictly increasing" in err
 
 
+# files json cannot read: a byte that is not UTF-8, arrays nested deeper than
+# the decoder recurses, and an integer of more digits than int() converts
+UNREADABLE_JSON = [b'{"temperature": 0.1\xff}', b"[" * 100_000 + b"]" * 100_000,
+                   b'{"temperature": 1' + b"0" * 5000 + b"}"]
+
+
+@pytest.mark.parametrize("content", UNREADABLE_JSON, ids=["not_utf8", "nested", "long_integer"])
+@pytest.mark.parametrize("command, option", [("solve", "--params"), ("sweep", "--spec")])
+def test_unreadable_json_file_exit_code(capsys, tmp_path, command, option, content):
+    path = tmp_path / "document.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, command, option, str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+
+
 class TestValidateOracle:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "25",
@@ -457,6 +483,18 @@ class TestValidateOracle:
         assert code == 3
         assert out == ""
         assert "trials" in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "-1"),
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-inf"),
+        ("--tolerance", "-1e-8"),
+    ])
+    def test_rejects_a_negative_seed_or_tolerance(self, capsys, option, value):
+        # before any trial runs, so no traceback and no bare NaN token in the output
+        code, out, err = run_cli(capsys, "validate-oracle", "--trials", "1", f"{option}={value}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and option in err
 
     def test_every_diffusion_mode_is_checked(self, capsys):
         code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "7",

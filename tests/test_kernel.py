@@ -147,42 +147,54 @@ def mp_sub(block, rows, cols):
     return mpmath.matrix([[block[i, j] for j in cols] for i in rows])
 
 
+def mp_conditional(v, key: str):
+    """The 50-digit block of the modes a steering ``key`` steers, conditioned on its party."""
+    party, steered = ([LABELS.index(lbl) for lbl in labels] for labels in key[2:].split("_to_"))
+    return (mp_sub(v, steered, steered)
+            - mp_sub(v, steered, party) * mpmath.inverse(mp_sub(v, party, party))
+            * mp_sub(v, party, steered))
+
+
 def mp_two_mode_blocks(blocks: np.ndarray, key: str):
     """The 50-digit 2x2 blocks (V_x, V_p, transposed mode) of a two-mode slot.
 
-    A pair's own blocks, its first mode transposed; or the conditional
-    Y - z z^T / x of the two modes a single mode steers.
+    A pair's own blocks, its first mode transposed; or the conditional of
+    the two modes a single mode steers.
     """
     with mpmath.workdps(50):
         vx, vp = (mpmath.matrix(block.tolist()) for block in blocks)
         if key.startswith("LN_"):
             modes = [LABELS.index(lbl) for lbl in key[3:]]
             return mp_sub(vx, modes, modes), mp_sub(vp, modes, modes), 0
-        party, modes = LABELS.index(key[2]), [LABELS.index(lbl) for lbl in key[-2:]]
-        cx, cp = (mp_sub(v, modes, modes) - mp_sub(v, modes, [party]) * mp_sub(v, [party], modes)
-                  / v[party, party] for v in (vx, vp))
-        return cx, cp, None
+        return mp_conditional(vx, key), mp_conditional(vp, key), None
+
+
+def mp_one_mode_nu(blocks: np.ndarray, key: str):
+    """The 50-digit nu = sqrt(c_x c_p) of a steering of one mode, c its conditional variance."""
+    with mpmath.workdps(50):
+        cx, cp = (mp_conditional(mpmath.matrix(block.tolist()), key)[0, 0] for block in blocks)
+        return mpmath.sqrt(cx * cp)
 
 
 def test_sub_vacuum_spectra_match_50_digit_reference():
     # routes that form nu^2 in double precision (eigenvalues of V_x V_p, a
     # Cholesky factor followed by an eigen-solve) miss by 1e-14 or more here.
     # Checked: min_symplectic_eig and the one-versus-two negativities (one
-    # factorisation of the 3x3 blocks), and both nu of every pair cut and of
-    # every 1 -> 2 conditional (the kernel's closed 2x2 form); the largest nu
-    # reaches 6 and is held to 1e-15 relative. The last state is a product of
-    # a hot and a squeezed mode: on its LN_cq slot nu_min = 1.7e-3 and
-    # nu_max = 1.2e4, where nu_min = a11 a22 b11 b22 / nu_max errs by 6e-20
-    # and the cancelling (h+ - h-) / 2 by 7.5e-13
+    # factorisation of the 3x3 blocks), and every slot of the conditional
+    # pass: nu of each one-steered-mode steering, held to 1e-14 relative, and
+    # both nu of every pair cut and of every 1 -> 2 conditional (the closed
+    # 2x2 form), where the largest nu reaches 6, held to 1e-15. The last state
+    # is a product of a hot and a squeezed mode: on its LN_cq slot
+    # nu_min = 1.7e-3 and nu_max = 1.2e4, where nu_min = a22 a33 b22 b33 / nu_max
+    # errs by 6e-20 and the cancelling (h+ - h-) / 2 by 7.5e-13
     product = [np.diag([3e4, 2e-3, 0.7]), np.diag([5e3, 1.5e-3, 0.9])]
     blocks = np.concatenate([covariance_blocks(sub_vacuum_states()), [product]])
     keys = ("LN_c_qm", "LN_q_cm", "LN_m_cq", "min_symplectic_eig")
     columns = measure_blocks(blocks, keys)
-    two_mode = list(measures._TWO_MODE)
-    entries = measures._table([measures._TWO_MODE[key][0] for key in two_mode])
-    signs = np.array([[measures._TWO_MODE[key][1]] for key in two_mode])
-    nu_max, nu_min = measures._two_mode_spectra(*measures._entry_table(blocks)[entries], signs)
-    worst = 0.0
+    slots = list(measures._SLOTS)
+    plan = measures._plan(tuple(slots))
+    one, nu_min, nu_max = measures._conditional(measures._entry_table(blocks), plan)
+    worst = worst_one = 0.0
     for k, pair in enumerate(blocks):
         with mpmath.workdps(50):
             vx, vp = (mpmath.matrix(block.tolist()) for block in pair)
@@ -192,10 +204,15 @@ def test_sub_vacuum_spectra_match_50_digit_reference():
             if columns[key][k] > 0:
                 nu = np.exp(-columns[key][k]) / 2
                 worst = max(worst, abs(nu - mp_symplectic_eigenvalues(vx, vp, pivot)[0]))
-        for slot, key in enumerate(two_mode):
+        for slot, key in enumerate(slots[:plan.split]):
+            want = mp_one_mode_nu(pair, key)
+            worst_one = max(worst_one, abs(one[slot, k] - want) / want)
+        for slot, key in enumerate(slots[plan.split:]):
             low, high = mp_symplectic_eigenvalues(*mp_two_mode_blocks(pair, key))
             worst = max(worst, abs(nu_min[slot, k] - low), abs(nu_max[slot, k] - high) / high)
+    assert plan.split == 9
     assert float(worst) <= 1e-15
+    assert float(worst_one) <= 1e-14
 
 
 def test_kernel_values_are_plain_python():
@@ -246,7 +263,7 @@ def test_unknown_measure_key_is_a_value_error(key):
 
 
 def test_every_measure_key_is_one_pass_slot_or_one_derived_entry():
-    slots = [*measures._ONE_MODE, *measures._TWO_MODE, *measures._CUTS]
+    slots = [*measures._SLOTS, *measures._CUTS]
     for key in MEASURE_KEYS:
         assert slots.count(key) + (key in measures._DERIVED) == 1, key
     assert set(slots) | set(measures._DERIVED) == {*MEASURE_KEYS, "min_symplectic_eig"}
@@ -307,8 +324,8 @@ def indefinite_conditional_state():
 
 
 def test_a_pass_computes_only_the_slots_asked_for():
-    # LN_cq and G_c_to_qm share the two-mode pass, and G_c_to_q and G_qm_to_c
-    # the one-mode pass; a slot that is not asked for is not computed
+    # LN_cq, G_c_to_qm, G_c_to_q and G_qm_to_c share the conditional pass; a
+    # slot that is not asked for is not computed
     bad = indefinite_conditional_state()[None]
     measure_columns(bad, ("LN_cq",))
     measure_columns(bad, ("LN_cm", "LN_qm", "G_c_to_q", "G_q_to_m"))
