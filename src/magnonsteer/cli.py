@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analytic import analytic_covariance
 from .errors import MagnonSteerError, NoCrossing, NonMonotone, SpecError, UnstableDrift
-from .model import DIFFUSION_MODES, derive, params_from_dict
+from .model import DIFFUSION_MODES, _json_object, derive, params_from_dict
 # run_sweep is not called here any more; it stays importable from this module
 # because the benchmark's tracer (perfbench/spans.py) wraps it by name here.
 from .sweep import (  # noqa: F401
@@ -49,16 +49,9 @@ EXIT_SPEC = 3
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+            return _json_object(handle, path)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, a byte that is not UTF-8, an integer of more digits
-        # than int() converts, or arrays nested deeper than the decoder recurses
-        raise SpecError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SpecError(f"{path} must contain a JSON object")
-    return document
 
 
 def _write_text(path: str | None, text: str) -> None:

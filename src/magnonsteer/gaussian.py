@@ -18,6 +18,13 @@ point's largest eigenvalue real part takes one, of Q_x. A stack of N block
 pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
 ``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6.
 
+``_max_real_part`` is the one place that decides where that largest real
+part is NaN: at an accepted point, and at a drift with a non-finite entry,
+which gets no eigen-solve. ``hurwitz_gate``, and through it
+``assert_stable`` and ``solve_lyapunov``, runs under the stage's
+``np.errstate``, so a drift that is not finite, or whose norm overflows,
+fails the 6x6 gate as it fails the stage's, without a warning.
+
 ``solve_lyapunov_stack`` solves for the n(n+1)/2 entries of the upper
 triangle of V (its half-vectorisation, vech), six unknowns for a 3x3 block,
 and gathers V from them, so V is symmetric by construction.
@@ -77,9 +84,18 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
 
 
-def _max_real_part(drift: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue real part of each matrix of a stack (..., n, n)."""
-    return np.linalg.eigvals(drift).real.max(axis=-1)
+def _max_real_part(drift: np.ndarray, wanted: np.ndarray | bool = True) -> np.ndarray:
+    """Largest eigenvalue real part of each matrix of a stack (..., n, n) where ``wanted``.
+
+    This is the one place that decides where the value is NaN: at a matrix
+    not ``wanted`` (a boolean per matrix), and at one with a non-finite
+    entry, neither of which gets an eigen-solve.
+    """
+    solve = np.isfinite(drift).all(axis=(-2, -1)) & wanted
+    max_real = np.full(solve.shape, np.nan)
+    if solve.any():
+        max_real[solve] = np.linalg.eigvals(drift[solve]).real.max(axis=-1)
+    return max_real
 
 
 def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,11 +103,20 @@ def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Stable means safely damped: the largest real part lies below
     -STABILITY_TOL ||Q||_F, a margin relative to the Frobenius norm so the
-    gate is scale-free. Takes one matrix or a stack (..., n, n).
+    gate is scale-free. Takes one matrix or a stack (..., n, n). A drift with
+    a non-finite entry, or whose norm overflows, fails without a warning.
     """
     q = np.asarray(drift, dtype=float)
-    max_real = _max_real_part(q)
-    return max_real, max_real < -STABILITY_TOL * _frobenius(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_real = _max_real_part(q)
+        return max_real, max_real < -STABILITY_TOL * _frobenius(q)
+
+
+def assert_stable(drift: np.ndarray) -> None:
+    """Raise UnstableDrift unless ``hurwitz_gate`` finds the drift safely damped."""
+    max_real, stable = hurwitz_gate(drift)
+    if not stable:
+        raise UnstableDrift(float(max_real))
 
 
 def block_gate(drift_x: np.ndarray) -> np.ndarray:
@@ -143,26 +168,32 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If the matrices are not square and equally sized, or the diffusion
+        matrix has a NaN entry or is not symmetric.
     UnstableDrift
-        If ``hurwitz_gate`` finds the drift matrix not safely damped.
+        If ``assert_stable`` finds the drift matrix not safely damped.
     SingularSystem
         If the linear solve is rank-deficient or fails the residual bound.
+        A diffusion matrix with an infinite entry fails the bound: its
+        symmetry tolerance, relative to the largest entry, is infinite, so
+        only its infinite entries must mirror each other.
     """
     q = np.asarray(drift, dtype=float)
     d = np.asarray(diffusion, dtype=float)
     n = q.shape[0]
     if q.shape != (n, n) or d.shape != (n, n):
         raise ValueError("drift and diffusion must be square and equally sized")
-    if not np.allclose(d, d.T, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(d).max())):
-        raise ValueError("diffusion matrix must be symmetric")
-    max_real, stable = hurwitz_gate(q)
-    if not stable:
-        raise UnstableDrift(float(max_real))
+    if np.isnan(d).any():
+        raise ValueError("diffusion matrix has a NaN entry")
+    # an infinite entry makes atol infinite, which allclose reports under errstate's invalid
     with np.errstate(over="ignore", invalid="ignore"):
+        if not np.allclose(d, d.T, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(d).max())):
+            raise ValueError("diffusion matrix must be symmetric")
+        assert_stable(q)
         cov, residual = solve_lyapunov_stack(q[None], d[None])
-        accepted = residual_accepted(residual, np.linalg.norm(d))
-    if not accepted[0]:
-        raise SingularSystem("steady-state solve failed the residual bound")
+        if not residual_accepted(residual, np.linalg.norm(d))[0]:
+            raise SingularSystem("steady-state solve failed the residual bound")
     return cov[0]
 
 
@@ -290,12 +321,7 @@ def steady_state_blocks(system: np.ndarray):
             return np.full(count, np.nan), [None] * count, blocks, residual
         verdict = iter(verdicts)
         reason = [(None if next(verdict) else "residual") if ok else "gate" for ok in gates]
-        max_real = np.full(count, np.nan)
-        rejected = np.flatnonzero([r is not None for r in reason])
-        # a drift with a non-finite entry has no eigen-solve; its max_real stays NaN
-        finite = rejected[np.isfinite(system[rejected, 0]).all(axis=(1, 2))]
-        if len(finite):
-            max_real[finite] = _max_real_part(system[finite, 0])
+        max_real = _max_real_part(system[:, 0], np.array([r is not None for r in reason]))
     return max_real, reason, blocks[passed], residual[passed]
 
 

@@ -17,6 +17,7 @@ on Python floats through ``_pointwise``.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 # Unused here, but the benchmark's Tracer.install (perfbench/spans.py) patches
@@ -27,8 +28,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import SpecError, UnstableDrift
-from .gaussian import assemble_blocks, hurwitz_gate, mirror_pairs
+from .errors import SpecError
+# assert_stable is not called here; it stays importable from this module, the
+# one gate object that the package, sweep and the benchmark's tracer name.
+from .gaussian import assemble_blocks, assert_stable, mirror_pairs  # noqa: F401
 
 # CODATA 2018
 HBAR = 1.054571817e-34      # J s
@@ -330,13 +333,6 @@ def build_diffusion(params: SystemParams, derived: DerivedQuantities | None = No
     return assemble_blocks(mirror_pairs(build_blocks(params, derived)[1]))
 
 
-def assert_stable(drift: np.ndarray) -> None:
-    """Raise UnstableDrift unless ``hurwitz_gate`` finds the drift safely damped."""
-    max_real, stable = hurwitz_gate(drift)
-    if not stable:
-        raise UnstableDrift(float(max_real))
-
-
 # --- parameter ingestion -----------------------------------------------------
 
 # JSON keys quoted as "value/2pi in Hz", converted to rad/s on ingestion
@@ -413,12 +409,27 @@ def _number(value, what: str) -> float:
         raise SpecError(f"{what} does not fit in a double") from exc
 
 
-def params_from_json(text: str) -> SystemParams:
+def _json_object(stream, name: str) -> dict:
+    """The JSON object read from a text stream, or SpecError naming ``name``.
+
+    This is the one decoder of JSON documents. Every way the read and the
+    decode fail raises SpecError: malformed text, a byte that is not UTF-8,
+    an integer of more digits than ``int`` converts (ValueError), arrays
+    nested deeper than the decoder recurses (RecursionError), and a
+    document that is not an object.
+    """
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid JSON parameter document: {exc}") from exc
-    return params_from_dict(document)
+        document = json.load(stream)
+    except (ValueError, RecursionError) as exc:
+        raise SpecError(f"invalid JSON in {name}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SpecError(f"{name} must contain a JSON object")
+    return document
+
+
+def params_from_json(text: str) -> SystemParams:
+    """SystemParams from the text of a JSON parameter document (see ``params_from_dict``)."""
+    return params_from_dict(_json_object(io.StringIO(text), "parameter document"))
 
 
 def default_params(**overrides) -> SystemParams:

@@ -12,10 +12,12 @@ from magnonsteer import (
     SingularBlock,
     SingularSystem,
     UnstableDrift,
+    assert_stable,
     check_physicality,
     correlation_report,
     default_params,
     lyapunov_residual,
+    run_point,
     solve_lyapunov,
     steady_state_covariance,
 )
@@ -100,6 +102,22 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("diffusion", [[[1.0, np.nan], [np.nan, 1.0]],
+                                           [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_rejects_nan_diffusion_as_not_finite(self, diffusion):
+        with pytest.raises(ValueError, match="NaN"):
+            solve_lyapunov(-np.eye(2), np.array(diffusion))
+
+    def test_infinite_diffusion_fails_the_residual_bound(self):
+        # symmetric infinite entries pass the symmetry check, whose tolerance
+        # is then infinite, and no steady state meets the bound
+        with pytest.raises(SingularSystem):
+            solve_lyapunov(-np.eye(2), np.diag([1.0, np.inf]))
+        with pytest.raises(SingularSystem):
+            solve_lyapunov(-np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_lyapunov(-np.eye(2), np.array([[1.0, np.inf], [-np.inf, 1.0]]))
+
     def test_rejects_marginally_stable_drift(self):
         # a decay rate 14 orders below the rest lies inside the Hurwitz gate's
         # margin; past the gate, it leaves the linear system too
@@ -136,6 +154,32 @@ class TestSolveLyapunov:
             assert rejected == (not stable)
             decaying_but_rejected += bool(rejected and max_real < 0)
         assert decaying_but_rejected
+
+    # README's edge documents and the check run_point rejects each with
+    @pytest.mark.parametrize("document, reason", [
+        ({"kappa_m": 1e300}, "gate"),
+        ({"kappa_c": 1e-300, "g_q": 1e6}, "gate"),
+        ({"sphere_radius": 1e-200, "g_q": 1e6}, "gate"),
+        ({"temperature": 1e200}, "residual"),
+        ({"B0": 1e-320}, "residual"),
+    ], ids=["kappa_m", "kappa_c", "sphere_radius", "temperature", "B0"])
+    def test_public_helpers_end_as_the_pipeline_says(self, document, reason):
+        # decisions and NaN-ness, not values: at kappa_m = 1e300 the 6x6 and
+        # the 3x3 eigen-solves differ far beyond roundoff of a norm of 6e300
+        params = default_params(**document)
+        result = run_point(params)
+        assert (result.status, result.reason) == ("unstable", reason)
+        drift, diffusion = build_drift(params), build_diffusion(params)
+        if reason == "residual":
+            assert_stable(drift)
+            with pytest.raises(SingularSystem):
+                solve_lyapunov(drift, diffusion)
+            return
+        for call in (lambda: assert_stable(drift), lambda: solve_lyapunov(drift, diffusion)):
+            with pytest.raises(UnstableDrift) as info:
+                call()
+            assert info.value.reason == "gate"
+            assert np.isnan(info.value.max_real_part) == np.isnan(result.max_real_part)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_residual_bound_random_stable_systems(self, seed):
@@ -322,14 +366,15 @@ class TestSteadyStateBlocks:
                            build_blocks(default_params(sphere_radius=1e-200, g_q=1e6))])
         assert np.isinf(system[1, 0]).any()
         solved = []
-        max_real_part = gaussian_module._max_real_part
+        eigvals = np.linalg.eigvals
 
         def finite_only(drift):
             assert np.isfinite(drift).all()
             solved.append(len(drift))
-            return max_real_part(drift)
+            return eigvals(drift)
 
-        monkeypatch.setattr(gaussian_module, "_max_real_part", finite_only)
+        # the eigen-solve as gaussian looks it up, below _max_real_part's NaN rule
+        monkeypatch.setattr(gaussian_module.np.linalg, "eigvals", finite_only)
         max_real, reason, blocks, _ = steady_state_blocks(system)
         assert reason == ["gate", "gate"] and solved == [1] and len(blocks) == 0
         assert max_real[0] > 0 and np.isnan(max_real[1])

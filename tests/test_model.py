@@ -44,6 +44,8 @@ from magnonsteer.model import (
 )
 from magnonsteer.sweep import grid_points
 
+from test_cli import UNREADABLE_JSON
+
 
 class TestThermalOccupation:
     def test_zero_temperature_is_exactly_zero(self):
@@ -462,6 +464,10 @@ class TestParameterIngestion:
             params_from_json("not json")
         with pytest.raises(SpecError):
             params_from_json("[1, 2]")
+        # the nested and the long-integer texts json itself cannot read
+        for content in UNREADABLE_JSON[1:]:
+            with pytest.raises(SpecError):
+                params_from_json(content.decode())
 
     def test_document_covers_every_field(self):
         # every SystemParams field except g_q is named in the default document
