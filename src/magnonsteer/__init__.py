@@ -4,6 +4,10 @@ The package models the linearised quadrature dynamics of an optomagnonic
 cavity coupled to a superconducting qubit and a magnon mode with a coherent
 feedback loop, solves for the steady-state covariance matrix, and computes
 entanglement, Gaussian steering and their monogamy properties.
+
+The top level holds the names README's examples call and the command line
+uses; every other helper is reached through its module, for example
+``magnonsteer.gaussian.solve_lyapunov``.
 """
 
 from .analytic import analytic_covariance
@@ -20,33 +24,10 @@ from .errors import (
     UnknownPreset,
     UnstableDrift,
 )
-from .gaussian import (
-    check_physicality,
-    lyapunov_residual,
-    solve_lyapunov,
-)
-from .measures import (
-    classify_steering,
-    correlation_report,
-)
-from .model import (
-    DerivedQuantities,
-    SystemParams,
-    assert_stable,
-    build_diffusion,
-    build_drift,
-    default_params,
-    derive,
-    effective_coupling,
-    optomagnonic_coupling,
-    params_from_dict,
-    params_from_json,
-    thermal_occupation,
-)
+from .measures import correlation_report
+from .model import SystemParams, default_params, derive, params_from_dict, params_from_json
 from .sweep import (
-    Axis,
     PointResult,
-    SweepSpec,
     find_threshold,
     format_csv,
     preset,
@@ -60,9 +41,7 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis",
     "DegenerateDenominator",
-    "DerivedQuantities",
     "MagnonSteerError",
     "NoCrossing",
     "NonMonotone",
@@ -72,32 +51,21 @@ __all__ = [
     "SingularBlock",
     "SingularSystem",
     "SpecError",
-    "SweepSpec",
     "SystemParams",
     "UnknownPreset",
     "UnstableDrift",
     "analytic_covariance",
-    "assert_stable",
-    "build_diffusion",
-    "build_drift",
-    "check_physicality",
-    "classify_steering",
     "correlation_report",
     "default_params",
     "derive",
-    "effective_coupling",
     "find_threshold",
     "format_csv",
-    "lyapunov_residual",
-    "optomagnonic_coupling",
     "params_from_dict",
     "params_from_json",
     "preset",
     "run_point",
     "run_sweep",
-    "solve_lyapunov",
     "spec_from_dict",
     "steady_state_covariance",
     "sweep_columns",
-    "thermal_occupation",
 ]

@@ -34,7 +34,9 @@ def analytic_covariance(
     ------
     DegenerateDenominator
         If the shared denominator vanishes (parameters on the stability
-        boundary, where no steady state exists).
+        boundary, where no steady state exists), or a term overflows (rates
+        whose ratios to kappa_c square beyond the double range, such as
+        kappa_m = 1e300).
     """
     d = derived or derive(params)
     scale = params.kappa_c
@@ -48,66 +50,69 @@ def analytic_covariance(
     d_q = gam * (1.0 + 2.0 * d.N_q)
     d_m = k_m * (1.0 + 2.0 * d.N_m)
 
-    gm2, gq2 = g_m**2, g_q**2
+    try:  # Python's ** raises OverflowError where * would give inf
+        gm2, gq2 = g_m**2, g_q**2
 
-    den = 2.0 * (gam * gm2 - (gq2 + gam * k_fb) * k_m) * (
-        gq2 * (gam + k_fb) + (k_fb + k_m) * (-gm2 + (gam + k_fb) * (gam + k_m))
-    )
-    if abs(den) <= DENOMINATOR_TOL:
-        raise DegenerateDenominator(
-            "closed-form denominator vanished; parameters sit on the stability boundary"
+        den = 2.0 * (gam * gm2 - (gq2 + gam * k_fb) * k_m) * (
+            gq2 * (gam + k_fb) + (k_fb + k_m) * (-gm2 + (gam + k_fb) * (gam + k_m))
         )
+        if abs(den) <= DENOMINATOR_TOL:
+            raise DegenerateDenominator(
+                "closed-form denominator vanished; parameters sit on the stability boundary"
+            )
 
-    # recurring factors
-    f1 = -gam * gm2 + k_m * (gq2 + (gam + k_m) * (k_fb + k_m))
-    f2 = gam * ((gam + k_fb) * (gam + k_m) - gm2) + gq2 * k_m
-    f3 = gam + k_fb + k_m
+        # recurring factors
+        f1 = -gam * gm2 + k_m * (gq2 + (gam + k_m) * (k_fb + k_m))
+        f2 = gam * ((gam + k_fb) * (gam + k_m) - gm2) + gq2 * k_m
+        f3 = gam + k_fb + k_m
 
-    v11 = (
-        -(gam * gm2**2
-          + (gq2 + gam * (gam + k_fb)) * k_m * (gq2 + (gam + k_m) * (k_fb + k_m))
-          - gm2 * (gam**3 + gq2 * (gam + k_m) + gam * k_m * (gam + k_m)
-                   + gam * k_fb * (gam + 2.0 * k_m))) * d_c
-        - gq2 * f1 * d_q
-        - gm2 * f2 * d_m
-    ) / den
+        v11 = (
+            -(gam * gm2**2
+              + (gq2 + gam * (gam + k_fb)) * k_m * (gq2 + (gam + k_m) * (k_fb + k_m))
+              - gm2 * (gam**3 + gq2 * (gam + k_m) + gam * k_m * (gam + k_m)
+                       + gam * k_fb * (gam + 2.0 * k_m))) * d_c
+            - gq2 * f1 * d_q
+            - gm2 * f2 * d_m
+        ) / den
 
-    v14 = (
-        gam * g_q * f1 * d_c
-        + g_q * (gm2 * (gam + k_m) * (k_fb + k_m)
-                 - k_fb * k_m * (gq2 + (gam + k_m) * (k_fb + k_m))) * d_q
-        + gam * g_q * gm2 * f3 * d_m
-    ) / den
+        v14 = (
+            gam * g_q * f1 * d_c
+            + g_q * (gm2 * (gam + k_m) * (k_fb + k_m)
+                     - k_fb * k_m * (gq2 + (gam + k_m) * (k_fb + k_m))) * d_q
+            + gam * g_q * gm2 * f3 * d_m
+        ) / den
 
-    v16 = (
-        g_m * k_m * f2 * d_c
-        + gq2 * g_m * k_m * f3 * d_q
-        + g_m * (k_fb * f2 + gam * gq2 * f3) * d_m
-    ) / den
+        v16 = (
+            g_m * k_m * f2 * d_c
+            + gq2 * g_m * k_m * f3 * d_q
+            + g_m * (k_fb * f2 + gam * gq2 * f3) * d_m
+        ) / den
 
-    v33 = (
-        -gq2 * f1 * d_c
-        - (gq2**2 * k_m
-           + (k_fb + k_m) * (-gm2 + k_fb * k_m) * (-gm2 + (gam + k_fb) * (gam + k_m))
-           + gq2 * (gm2 * (k_m - gam)
-                    + k_m * (k_fb * (2.0 * gam + k_fb) + (gam + k_fb) * k_m + k_m**2))) * d_q
-        - gq2 * gm2 * f3 * d_m
-    ) / den
+        v33 = (
+            -gq2 * f1 * d_c
+            - (gq2**2 * k_m
+               + (k_fb + k_m) * (-gm2 + k_fb * k_m) * (-gm2 + (gam + k_fb) * (gam + k_m))
+               + gq2 * (gm2 * (k_m - gam)
+                        + k_m * (k_fb * (2.0 * gam + k_fb) + (gam + k_fb) * k_m + k_m**2))) * d_q
+            - gq2 * gm2 * f3 * d_m
+        ) / den
 
-    v35 = (
-        g_q * g_m * (-gam * gm2 + k_m * (gq2 + gam * (gam + 2.0 * k_fb + k_m))) * d_c
-        + g_q * g_m * (gq2 * k_m + gm2 * (k_fb + k_m) - k_fb * k_m * (k_fb + k_m)) * d_q
-        + g_q * g_m * (gq2 * (gam + k_fb) + gam * (gm2 + k_fb * (gam + k_fb))) * d_m
-    ) / den
+        v35 = (
+            g_q * g_m * (-gam * gm2 + k_m * (gq2 + gam * (gam + 2.0 * k_fb + k_m))) * d_c
+            + g_q * g_m * (gq2 * k_m + gm2 * (k_fb + k_m) - k_fb * k_m * (k_fb + k_m)) * d_q
+            + g_q * g_m * (gq2 * (gam + k_fb) + gam * (gm2 + k_fb * (gam + k_fb))) * d_m
+        ) / den
 
-    v66 = (
-        -gm2 * f2 * d_c
-        - gm2 * gq2 * f3 * d_q
-        + (-gq2**2 * (gam + k_fb)
-           + gam * (-gm2 + (gam + k_fb) * (gam + k_m)) * (gm2 - k_fb * (k_fb + k_m))
-           + gq2 * (gm2 * (k_m - gam)
-                    - (gam + k_fb) * (2.0 * gam * k_fb + (gam + k_fb) * k_m + k_m**2))) * d_m
-    ) / den
+        v66 = (
+            -gm2 * f2 * d_c
+            - gm2 * gq2 * f3 * d_q
+            + (-gq2**2 * (gam + k_fb)
+               + gam * (-gm2 + (gam + k_fb) * (gam + k_m)) * (gm2 - k_fb * (k_fb + k_m))
+               + gq2 * (gm2 * (k_m - gam)
+                        - (gam + k_fb) * (2.0 * gam * k_fb + (gam + k_fb) * k_m + k_m**2))) * d_m
+        ) / den
+    except OverflowError as exc:
+        raise DegenerateDenominator("closed-form terms overflow at these rates") from exc
 
     # V_x on x' = (X_c, Y_q, Y_m); V_p on p' is its mirror
     cov_x = np.array([[v11, v14, v16], [v14, v33, -v35], [v16, -v35, v66]])

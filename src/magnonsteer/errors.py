@@ -31,7 +31,12 @@ class NonPositiveInput(MagnonSteerError):
 
 
 class SingularBlock(MagnonSteerError):
-    """A block that must be inverted is numerically singular."""
+    """A block that must be inverted is numerically singular.
+
+    ``measures.measure_columns`` also raises it for a covariance outside the
+    scale it accepts, where the squares of the inverse blocks would leave
+    the double range.
+    """
 
 
 class NotPhaseCovariant(MagnonSteerError):
@@ -39,7 +44,7 @@ class NotPhaseCovariant(MagnonSteerError):
 
 
 class DegenerateDenominator(MagnonSteerError):
-    """Closed-form covariance denominator vanished (stability boundary)."""
+    """Closed-form covariance denominator vanished (stability boundary), or a term overflowed."""
 
 
 class UnknownPreset(MagnonSteerError):

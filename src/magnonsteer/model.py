@@ -29,9 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import SpecError
-# assert_stable is not called here; it stays importable from this module, the
-# one gate object that the package, sweep and the benchmark's tracer name.
-from .gaussian import assemble_blocks, assert_stable, mirror_pairs  # noqa: F401
+from .gaussian import assemble_blocks, mirror_pairs
 
 # CODATA 2018
 HBAR = 1.054571817e-34      # J s

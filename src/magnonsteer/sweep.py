@@ -33,6 +33,7 @@ import numpy as np
 from .errors import NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableDrift
 from .gaussian import (  # noqa: F401
     assemble_blocks,
+    assert_stable,
     check_physicality,
     lyapunov_residual,
     solve_lyapunov,
@@ -48,7 +49,6 @@ from .model import (  # noqa: F401
     NUMERIC_FIELDS,
     SystemParams,
     _number,
-    assert_stable,
     build_blocks,
     build_diffusion,
     build_drift,

@@ -31,7 +31,6 @@ from magnonsteer import (
     NoCrossing,
     UnstableDrift,
     analytic_covariance,
-    build_diffusion,
     correlation_report,
     default_params,
     find_threshold,
@@ -41,6 +40,7 @@ from magnonsteer import (
     steady_state_covariance,
 )
 from magnonsteer.measures import measure_columns
+from magnonsteer.model import build_diffusion
 from magnonsteer.sweep import Axis, SweepSpec, grid_points
 
 from _oracles import (

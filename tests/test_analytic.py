@@ -5,15 +5,19 @@ from magnonsteer import (
     DegenerateDenominator,
     UnstableDrift,
     analytic_covariance,
-    build_drift,
-    check_physicality,
     default_params,
     derive,
-    effective_coupling,
-    optomagnonic_coupling,
     steady_state_covariance,
 )
-from magnonsteer.model import HBAR, SPEED_OF_LIGHT, TWO_PI
+from magnonsteer.gaussian import assert_stable, check_physicality
+from magnonsteer.model import (
+    HBAR,
+    SPEED_OF_LIGHT,
+    TWO_PI,
+    build_drift,
+    effective_coupling,
+    optomagnonic_coupling,
+)
 
 
 def relative_gap(numeric, closed):
@@ -108,5 +112,14 @@ def test_degenerate_denominator_at_stability_boundary():
         analytic_covariance(marginal)
     # the numeric path agrees that no steady state exists there
     with pytest.raises(UnstableDrift):
-        from magnonsteer import assert_stable
         assert_stable(build_drift(marginal))
+
+
+@pytest.mark.parametrize("document", [{"kappa_m": 1e300}, {"kappa_c": 1e-300, "g_q": 1e6}],
+                         ids=["kappa_m", "kappa_c"])
+def test_overflowing_closed_forms_raise_degenerate_denominator(document):
+    # a rate ratio whose square leaves the double range: Python's ** raises
+    # OverflowError there, which ends as the package's error (the solver
+    # rejects both documents at its gate)
+    with pytest.raises(DegenerateDenominator, match="overflow"):
+        analytic_covariance(default_params(**document))

@@ -12,16 +12,18 @@ from magnonsteer import (
     SingularBlock,
     SingularSystem,
     UnstableDrift,
-    assert_stable,
-    check_physicality,
     correlation_report,
     default_params,
-    lyapunov_residual,
     run_point,
-    solve_lyapunov,
     steady_state_covariance,
 )
 from magnonsteer.analytic import analytic_covariance
+from magnonsteer.gaussian import (
+    assert_stable,
+    check_physicality,
+    lyapunov_residual,
+    solve_lyapunov,
+)
 from magnonsteer.measures import MEASURE_KEYS, measure_blocks, measure_columns
 from magnonsteer.model import (
     DIFFUSION_MODES,
@@ -431,14 +433,26 @@ class TestPhaseCovariantBlocks:
         with pytest.raises(ValueError):
             covariance_blocks(vacuum_cm(2))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entries_are_a_value_error(self, bad):
-        # not numpy's "SVD did not converge" from the measures downstream
+    # a non-finite entry is a ValueError for every 6x6 reader, not numpy's
+    # "SVD did not converge" from the measures downstream; a vacuum scaled
+    # out of the measures' accepted scale is a SingularBlock for the two
+    # measure readers, not an overflow warning (check_physicality is not
+    # guarded there)
+    @pytest.mark.parametrize("bad, scale", [(np.nan, 1.0), (np.inf, 1.0),
+                                            (0.5, 1e300), (0.5, 1e-300)],
+                             ids=["nan", "inf", "1e300", "1e-300"])
+    def test_entries_outside_the_readers_range_raise(self, bad, scale):
         cov = vacuum_cm(3)
         cov[0, 0] = bad
-        for call in (covariance_blocks, check_physicality, correlation_report,
-                     lambda v: measure_columns(v[None])):
-            with pytest.raises(ValueError, match="finite"):
+        cov *= scale
+        readers = (correlation_report, lambda v: measure_columns(v[None]))
+        if np.isfinite(bad):
+            error, match = SingularBlock, "at most 1e100"
+        else:
+            error, match = ValueError, "finite"
+            readers += (covariance_blocks, check_physicality)
+        for call in readers:
+            with pytest.raises(error, match=match):
                 call(cov)
 
 

@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magnonsteer import build_diffusion, derive, format_csv, preset, sweep_columns
+from magnonsteer import derive, format_csv, preset, sweep_columns
 from magnonsteer.gaussian import LYAPUNOV_RESIDUAL_TOL
 from magnonsteer.measures import ZERO_CLAMP
+from magnonsteer.model import build_diffusion
 from magnonsteer.sweep import PRESET_IDS, grid_points
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"

@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from magnonsteer import (
-    Axis,
     NonPositiveInput,
     SingularBlock,
-    SweepSpec,
-    classify_steering,
     correlation_report,
     default_params,
     preset,
@@ -22,8 +19,8 @@ from magnonsteer import (
 )
 from magnonsteer import measures
 from magnonsteer.gaussian import covariance_blocks
-from magnonsteer.measures import MEASURE_KEYS, measure_blocks, measure_columns
-from magnonsteer.sweep import DIAGNOSTIC_KEYS, grid_points
+from magnonsteer.measures import MEASURE_KEYS, classify_steering, measure_blocks, measure_columns
+from magnonsteer.sweep import DIAGNOSTIC_KEYS, Axis, SweepSpec, grid_points
 
 from _oracles import (
     Bipartition,

@@ -8,15 +8,25 @@ from hypothesis import given, settings, strategies as st
 from magnonsteer import (
     NonPositiveInput,
     NotPhaseCovariant,
-    classify_steering,
     correlation_report,
     default_params,
-    effective_coupling,
     steady_state_covariance,
 )
 from magnonsteer.gaussian import PHYSICALITY_TOL, steady_state_blocks
-from magnonsteer.measures import CLASS_TOL, MEASURE_KEYS, measure_blocks, measure_columns
-from magnonsteer.model import DIFFUSION_MODES, build_blocks, derive, param_columns
+from magnonsteer.measures import (
+    CLASS_TOL,
+    MEASURE_KEYS,
+    classify_steering,
+    measure_blocks,
+    measure_columns,
+)
+from magnonsteer.model import (
+    DIFFUSION_MODES,
+    build_blocks,
+    derive,
+    effective_coupling,
+    param_columns,
+)
 
 from _oracles import (
     UNPHYSICAL_4X4,

@@ -8,27 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magnonsteer import (
-    Axis,
     SingularSystem,
     SpecError,
-    SweepSpec,
     UnstableDrift,
-    assert_stable,
-    build_diffusion,
-    build_drift,
     default_params,
     derive,
-    effective_coupling,
-    optomagnonic_coupling,
     params_from_dict,
     params_from_json,
     run_point,
     run_sweep,
-    solve_lyapunov,
     steady_state_covariance,
-    thermal_occupation,
 )
-from magnonsteer.gaussian import covariance_blocks, solve_lyapunov_stack
+from magnonsteer.gaussian import (
+    assert_stable,
+    covariance_blocks,
+    solve_lyapunov,
+    solve_lyapunov_stack,
+)
 from magnonsteer.model import (
     DEFAULT_DOCUMENT,
     DIFFUSION_MODES,
@@ -37,12 +33,17 @@ from magnonsteer.model import (
     SPEED_OF_LIGHT,
     TWO_PI,
     build_blocks,
+    build_diffusion,
+    build_drift,
     cavity_noise_factor,
+    effective_coupling,
     feedback_damping,
     intracavity_photon_number,
+    optomagnonic_coupling,
     param_columns,
+    thermal_occupation,
 )
-from magnonsteer.sweep import grid_points
+from magnonsteer.sweep import Axis, SweepSpec, grid_points
 
 from test_cli import UNREADABLE_JSON
 

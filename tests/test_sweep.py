@@ -6,26 +6,20 @@ import numpy as np
 import pytest
 
 from magnonsteer import (
-    Axis,
     NoCrossing,
     NonMonotone,
     SingularSystem,
     SpecError,
-    SweepSpec,
     UnknownPreset,
     UnstableDrift,
-    build_diffusion,
-    build_drift,
     correlation_report,
     default_params,
     derive,
-    effective_coupling,
     find_threshold,
     format_csv,
     preset,
     run_point,
     run_sweep,
-    solve_lyapunov,
     spec_from_dict,
     steady_state_covariance,
     sweep_columns,
@@ -34,11 +28,18 @@ from magnonsteer.gaussian import (
     STABILITY_TOL,
     assemble_blocks,
     hurwitz_gate,
+    solve_lyapunov,
     steady_state_blocks,
 )
 from magnonsteer.measures import MEASURE_KEYS
-from magnonsteer.model import SystemParams, build_blocks
-from magnonsteer.sweep import PRESET_IDS, grid_points
+from magnonsteer.model import (
+    SystemParams,
+    build_blocks,
+    build_diffusion,
+    build_drift,
+    effective_coupling,
+)
+from magnonsteer.sweep import PRESET_IDS, Axis, SweepSpec, grid_points
 import magnonsteer.gaussian as gaussian_module
 import magnonsteer.sweep as sweep_module
 
