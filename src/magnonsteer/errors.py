@@ -33,9 +33,9 @@ class NonPositiveInput(MagnonSteerError):
 class SingularBlock(MagnonSteerError):
     """A block that must be inverted is numerically singular.
 
-    ``measures.measure_columns`` also raises it for a covariance outside the
-    scale it accepts, where the squares of the inverse blocks would leave
-    the double range.
+    ``gaussian.covariance_blocks`` also raises it for a covariance outside
+    the scale it accepts, where the squares of the inverse blocks would
+    leave the double range; every 6x6 reader goes through it.
     """
 
 
@@ -44,7 +44,7 @@ class NotPhaseCovariant(MagnonSteerError):
 
 
 class DegenerateDenominator(MagnonSteerError):
-    """Closed-form covariance denominator vanished (stability boundary), or a term overflowed."""
+    """Closed-form covariance denominator vanished (stability boundary), or a term is not finite."""
 
 
 class UnknownPreset(MagnonSteerError):

@@ -48,7 +48,8 @@ import math
 
 import numpy as np
 
-from .errors import NonPositiveInput, NotPhaseCovariant, SingularSystem, UnstableDrift
+from .errors import (NonPositiveInput, NotPhaseCovariant, SingularBlock, SingularSystem,
+                     UnstableDrift)
 
 VACUUM_VARIANCE = 0.5
 
@@ -59,6 +60,12 @@ CONDITION_CUTOFF = 1e12
 # Largest x'p' entry of a covariance accepted as roundoff, relative to its
 # largest entry
 PHASE_COVARIANCE_TOL = 1e-12
+
+# The scale ``covariance_blocks`` accepts: entries at most SCALE_LIMIT in
+# magnitude, nonzero variances at least 1 / SCALE_LIMIT. ``min_symplectic_eig``
+# and the measures kernel square the inverse Cholesky factors of the blocks,
+# which stay far inside the double range there.
+SCALE_LIMIT = 1e100
 
 # Stability margin relative to ||Q||_F, scale-free across rad/s magnitudes
 STABILITY_TOL = 1e-9
@@ -201,10 +208,12 @@ def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray)
     """Frobenius norm of Q V + V Q^T + D for symmetric V, one per matrix of a stack (..., n, n).
 
     With V symmetric, V Q^T is the transpose of R = Q V, so the residual is
-    R + R^T + D.
+    R + R^T + D. Runs under the stage's ``np.errstate``, so a residual that
+    overflows is inf, or NaN, without a warning.
     """
-    product = drift @ cov
-    return _frobenius(product + product.swapaxes(-1, -2) + diffusion)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = drift @ cov
+        return _frobenius(product + product.swapaxes(-1, -2) + diffusion)
 
 
 def residual_accepted(residual: np.ndarray, diffusion_norm: np.ndarray) -> np.ndarray:
@@ -344,6 +353,10 @@ def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
 def covariance_blocks(cov: np.ndarray) -> np.ndarray:
     """V_x and V_p of three-mode covariances (..., 6, 6), as (..., 2, 3, 3).
 
+    The accepted scale is every block entry at most SCALE_LIMIT (1e100) in
+    magnitude and every nonzero variance (diagonal entry) at least 1e-100
+    in magnitude.
+
     Raises
     ------
     ValueError
@@ -351,6 +364,8 @@ def covariance_blocks(cov: np.ndarray) -> np.ndarray:
     NotPhaseCovariant
         If an x'p' entry exceeds PHASE_COVARIANCE_TOL times the largest entry
         of its matrix.
+    SingularBlock
+        If a covariance is outside the accepted scale.
     """
     v = np.asarray(cov, dtype=float)
     if v.shape[-2:] != (6, 6):
@@ -362,6 +377,11 @@ def covariance_blocks(cov: np.ndarray) -> np.ndarray:
     if np.any(cross > PHASE_COVARIANCE_TOL * np.abs(v).max(axis=(-2, -1), initial=0.0)):
         raise NotPhaseCovariant("covariance couples x' = (X_c, Y_q, Y_m) with "
                                 "p' = (Y_c, -X_q, -X_m)")
+    size = np.abs(blocks)
+    variances = size.diagonal(0, -2, -1)
+    if (size > SCALE_LIMIT).any() or ((variances > 0.0) & (variances < 1.0 / SCALE_LIMIT)).any():
+        raise SingularBlock("covariance entries must be at most 1e100 in magnitude, "
+                            "and nonzero variances at least 1e-100")
     return blocks
 
 
@@ -398,7 +418,8 @@ def check_physicality(cov: np.ndarray) -> tuple[bool, float]:
     """Whether a three-mode covariance is physical, plus its smallest symplectic eigenvalue.
 
     Physical means min symplectic eigenvalue >= 1/2 - PHYSICALITY_TOL,
-    equivalent to V + i Omega / 2 >= 0.
+    equivalent to V + i Omega / 2 >= 0. The covariance is read by
+    ``covariance_blocks``, and raises as it does.
     """
     nu_min = min_symplectic_eig(covariance_blocks(np.asarray(cov)[None]), _UNSIGNED).item()
     return nu_min >= VACUUM_VARIANCE - PHYSICALITY_TOL, nu_min

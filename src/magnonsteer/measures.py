@@ -43,23 +43,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonPositiveInput, SingularBlock
-from .gaussian import (
-    CONDITION_CUTOFF,
-    covariance_blocks,
-    min_symplectic_eig,
-)
+from .gaussian import CONDITION_CUTOFF, covariance_blocks, min_symplectic_eig
 
 # measures below this are reported as exactly zero to stabilise classification
 ZERO_CLAMP = 1e-12
 
 # threshold separating "zero" from "nonzero" in the steering taxonomy
 CLASS_TOL = 1e-9
-
-# the scale ``measure_columns`` accepts: entries at most SCALE_LIMIT in
-# magnitude, nonzero variances at least 1 / SCALE_LIMIT. The kernel squares the
-# inverse Cholesky factors of the blocks, which stay far inside the double
-# range there.
-SCALE_LIMIT = 1e100
 
 
 def _clamp(value):
@@ -418,37 +408,26 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
 def measure_columns(covs: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     """The measures ``outputs`` of a stack of three-mode covariances (N, 6, 6).
 
-    ``measure_blocks`` on their (V_x, V_p) blocks. The accepted scale is
-    every entry at most SCALE_LIMIT (1e100) in magnitude and every nonzero
-    variance (diagonal entry) at least 1e-100 in magnitude.
+    ``measure_blocks`` on their (V_x, V_p) blocks, as read by
+    ``gaussian.covariance_blocks``, whose scale rule they meet.
 
     Raises
     ------
     ValueError
-        As ``measure_blocks``, or if the matrices are not 6x6 or have a
-        non-finite entry.
-    NotPhaseCovariant
-        If a covariance couples x' with p'.
-    SingularBlock
-        If a covariance is outside the accepted scale, or as ``measure_blocks``.
+        As ``measure_blocks``, or as ``covariance_blocks``.
+    NotPhaseCovariant, SingularBlock
+        As ``covariance_blocks``; SingularBlock also as ``measure_blocks``.
     NonPositiveInput
         As ``measure_blocks``.
     """
-    blocks = covariance_blocks(covs)
-    size = np.abs(blocks)
-    variances = size.diagonal(0, -2, -1)
-    if (size > SCALE_LIMIT).any() or ((variances > 0.0) & (variances < 1.0 / SCALE_LIMIT)).any():
-        raise SingularBlock("covariance entries must be at most 1e100 in magnitude, "
-                            "and nonzero variances at least 1e-100")
-    return measure_blocks(blocks, outputs)
+    return measure_blocks(covariance_blocks(covs), outputs)
 
 
 def correlation_report(cov6: np.ndarray) -> dict[str, float | str]:
     """Every measure of one three-mode covariance matrix, keyed as MEASURE_KEYS, in order.
 
-    ``measure_columns`` on a stack of one, so the same scale is accepted:
-    every entry at most 1e100 in magnitude and every nonzero variance at
-    least 1e-100; a matrix outside it raises SingularBlock.
+    ``measure_columns`` on a stack of one, so a matrix outside the scale of
+    ``gaussian.covariance_blocks`` raises SingularBlock.
     """
     columns = measure_columns(np.asarray(cov6, dtype=float)[None])
     return {key: column[0] for key, column in columns.items()}

@@ -83,11 +83,6 @@ class SystemParams:
         if self.diffusion_mode not in DIFFUSION_MODES:
             raise SpecError(f"diffusion_mode must be one of {DIFFUSION_MODES}")
 
-    @property
-    def transmissivity(self) -> float:
-        """Beam-splitter amplitude transmissivity u, with u^2 + epsilon^2 = 1."""
-        return math.sqrt(_transmittance(self))
-
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
@@ -102,8 +97,8 @@ def param_columns(base: SystemParams, axes: dict[str, np.ndarray]) -> SimpleName
     elements of their broadcast shape, in row-major order. Each array is
     checked once: every check SystemParams makes on a numeric field admits
     an interval, so an array passes when its smallest and largest values do
-    (a NaN is both). An invalid grid raises the SpecError of its first
-    invalid point.
+    (a NaN is both); an empty array has none to check, and makes an empty
+    grid. An invalid grid raises the SpecError of its first invalid point.
     """
     unknown = set(axes) - set(NUMERIC_FIELDS)
     if unknown:
@@ -111,8 +106,8 @@ def param_columns(base: SystemParams, axes: dict[str, np.ndarray]) -> SimpleName
     columns = {name: np.asarray(values, dtype=float) for name, values in axes.items()}
     try:
         for name, column in columns.items():
-            base.replace(**{name: float(column.min())})
-            base.replace(**{name: float(column.max())})
+            for value in (column.min(), column.max()) if column.size else ():
+                base.replace(**{name: float(value)})
     except SpecError:
         for row in zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns.values()))):
             base.replace(**dict(zip(columns, row)))

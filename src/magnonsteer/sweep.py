@@ -114,6 +114,9 @@ class SweepSpec:
     outputs: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if (not isinstance(self.outputs, (list, tuple))
+                or not all(isinstance(k, str) for k in self.outputs)):
+            raise SpecError("sweep outputs must be a list of measure keys")
         outputs = tuple(self.outputs) or MEASURE_KEYS
         unknown = [k for k in outputs if k not in MEASURE_KEYS]
         if unknown:
@@ -455,13 +458,10 @@ def spec_from_dict(document: dict) -> SweepSpec:
         raise SpecError(f"unknown sweep keys: {sorted(unknown)}")
     if "axis1" not in document:
         raise SpecError("sweep specification requires axis1")
-    outputs = document.get("outputs", [])
-    if not isinstance(outputs, list) or not all(isinstance(k, str) for k in outputs):
-        raise SpecError("sweep outputs must be a list of measure keys")
     base = params_from_dict(document.get("base", {}))
     axis1 = _axis_from_dict(document["axis1"])
     axis2 = _axis_from_dict(document["axis2"]) if document.get("axis2") is not None else None
-    return SweepSpec(base=base, axis1=axis1, axis2=axis2, outputs=tuple(outputs))
+    return SweepSpec(base=base, axis1=axis1, axis2=axis2, outputs=document.get("outputs", []))
 
 
 def _axis_from_dict(document: dict) -> Axis:

@@ -115,11 +115,13 @@ def test_degenerate_denominator_at_stability_boundary():
         assert_stable(build_drift(marginal))
 
 
-@pytest.mark.parametrize("document", [{"kappa_m": 1e300}, {"kappa_c": 1e-300, "g_q": 1e6}],
-                         ids=["kappa_m", "kappa_c"])
+@pytest.mark.parametrize("document", [{"kappa_m": 1e300}, {"kappa_c": 1e-300, "g_q": 1e6},
+                                      {"sphere_radius": 1e-200, "g_q": 1e6}, {"B0": 1e-320}],
+                         ids=["kappa_m", "kappa_c", "sphere_radius", "B0"])
 def test_overflowing_closed_forms_raise_degenerate_denominator(document):
-    # a rate ratio whose square leaves the double range: Python's ** raises
-    # OverflowError there, which ends as the package's error (the solver
-    # rejects both documents at its gate)
+    # README's edge documents: a rate ratio whose square leaves the double
+    # range, an infinite coupling or an infinite magnon occupation makes a
+    # term or the denominator inf or NaN, which ends as the package's error
+    # (the solver rejects each document, at its gate or its residual bound)
     with pytest.raises(DegenerateDenominator, match="overflow"):
         analytic_covariance(default_params(**document))

@@ -119,6 +119,8 @@ class TestSolveLyapunov:
             solve_lyapunov(-np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             solve_lyapunov(-np.eye(2), np.array([[1.0, np.inf], [-np.inf, 1.0]]))
+        # a residual that overflows is inf, with no warning
+        assert lyapunov_residual(1e200 * np.eye(2), 1e200 * np.eye(2), np.eye(2)) == np.inf
 
     def test_rejects_marginally_stable_drift(self):
         # a decay rate 14 orders below the rest lies inside the Hurwitz gate's
@@ -435,9 +437,8 @@ class TestPhaseCovariantBlocks:
 
     # a non-finite entry is a ValueError for every 6x6 reader, not numpy's
     # "SVD did not converge" from the measures downstream; a vacuum scaled
-    # out of the measures' accepted scale is a SingularBlock for the two
-    # measure readers, not an overflow warning (check_physicality is not
-    # guarded there)
+    # out of the scale covariance_blocks accepts is a SingularBlock for every
+    # reader, not an overflow or divide warning
     @pytest.mark.parametrize("bad, scale", [(np.nan, 1.0), (np.inf, 1.0),
                                             (0.5, 1e300), (0.5, 1e-300)],
                              ids=["nan", "inf", "1e300", "1e-300"])
@@ -445,13 +446,10 @@ class TestPhaseCovariantBlocks:
         cov = vacuum_cm(3)
         cov[0, 0] = bad
         cov *= scale
-        readers = (correlation_report, lambda v: measure_columns(v[None]))
-        if np.isfinite(bad):
-            error, match = SingularBlock, "at most 1e100"
-        else:
-            error, match = ValueError, "finite"
-            readers += (covariance_blocks, check_physicality)
-        for call in readers:
+        scaled = np.isfinite(bad)
+        error, match = (SingularBlock, "at most 1e100") if scaled else (ValueError, "finite")
+        for call in (correlation_report, lambda v: measure_columns(v[None]), covariance_blocks,
+                     check_physicality):
             with pytest.raises(error, match=match):
                 call(cov)
 

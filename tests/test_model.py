@@ -32,6 +32,7 @@ from magnonsteer.model import (
     KB,
     SPEED_OF_LIGHT,
     TWO_PI,
+    _transmittance,
     build_blocks,
     build_diffusion,
     build_drift,
@@ -143,7 +144,7 @@ class TestDerive:
     def test_transmissivity_identity(self):
         for eps in (0.0, 0.3, 0.86, 0.999):
             params = default_params(epsilon=eps)
-            assert params.transmissivity**2 + params.epsilon**2 == pytest.approx(1.0, abs=1e-15)
+            assert _transmittance(params) + params.epsilon**2 == pytest.approx(1.0, abs=1e-15)
 
     def test_occupations_ordered_by_frequency(self):
         derived = derive(default_params(temperature=0.2))
@@ -512,6 +513,9 @@ class TestParamColumns:
         assert columns.kappa_c == base.kappa_c and type(columns.kappa_c) is float
         assert derive(columns).N_c.tolist() == [
             derive(base.replace(temperature=t)).N_c for t in (0.0, 0.1)]
+        # an empty axis is an empty grid
+        empty = param_columns(base, {"temperature": np.array([])})
+        assert build_blocks(empty).shape == (0, 2, 3, 3)
 
     def test_rejects_fields_that_are_not_numeric_parameters(self):
         with pytest.raises(SpecError, match="cannot sweep"):

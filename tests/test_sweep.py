@@ -213,6 +213,19 @@ class TestAxisAndSpec:
             SweepSpec(base=default_params(), axis1=Axis("temperature", 0.0, 1.0, 3),
                       outputs=("LN_xy",))
 
+    @pytest.mark.parametrize("outputs", ["LN_qm", ["LN_qm", 1], {"LN_qm"}],
+                             ids=["string", "non-string key", "set"])
+    def test_spec_rejects_outputs_that_are_not_a_list_of_keys(self, outputs):
+        # a string is not read as its letters; documents meet the same rule
+        message = "sweep outputs must be a list of measure keys"
+        with pytest.raises(SpecError, match=message):
+            SweepSpec(base=default_params(), axis1=Axis("temperature", 0.0, 1.0, 3),
+                      outputs=outputs)
+        if not isinstance(outputs, set):  # no JSON document holds a set
+            with pytest.raises(SpecError, match=message):
+                spec_from_dict({"axis1": {"param": "temperature", "values": [0.0]},
+                                "outputs": outputs})
+
     def test_spec_rejects_duplicate_axes(self):
         with pytest.raises(SpecError):
             SweepSpec(base=default_params(),
