@@ -10,9 +10,13 @@ The formulas take one point, a ``SystemParams``, or a grid of points from
 ``param_columns``, whose swept fields are float64 arrays and whose other
 fields stay floats; every derived quantity and block entry then broadcasts
 over the grid. A grid gives bit for bit the values of its points taken one
-at a time: +, -, *, / and sqrt round alike in numpy and in Python, and the
-rest (powers, cos, sin and ``thermal_occupation``) runs element by element
-on Python floats through ``_pointwise``.
+at a time, by one rule: on arrays numpy does +, -, * and /, which round
+alike in numpy and in Python, and everything whose float form rounds
+differently or can raise (powers, cos and sin, roots, the quotients that
+can underflow to a zero denominator, and ``thermal_occupation``) runs
+element by element on Python floats through ``_pointwise``. That is the
+formulas' one switch between a point and a grid; ``build_blocks`` has the
+other, and stacks its entries only for a grid.
 """
 
 from __future__ import annotations
@@ -143,21 +147,13 @@ def _pointwise(fn, *args):
     return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _divide(numerator, denominator):
-    """numerator / denominator, on floats as numpy divides arrays, and without a warning.
+def _quotient(numerator: float, denominator: float) -> float:
+    """numerator / denominator of floats, the numerator non-negative.
 
     A denominator that underflowed to zero gives inf (NaN over a zero
-    numerator) on floats too, instead of raising ZeroDivisionError.
+    numerator), as numpy divides, instead of raising ZeroDivisionError.
     """
-    if type(denominator) is float and denominator:
-        return numerator / denominator
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.divide(numerator, denominator)
-    return quotient if quotient.ndim else float(quotient)
+    return numerator / denominator if denominator else numerator * math.inf
 
 
 def _square(x):
@@ -204,19 +200,21 @@ def optomagnonic_coupling(params: SystemParams) -> float:
     Verdet constant times c/n_r times sqrt(2 / (spin density * sphere volume)).
     """
     volume = (4.0 * math.pi / 3.0) * _pointwise(_cube, params.sphere_radius)
+    per_spin = _pointwise(_quotient, 2.0, params.spin_density * volume)
     return (params.verdet * SPEED_OF_LIGHT / params.refractive_index
-            * _sqrt(_divide(2.0, params.spin_density * volume)))
+            * _pointwise(math.sqrt, per_spin))
 
 
 def intracavity_photon_number(params: SystemParams) -> float:
     """Photon number 2 P / (kappa_c hbar Omega_drive) sustained by the drive."""
     omega_drive = TWO_PI * SPEED_OF_LIGHT / params.drive_wavelength
-    return _divide(2.0 * params.drive_power, params.kappa_c * HBAR * omega_drive)
+    return _pointwise(_quotient, 2.0 * params.drive_power, params.kappa_c * HBAR * omega_drive)
 
 
 def effective_coupling(params: SystemParams) -> float:
     """Drive-enhanced optomagnonic coupling g_m * sqrt(n_photon), rad/s."""
-    return optomagnonic_coupling(params) * _sqrt(intracavity_photon_number(params))
+    photons = intracavity_photon_number(params)
+    return optomagnonic_coupling(params) * _pointwise(math.sqrt, photons)
 
 
 def _transmittance(params: SystemParams) -> float:

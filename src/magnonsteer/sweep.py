@@ -232,20 +232,31 @@ def steady_state_covariance(params: SystemParams) -> np.ndarray:
     return assemble_blocks(blocks)[0]
 
 
+def _axes(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """The sweep's axis arrays, axis1 along rows and axis2 down columns.
+
+    Their broadcast, read in row-major order, is the grid's row order
+    (axis2 outer, axis1 inner).
+    """
+    axes = {spec.axis1.param: spec.axis1.grid()}
+    if spec.axis2 is not None:
+        axes[spec.axis2.param] = spec.axis2.grid()[:, None]
+    return axes
+
+
+def _axis_columns(axes: dict[str, np.ndarray]) -> dict[str, list[float]]:
+    """Each axis's value at every point of the grid, in row order."""
+    return {param: grid.ravel().tolist()
+            for param, grid in zip(axes, np.broadcast_arrays(*axes.values()))}
+
+
 def grid_points(spec: SweepSpec) -> list[SystemParams]:
-    """The grid's points as SystemParams, in row order (axis2 outer, axis1 inner).
+    """The grid's points as SystemParams, in the row order of ``sweep_columns``.
 
     ``sweep_columns`` does not build them; this is the scalar view of its rows.
     """
-    outer = spec.axis2.grid() if spec.axis2 is not None else [None]
-    points = []
-    for outer_value in outer:
-        for inner_value in spec.axis1.grid():
-            changes = {spec.axis1.param: float(inner_value)}
-            if spec.axis2 is not None:
-                changes[spec.axis2.param] = float(outer_value)
-            points.append(spec.base.replace(**changes))
-    return points
+    columns = _axis_columns(_axes(spec))
+    return [spec.base.replace(**dict(zip(columns, row))) for row in zip(*columns.values())]
 
 
 def sweep_columns(spec: SweepSpec) -> dict[str, list]:
@@ -257,15 +268,10 @@ def sweep_columns(spec: SweepSpec) -> dict[str, list]:
     have status "unstable" and None in every measure and diagnostic column
     instead of raising.
     """
-    axes = {spec.axis1.param: spec.axis1.grid()}  # axis1 along rows, axis2 down columns
-    if spec.axis2 is not None:
-        axes[spec.axis2.param] = spec.axis2.grid()[:, None]
+    axes = _axes(spec)
     reasons, _, measured = _evaluate(param_columns(spec.base, axes), spec.outputs)
-    columns = {param: grid.ravel().tolist()
-               for param, grid in zip(axes, np.broadcast_arrays(*axes.values()))}
-    columns.update(measured)
-    columns["status"] = ["unstable" if reason else "ok" for reason in reasons]
-    return columns
+    status = ["unstable" if reason else "ok" for reason in reasons]
+    return {**_axis_columns(axes), **measured, "status": status}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

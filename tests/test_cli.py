@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magnonsteer import sweep
+from magnonsteer import UnstableDrift, cli, sweep
 from magnonsteer.cli import build_parser, main
 from magnonsteer.measures import MEASURE_KEYS
 from magnonsteer.model import DIFFUSION_MODES, NUMERIC_FIELDS, default_params
@@ -496,7 +496,7 @@ class TestValidateOracle:
         assert out == ""
         assert err.startswith("error: ") and option in err
 
-    def test_every_diffusion_mode_is_checked(self, capsys):
+    def test_every_diffusion_mode_is_checked(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "7",
                                "--seed", "3")
         assert code == 0
@@ -508,6 +508,22 @@ class TestValidateOracle:
             assert 0.0 < by_mode[mode]["max_relative_deviation"] <= 1e-8
         assert payload["max_relative_deviation"] == max(
             entry["max_relative_deviation"] for entry in by_mode.values())
+        # a draw without a steady state is skipped, and counts in no mode
+        solve, rejected = cli.steady_state_covariance, []
+
+        def unstable_once(params):
+            if not rejected:
+                rejected.append(params)
+                raise UnstableDrift(1.0)
+            return solve(params)
+
+        monkeypatch.setattr(cli, "steady_state_covariance", unstable_once)
+        code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "7", "--seed", "3")
+        skipped = json.loads(out)
+        assert code == 0 and rejected
+        assert skipped["trials"] == payload["trials"]
+        assert ([skipped["by_mode"][mode]["trials"] for mode in DIFFUSION_MODES]
+                == [by_mode[mode]["trials"] for mode in DIFFUSION_MODES])
 
 
 class TestVersion:

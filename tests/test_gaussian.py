@@ -103,6 +103,9 @@ class TestSolveLyapunov:
     def test_rejects_asymmetric_diffusion(self):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        # nor a diffusion matrix of another size than the drift
+        with pytest.raises(ValueError, match="equally sized"):
+            solve_lyapunov(-np.eye(2), np.eye(3))
 
     @pytest.mark.parametrize("diffusion", [[[1.0, np.nan], [np.nan, 1.0]],
                                            [[np.nan, 0.0], [0.0, 1.0]]])
@@ -134,6 +137,9 @@ class TestSolveLyapunov:
             solve_lyapunov(drift, np.eye(6))
         _, residual = solve_lyapunov_stack(drift[None], np.eye(6)[None])
         assert not residual_accepted(residual, np.linalg.norm(np.eye(6)))[0]
+        # an exactly marginal drift, here zero, leaves the stack's system singular
+        with pytest.raises(SingularSystem):
+            solve_lyapunov_stack(np.zeros((1, 6, 6)), np.eye(6)[None])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unstable_exactly_where_the_gate_says(self, seed):

@@ -310,6 +310,10 @@ def test_bad_matrix_in_a_block_raises_like_the_helper():
     assert "not positive definite" in str(batched.value)
     # the same matrix passes when no output needs its c-q blocks
     measure_columns(np.array([good[0], bad, good[1]]), ("G_m_to_c",))
+    # a steering party's own block that is not positive definite is named so
+    party = np.array([[np.diag([-0.5, 0.5, 0.5]), 0.5 * np.eye(3)]])
+    with pytest.raises(NonPositiveInput, match="^covariance block is not positive definite"):
+        measure_blocks(party, ("G_c_to_q",))
 
 
 def indefinite_conditional_state():
@@ -324,6 +328,7 @@ def test_a_pass_computes_only_the_slots_asked_for():
     # LN_cq, G_c_to_qm, G_c_to_q and G_qm_to_c share the conditional pass; a
     # slot that is not asked for is not computed
     bad = indefinite_conditional_state()[None]
+    assert measure_blocks(covariance_blocks(bad), ()) == {}
     measure_columns(bad, ("LN_cq",))
     measure_columns(bad, ("LN_cm", "LN_qm", "G_c_to_q", "G_q_to_m"))
     for outputs in (("G_c_to_qm",), ("LN_cq", "G_c_to_qm"), ("G_qm_to_c",)):

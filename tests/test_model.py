@@ -490,6 +490,9 @@ COLUMN_GRIDS = [
     ("omega_q", tuple(TWO_PI * np.linspace(8.3e9, 8.6e9, 7)), "theta",
      (0.0, 1.0, math.pi, 5.0)),
     ("epsilon", NEAR_UNIT_EPSILONS, "temperature", (0.0, 1e-3, 0.4)),
+    ("spin_density", tuple(np.linspace(1e27, 1e29, 7)), "drive_wavelength",
+     (400e-9, 1064e-9, 1550e-9, 10e-6)),
+    ("verdet", tuple(np.linspace(50.0, 1000.0, 7)), "refractive_index", (1.0, 1.5, 2.19, 3.5)),
 ]
 
 
@@ -516,6 +519,9 @@ class TestParamColumns:
         # an empty axis is an empty grid
         empty = param_columns(base, {"temperature": np.array([])})
         assert build_blocks(empty).shape == (0, 2, 3, 3)
+        # but not one with an invalid value on another axis
+        with pytest.raises(SpecError, match=r"epsilon must lie in \[0, 1\)"):
+            param_columns(base, {"temperature": [], "epsilon": [2.0]})
 
     def test_rejects_fields_that_are_not_numeric_parameters(self):
         with pytest.raises(SpecError, match="cannot sweep"):

@@ -1,0 +1,81 @@
+"""Print SHA-256 digests of the package's outputs on fixed inputs.
+
+Three digests, each over the exact bits of what it reads:
+
+- ``presets``: the seven preset CSV files, as ``magnonsteer preset`` writes
+  them;
+- ``point_stream``: ``run_point``'s ``to_flat_dict()``, ``status``,
+  ``reason`` and ``max_real_part`` on the benchmark's 2,000 ``point_stream``
+  inputs at seed 0;
+- ``oracle_check``: ``steady_state_covariance`` and ``analytic_covariance``
+  on the first 500 ``oracle_check`` inputs at seed 0.
+
+The inputs come from ``perfbench.bench.make_inputs``. A change that is meant
+to keep every number prints the same three lines as its parent commit.
+
+Usage: python tools/fingerprint.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]  # this checkout's package and benchmark
+
+from magnonsteer import analytic, cli, model, sweep  # noqa: E402
+from perfbench.bench import PRESET_IDS, make_inputs  # noqa: E402
+
+SEED = 0
+POINTS = 2000
+ORACLE_POINTS = 500
+
+
+def preset_digest(preset_ids: tuple[str, ...] = PRESET_IDS) -> str:
+    """The digest of the preset CSV files, written by the command line in turn."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset_id in preset_ids:
+            path = Path(tmp) / f"{preset_id}.csv"
+            if cli.main(["preset", "--id", preset_id, "--out", str(path)]) != cli.EXIT_OK:
+                raise RuntimeError(f"preset {preset_id} did not run")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def point_digest(count: int = POINTS) -> str:
+    """The digest of ``run_point`` on the first ``count`` point_stream inputs.
+
+    Each result is JSON text, whose floats are the shortest text that reads
+    back to the same bits.
+    """
+    digest = hashlib.sha256()
+    for params in make_inputs("point_stream", SEED, count):
+        result = sweep.run_point(params)
+        digest.update(json.dumps([result.to_flat_dict(), result.status, result.reason,
+                                  result.max_real_part]).encode())
+    return digest.hexdigest()
+
+
+def oracle_digest(count: int = ORACLE_POINTS) -> str:
+    """The digest of the solved and the closed-form covariance on oracle_check inputs."""
+    digest = hashlib.sha256()
+    for params in make_inputs("oracle_check", SEED, count):
+        digest.update(sweep.steady_state_covariance(params).tobytes())
+        digest.update(analytic.analytic_covariance(params, model.derive(params)).tobytes())
+    return digest.hexdigest()
+
+
+def main() -> int:
+    for name, digest in (("presets", preset_digest), ("point_stream", point_digest),
+                         ("oracle_check", oracle_digest)):
+        print(f"{digest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
