@@ -122,9 +122,9 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
     while accepted < args.trials:
         mode = DIFFUSION_MODES[accepted % len(DIFFUSION_MODES)]
         overrides = {
-            "epsilon": float(rng.uniform(0.0, 0.95)),
-            "temperature": float(rng.uniform(0.0, 1.0)),
-            "g_q_ratio": float(rng.uniform(0.5, 3.0)),
+            "epsilon": rng.uniform(0.0, 0.95),
+            "temperature": rng.uniform(0.0, 1.0),
+            "g_q_ratio": rng.uniform(0.5, 3.0),
             "diffusion_mode": mode,
         }
         params = params_from_dict(overrides)

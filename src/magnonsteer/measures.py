@@ -371,12 +371,15 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     Raises
     ------
     ValueError
-        If an output is neither in MEASURE_KEYS nor ``min_symplectic_eig``.
+        If ``outputs`` is a string, or an output is neither in MEASURE_KEYS
+        nor ``min_symplectic_eig``.
     NonPositiveInput
         If a block a requested measure reads is not positive definite.
     SingularBlock
         If a steering party is numerically singular.
     """
+    if isinstance(outputs, str):
+        raise ValueError("outputs must be a list of measure keys")
     plan = _plan(tuple(outputs))
     if not plan.columns:
         return {}

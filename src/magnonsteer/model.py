@@ -16,7 +16,10 @@ differently or can raise (powers, cos and sin, roots, the quotients that
 can underflow to a zero denominator, and ``thermal_occupation``) runs
 element by element on Python floats through ``_pointwise``. That is the
 formulas' one switch between a point and a grid; ``build_blocks`` has the
-other, and stacks its entries only for a grid.
+other, and stacks its entries only for a grid. The rule holds by
+construction: ``SystemParams`` reads every numeric field through
+``_number`` and stores a Python float, however the point is built, so a
+point's formulas never see a numpy scalar, a bool or an int.
 """
 
 from __future__ import annotations
@@ -70,7 +73,11 @@ class SystemParams:
 
     def __post_init__(self):
         for name in NUMERIC_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if type(value) is not float:  # floats, nearly every value, skip _number's cost
+                value = _number(value, f"parameter {name}")
+                object.__setattr__(self, name, value)
+            if not math.isfinite(value):
                 raise SpecError(f"parameter {name} must be finite")
         for name in ("omega_c", "omega_q", "B0", "gyromagnetic_ratio",
                      "kappa_c", "kappa_m", "gamma_q", "verdet",
@@ -111,7 +118,7 @@ def param_columns(base: SystemParams, axes: dict[str, np.ndarray]) -> SimpleName
     try:
         for name, column in columns.items():
             for value in (column.min(), column.max()) if column.size else ():
-                base.replace(**{name: float(value)})
+                base.replace(**{name: value})
     except SpecError:
         for row in zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns.values()))):
             base.replace(**dict(zip(columns, row)))
@@ -360,44 +367,47 @@ def params_from_dict(document: dict) -> SystemParams:
     missing keys are filled from the default set. Frequency-like keys are
     given as value/2pi in Hz. ``g_q_ratio`` may be given instead of ``g_q``
     to set the qubit coupling as a multiple of the derived effective
-    optomagnonic coupling.
+    optomagnonic coupling. Those values are read here, first; SystemParams
+    reads every other one.
     """
     if not isinstance(document, dict):
         raise SpecError("parameter document must be a JSON object")
-    known = {f.name for f in fields(SystemParams)} | {"g_q_ratio"}
-    unknown = set(document) - known
-    if unknown:
-        raise SpecError(f"unknown parameter keys: {sorted(unknown)}")
+    _unknown_keys(document, {f.name for f in fields(SystemParams)} | {"g_q_ratio"}, "parameter")
     if "g_q" in document and "g_q_ratio" in document:
         raise SpecError("give either g_q or g_q_ratio, not both")
 
-    merged = dict(DEFAULT_DOCUMENT)
+    values = dict(DEFAULT_DOCUMENT)
     if "g_q" in document:
-        merged.pop("g_q_ratio")
-    merged.update(document)
-
-    values = {}
-    for key, raw in merged.items():
-        if key == "diffusion_mode":
-            values[key] = raw
-            continue
-        val = _number(raw, f"parameter {key}")
-        values[key] = val * TWO_PI if key in _HZ_KEYS else val
-
-    ratio = values.pop("g_q_ratio", None)
-    if ratio is not None:
-        base = SystemParams(g_q=0.0, **{k: v for k, v in values.items() if k != "g_q"})
-        values["g_q"] = ratio * effective_coupling(base)
+        values.pop("g_q_ratio")
+    values.update(document)
+    for key in _HZ_KEYS:
+        if key in values:
+            values[key] = _number(values[key], f"parameter {key}") * TWO_PI
+    if "g_q_ratio" in values:
+        ratio = _number(values.pop("g_q_ratio"), "parameter g_q_ratio")
+        values["g_q"] = ratio * effective_coupling(SystemParams(g_q=0.0, **values))
     return SystemParams(**values)
 
 
 def _number(value, what: str) -> float:
+    """``value`` as a Python float, or SpecError naming ``what``.
+
+    The one rule for a parameter value: an int or float, of Python or numpy,
+    that fits in a double. Bools, strings and None are not numbers.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise SpecError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:  # a JSON integer beyond the largest double
         raise SpecError(f"{what} does not fit in a double") from exc
+
+
+def _unknown_keys(document: dict, allowed, what: str) -> None:
+    """SpecError naming, sorted, the keys of ``document`` that are not in ``allowed``."""
+    unknown = set(document) - set(allowed)
+    if unknown:
+        raise SpecError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _json_object(stream, name: str) -> dict:

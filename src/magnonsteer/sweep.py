@@ -49,6 +49,7 @@ from .model import (  # noqa: F401
     NUMERIC_FIELDS,
     SystemParams,
     _number,
+    _unknown_keys,
     build_blocks,
     build_diffusion,
     build_drift,
@@ -376,7 +377,7 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     resolution = abs(hi - lo) / 256.0
     while abs(hi - lo) > resolution:
         mid = 0.5 * (lo + hi)
-        if evaluate(spec.base.replace(**{spec.axis1.param: float(mid)}))[0] > 0.0:
+        if evaluate(spec.base.replace(**{spec.axis1.param: mid}))[0] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -459,9 +460,7 @@ def spec_from_dict(document: dict) -> SweepSpec:
     """
     if not isinstance(document, dict):
         raise SpecError("sweep specification must be a JSON object")
-    unknown = set(document) - {"base", "axis1", "axis2", "outputs"}
-    if unknown:
-        raise SpecError(f"unknown sweep keys: {sorted(unknown)}")
+    _unknown_keys(document, ("base", "axis1", "axis2", "outputs"), "sweep")
     if "axis1" not in document:
         raise SpecError("sweep specification requires axis1")
     base = params_from_dict(document.get("base", {}))
@@ -473,10 +472,7 @@ def spec_from_dict(document: dict) -> SweepSpec:
 def _axis_from_dict(document: dict) -> Axis:
     if not isinstance(document, dict) or "param" not in document:
         raise SpecError("axis must be an object with a 'param' key")
-    allowed = {f.name for f in fields(Axis)}
-    unknown = set(document) - allowed
-    if unknown:
-        raise SpecError(f"unknown axis keys: {sorted(unknown)}")
+    _unknown_keys(document, [f.name for f in fields(Axis)], "axis")
     if "values" in document and document.keys() & {"start", "stop", "count"}:
         raise SpecError("axis takes either values or start/stop/count, not both")
     return Axis(**document)

@@ -259,6 +259,15 @@ def test_unknown_measure_key_is_a_value_error(key):
         measure_blocks(covariance_blocks(covs), (key, "min_symplectic_eig"))
 
 
+def test_outputs_given_as_one_string_is_a_value_error():
+    # the string is not read as a list of one-letter keys
+    covs = random_states(2, seed=3)
+    with pytest.raises(ValueError, match="outputs must be a list of measure keys"):
+        measure_columns(covs, "LN_cq")
+    with pytest.raises(ValueError, match="outputs must be a list of measure keys"):
+        measure_blocks(covariance_blocks(covs), "LN_cq")
+
+
 def test_every_measure_key_is_one_pass_slot_or_one_derived_entry():
     slots = [*measures._SLOTS, *measures._CUTS]
     for key in MEASURE_KEYS:

@@ -30,6 +30,7 @@ from magnonsteer.model import (
     DIFFUSION_MODES,
     HBAR,
     KB,
+    NUMERIC_FIELDS,
     SPEED_OF_LIGHT,
     TWO_PI,
     _transmittance,
@@ -458,6 +459,14 @@ class TestParameterIngestion:
     def test_rejects_non_numeric(self):
         with pytest.raises(SpecError):
             params_from_dict({"kappa_c": "fast"})
+        # a point built directly reads each value as a document does
+        for field in NUMERIC_FIELDS:
+            for value in (True, "0.5", None, 10**400):
+                with pytest.raises(SpecError) as from_document:
+                    params_from_dict({field: value})
+                with pytest.raises(SpecError) as direct:
+                    default_params().replace(**{field: value})
+                assert str(direct.value) == str(from_document.value), (field, value)
 
     def test_json_wrapper(self):
         params = params_from_json(json.dumps({"temperature": 0.2}))
@@ -478,6 +487,30 @@ class TestParameterIngestion:
 
         names = {f.name for f in fields(SystemParams)}
         assert names - set(DEFAULT_DOCUMENT) == {"g_q"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(NUMERIC_FIELDS),
+       value=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-10**6, 10**6).map(float)))
+def test_direct_construction_reads_every_number_alike(field, value):
+    # a Python float, a numpy float64 and (for an integral value) an int of the
+    # same value give equal points that hold only Python floats, or one error
+    base = default_params()
+    kinds = [value, np.float64(value)] + ([int(value)] if value.is_integer() else [])
+    points, errors = [], []
+    for kind in kinds:
+        try:
+            points.append(base.replace(**{field: kind}))
+        except SpecError as exc:
+            errors.append(str(exc))
+    if errors:
+        assert not points and len(errors) == len(kinds) and len(set(errors)) == 1
+        return
+    assert all(point == points[0] for point in points)
+    assert repr(points[1]) == repr(points[0])
+    for point in points:
+        assert all(type(getattr(point, name)) is float for name in NUMERIC_FIELDS)
 
 
 # 2-D grids over fields the presets leave at their defaults: (axis1 field,
@@ -514,6 +547,14 @@ class TestParamColumns:
         base = default_params()
         columns = param_columns(base, {"temperature": np.array([0.0, 0.1])})
         assert columns.kappa_c == base.kappa_c and type(columns.kappa_c) is float
+        # a numpy scalar given to a point is stored as the Python float it holds
+        single = base.replace(epsilon=np.float32(0.5))
+        assert all(type(getattr(single, name)) is float for name in NUMERIC_FIELDS)
+        def bits(params):  # JSON floats read back to the same bits
+            result = run_point(params)
+            return json.dumps([result.to_flat_dict(), result.status, result.reason,
+                               result.max_real_part])
+        assert bits(single) == bits(base.replace(epsilon=0.5))
         assert derive(columns).N_c.tolist() == [
             derive(base.replace(temperature=t)).N_c for t in (0.0, 0.1)]
         # an empty axis is an empty grid
@@ -588,6 +629,8 @@ class TestOverflowingSphereVolume:
         huge = default_params(sphere_radius=1e200)
         assert optomagnonic_coupling(huge) == 0.0
         assert derive(huge).g_m_eff == 0.0
+        # the same radius as a numpy scalar, which overflowed with a warning
+        assert derive(default_params().replace(sphere_radius=np.float64(1e200))).g_m_eff == 0.0
         radii = np.array([1e-4, 2.5e-4, 1e200])
         grid = optomagnonic_coupling(param_columns(default_params(), {"sphere_radius": radii}))
         assert grid.tolist() == [optomagnonic_coupling(default_params(sphere_radius=r))

@@ -1,6 +1,6 @@
 """Print SHA-256 digests of the package's outputs on fixed inputs.
 
-Three digests, each over the exact bits of what it reads:
+Four digests, each over the exact bits of what it reads:
 
 - ``presets``: the seven preset CSV files, as ``magnonsteer preset`` writes
   them;
@@ -8,10 +8,14 @@ Three digests, each over the exact bits of what it reads:
   ``reason`` and ``max_real_part`` on the benchmark's 2,000 ``point_stream``
   inputs at seed 0;
 - ``oracle_check``: ``steady_state_covariance`` and ``analytic_covariance``
-  on the first 500 ``oracle_check`` inputs at seed 0.
+  on the first 500 ``oracle_check`` inputs at seed 0;
+- ``thresholds``: ``find_threshold`` on every numeric output of every
+  preset, falling and rising: the threshold, or the class and message of
+  the error it raises.
 
-The inputs come from ``perfbench.bench.make_inputs``. A change that is meant
-to keep every number prints the same three lines as its parent commit.
+The point and oracle inputs come from ``perfbench.bench.make_inputs``. A
+change that is meant to keep every number prints the same four lines as its
+parent commit.
 
 Usage: python tools/fingerprint.py
 """
@@ -27,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]  # this checkout's package and benchmark
 
-from magnonsteer import analytic, cli, model, sweep  # noqa: E402
+from magnonsteer import analytic, cli, errors, model, sweep  # noqa: E402
 from perfbench.bench import PRESET_IDS, make_inputs  # noqa: E402
 
 SEED = 0
@@ -70,9 +74,26 @@ def oracle_digest(count: int = ORACLE_POINTS) -> str:
     return digest.hexdigest()
 
 
+def threshold_digest(preset_ids: tuple[str, ...] = PRESET_IDS) -> str:
+    """The digest of ``find_threshold`` on each numeric output of each preset, both ways."""
+    digest = hashlib.sha256()
+    for preset_id in preset_ids:
+        spec = sweep.preset(preset_id)
+        for measure in spec.outputs:
+            if measure.startswith("class_"):
+                continue
+            for direction in ("falling", "rising"):
+                try:
+                    result = sweep.find_threshold(spec, measure, direction)
+                except errors.MagnonSteerError as exc:
+                    result = [type(exc).__name__, str(exc)]
+                digest.update(json.dumps([preset_id, measure, direction, result]).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     for name, digest in (("presets", preset_digest), ("point_stream", point_digest),
-                         ("oracle_check", oracle_digest)):
+                         ("oracle_check", oracle_digest), ("thresholds", threshold_digest)):
         print(f"{digest()}  {name}")
     return 0
 
