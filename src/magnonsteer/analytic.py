@@ -5,9 +5,8 @@ covariance entries are rational functions of the damping rates, couplings and
 bath noise powers, obtained by solving the steady-state condition
 Q V + V Q^T = -D symbolically once and hard-coding the result. Each entry is
 linear in the three bath noise powers (d_c, d_q, d_m), so the same
-coefficients serve every diffusion mode; the mode enters only through the
-feedback damping and the cavity noise weight that ``derive`` and
-``cavity_noise_factor`` supply.
+coefficients serve every diffusion mode; the mode enters only through
+``derive``'s feedback damping ``k_fb`` and cavity noise weight ``w_c``.
 
 All rates are scaled by kappa_c before evaluation: the raw coefficient
 polynomials reach eighth order in rates of magnitude ~1e7 rad/s and would
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 from .gaussian import assemble_blocks, mirror_pairs
-from .model import DerivedQuantities, SystemParams, cavity_noise_factor, derive
+from .model import DerivedQuantities, SystemParams, derive
 
 DENOMINATOR_TOL = 1e-12
 
@@ -50,7 +49,7 @@ def analytic_covariance(
     g_q = params.g_q / scale
     g_m = d.g_m_eff / scale
 
-    d_c = cavity_noise_factor(params) * (1.0 + 2.0 * d.N_c)
+    d_c = d.w_c * (1.0 + 2.0 * d.N_c)
     d_q = gam * (1.0 + 2.0 * d.N_q)
     d_m = k_m * (1.0 + 2.0 * d.N_m)
 

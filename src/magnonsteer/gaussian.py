@@ -141,20 +141,15 @@ def block_gate(drift_x: np.ndarray) -> np.ndarray:
     operation. A non-finite coefficient fails.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _block_gate(drift_x)
-
-
-def _block_gate(drift_x: np.ndarray) -> np.ndarray:
-    """``block_gate`` without its ``np.errstate``, for callers already inside one."""
-    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
-    shift = _BLOCK_TOL * np.sqrt(np.add.reduce(q * q, axis=1))
-    if len(q) == 1:
-        entries, shift = q[0].tolist(), shift.item()
-    else:
-        entries = list(q.T)
-    for diagonal in (0, 4, 8):
-        entries[diagonal] = entries[diagonal] + shift
-    stable = _routh_hurwitz(*entries)
+        q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
+        shift = _BLOCK_TOL * np.sqrt(np.add.reduce(q * q, axis=1))
+        if len(q) == 1:
+            entries, shift = q[0].tolist(), shift.item()
+        else:
+            entries = list(q.T)
+        for diagonal in (0, 4, 8):
+            entries[diagonal] = entries[diagonal] + shift
+        stable = _routh_hurwitz(*entries)
     return np.array([stable]) if len(q) == 1 else stable
 
 
@@ -315,7 +310,7 @@ def steady_state_blocks(system: np.ndarray):
     system = np.ascontiguousarray(system, dtype=float)
     count = len(system)
     with np.errstate(over="ignore", invalid="ignore"):
-        gated = _block_gate(system[:, 0])
+        gated = block_gate(system[:, 0])
         gates = gated.tolist()
         solved = system if all(gates) else system[gated]
         if len(solved):

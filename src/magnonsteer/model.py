@@ -136,7 +136,8 @@ class DerivedQuantities:
 
     omega_m: float      # magnon frequency, gyromagnetic_ratio * B0
     g_m_eff: float      # effective coupling, see effective_coupling
-    k_fb: float         # feedback-modified cavity damping
+    k_fb: float         # feedback-modified cavity damping, see feedback
+    w_c: float          # weight of the cavity input noise, see feedback
     N_c: float          # thermal occupations
     N_q: float
     N_m: float
@@ -229,32 +230,42 @@ def _transmittance(params: SystemParams) -> float:
     return (1.0 - params.epsilon) * (1.0 + params.epsilon)
 
 
-def _loop_gain(params: SystemParams) -> float:
-    """|1 + epsilon e^{i theta}|^2 = 1 + 2 epsilon cos theta + epsilon^2.
+def feedback(params: SystemParams) -> tuple[float, float]:
+    """The cavity damping k_fb under feedback, and the weight w_c of its input noise.
 
-    Evaluated as (1 + epsilon cos theta)^2 + (epsilon sin theta)^2, a sum of
-    squares that does not cancel when it is small (epsilon near 1, theta
-    near pi).
+    w_c is the dimensionless factor multiplying kappa_c (2 N_c + 1) in the
+    diffusion, and u^2 = 1 - epsilon^2 (``_transmittance``). This is the one
+    place the diffusion mode enters.
+
+    ``paper`` and ``consistent`` modes damp with the first-order form
+    kappa_c (1 - 2 epsilon cos theta). ``paper`` weighs the noise by
+    u^2 (1 - epsilon)^2; ``consistent`` evaluates the feedback input-noise
+    correlation u^2 (1 - 2 epsilon cos theta + epsilon^2) at the configured
+    phase. The two weights coincide at epsilon = 0 and at theta = 0. Both are
+    smaller than the first-order damping enhancement at strong feedback, so
+    the cavity settles below the vacuum floor there.
+
+    ``input_output`` mode eliminates the loop exactly: with cavity input
+    u c_in + epsilon e^{i theta} a_out and a_out = sqrt(2 kappa_c) a - a_in,
+    the damping is kappa_c u^2 / (1 + 2 epsilon cos theta + epsilon^2),
+    positive for every epsilon < 1 and every theta, and the noise weight is
+    the same u^2 / (1 + 2 epsilon cos theta + epsilon^2), so the cavity alone
+    relaxes to (2 N_c + 1) / 2.
+
+    The loop also shifts the detuning by an amount proportional to sin theta;
+    that shift is taken as absorbed into the operating point delta_fb = -omega_m.
     """
-    return (_square(1.0 + params.epsilon * _cos(params.theta))
-            + _square(params.epsilon * _pointwise(math.sin, params.theta)))
-
-
-def feedback_damping(params: SystemParams) -> float:
-    """Effective cavity damping under feedback.
-
-    ``paper`` and ``consistent`` modes use the first-order form
-    kappa_c (1 - 2 epsilon cos theta). ``input_output`` mode eliminates the
-    loop exactly: with cavity input u c_in + epsilon e^{i theta} a_out and
-    a_out = sqrt(2 kappa_c) a - a_in, the damping is
-    kappa_c u^2 / (1 + 2 epsilon cos theta + epsilon^2), positive for every
-    epsilon < 1 and every theta. The loop also shifts the detuning by an
-    amount proportional to sin theta; that shift is taken as absorbed into
-    the operating point delta_fb = -omega_m.
-    """
+    u2 = _transmittance(params)
     if params.diffusion_mode == "input_output":
-        return params.kappa_c * _transmittance(params) / _loop_gain(params)
-    return params.kappa_c * (1.0 - 2.0 * params.epsilon * _cos(params.theta))
+        # |1 + epsilon e^{i theta}|^2 as (1 + epsilon cos theta)^2 + (epsilon sin theta)^2,
+        # a sum of squares that does not cancel when it is small (epsilon near 1, theta near pi)
+        gain = (_square(1.0 + params.epsilon * _cos(params.theta))
+                + _square(params.epsilon * _pointwise(math.sin, params.theta)))
+        return params.kappa_c * u2 / gain, u2 / gain
+    first_order = 1.0 - 2.0 * params.epsilon * _cos(params.theta)
+    if params.diffusion_mode == "paper":
+        return params.kappa_c * first_order, u2 * _square(1.0 - params.epsilon)
+    return params.kappa_c * first_order, u2 * (first_order + _square(params.epsilon))
 
 
 def derive(params: SystemParams) -> DerivedQuantities:
@@ -264,34 +275,16 @@ def derive(params: SystemParams) -> DerivedQuantities:
     is decided by the Hurwitz gate alone.
     """
     omega_m = params.gyromagnetic_ratio * params.B0
+    k_fb, w_c = feedback(params)
     return DerivedQuantities(
         omega_m=omega_m,
         g_m_eff=effective_coupling(params),
-        k_fb=feedback_damping(params),
+        k_fb=k_fb,
+        w_c=w_c,
         N_c=_pointwise(thermal_occupation, params.omega_c, params.temperature),
         N_q=_pointwise(thermal_occupation, params.omega_q, params.temperature),
         N_m=_pointwise(thermal_occupation, omega_m, params.temperature),
     )
-
-
-def cavity_noise_factor(params: SystemParams) -> float:
-    """Dimensionless factor multiplying kappa_c (2 N_c + 1) in the diffusion.
-
-    ``paper`` mode uses u^2 (1 - epsilon)^2; ``consistent`` mode evaluates
-    the feedback input-noise correlation u^2 (1 - 2 epsilon cos theta +
-    epsilon^2) at the configured phase. The two coincide at epsilon = 0 and at theta = 0. Both are
-    smaller than the first-order damping enhancement at strong feedback, so
-    the cavity settles below the vacuum floor there. ``input_output`` mode
-    uses u^2 / (1 + 2 epsilon cos theta + epsilon^2), the same weight as its
-    damping (see ``feedback_damping``), so the cavity alone relaxes to
-    (2 N_c + 1) / 2.
-    """
-    u2 = _transmittance(params)
-    if params.diffusion_mode == "paper":
-        return u2 * _square(1.0 - params.epsilon)
-    if params.diffusion_mode == "input_output":
-        return u2 / _loop_gain(params)
-    return u2 * (1.0 - 2.0 * params.epsilon * _cos(params.theta) + _square(params.epsilon))
 
 
 def build_blocks(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
@@ -310,7 +303,7 @@ def build_blocks(params: SystemParams, derived: DerivedQuantities | None = None)
     d = derived or derive(params)
     k_fb, gam, k_m = d.k_fb, params.gamma_q, params.kappa_m
     g_q, g_m = params.g_q, d.g_m_eff
-    d_c = params.kappa_c * cavity_noise_factor(params) * (2.0 * d.N_c + 1.0)
+    d_c = params.kappa_c * d.w_c * (2.0 * d.N_c + 1.0)
     d_q = gam * (2.0 * d.N_q + 1.0)
     d_m = k_m * (2.0 * d.N_m + 1.0)
     entries = (-k_fb, g_q, -g_m, -g_q, -gam, 0.0, -g_m, 0.0, -k_m,

@@ -63,13 +63,13 @@ DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
 
 @dataclass(frozen=True)
 class Axis:
-    """One sweep axis: either a linspace or an explicit list of values."""
+    """One sweep axis: a linspace (start, stop, count) or a non-empty list of values, not both."""
 
     param: str
-    start: float = 0.0
-    stop: float = 0.0
-    count: int = 0
-    values: tuple[float, ...] = ()
+    start: float | None = None
+    stop: float | None = None
+    count: int | None = None
+    values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         # every numeric SystemParams field can be swept; axis values are in the
@@ -77,12 +77,16 @@ class Axis:
         if self.param not in NUMERIC_FIELDS:
             raise SpecError(f"cannot sweep over {self.param!r}; "
                             f"choose one of {NUMERIC_FIELDS}")
-        if not isinstance(self.values, (list, tuple)):
-            raise SpecError("axis values must be a list of numbers")
-        object.__setattr__(self, "values",
-                           tuple(_number(v, "axis value") for v in self.values))
-        if self.values:
+        missing = [name for name in ("start", "stop", "count") if getattr(self, name) is None]
+        if self.values is not None:
+            if len(missing) < 3:
+                raise SpecError("axis takes either values or start/stop/count, not both")
+            if not isinstance(self.values, (list, tuple)) or not self.values:
+                raise SpecError("axis values must be a non-empty list of numbers")
+            object.__setattr__(self, "values", tuple(_number(v, "axis value") for v in self.values))
             return
+        if missing:
+            raise SpecError(f"axis needs values, or start, stop and count; missing {missing}")
         if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
             raise SpecError(f"axis count must be an integer, got {self.count!r}")
         object.__setattr__(self, "start", _number(self.start, "axis start"))
@@ -95,7 +99,7 @@ class Axis:
             raise SpecError("axis stop - start must be finite")
 
     def grid(self) -> np.ndarray:
-        if self.values:
+        if self.values is not None:
             return np.asarray(self.values, dtype=float)
         try:
             return np.linspace(self.start, self.stop, self.count)
@@ -473,6 +477,4 @@ def _axis_from_dict(document: dict) -> Axis:
     if not isinstance(document, dict) or "param" not in document:
         raise SpecError("axis must be an object with a 'param' key")
     _unknown_keys(document, [f.name for f in fields(Axis)], "axis")
-    if "values" in document and document.keys() & {"start", "stop", "count"}:
-        raise SpecError("axis takes either values or start/stop/count, not both")
     return Axis(**document)

@@ -287,6 +287,12 @@ class TestSweep:
           "not both"),
          ({"axis1": {"param": "temperature", "start": 0, "stop": 0.1, "count": 3,
                      "step": 0.05}}, "unknown axis keys: ['step']")]
+      # an axis states exactly one form: a non-empty values list, or a whole linspace
+      + [({"axis1": {"param": "temperature", "values": []}}, "non-empty list"),
+         ({"axis1": {"param": "temperature"}}, "missing ['start', 'stop', 'count']"),
+         ({"axis1": {"param": "temperature", "count": 5}}, "missing ['start', 'stop']"),
+         ({"axis1": {"param": "temperature", "start": 0.1, "count": 5}}, "missing ['stop']"),
+         ({"axis1": {"param": "temperature", "stop": 0.5, "count": 5}}, "missing ['start']")]
       # a span that overflows, and counts numpy refuses before allocating
       + [({"axis1": {"param": "theta", "start": -1e308, "stop": 1e308, "count": 3}},
           "axis stop - start must be finite")]

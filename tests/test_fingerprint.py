@@ -11,13 +11,14 @@ _SPEC.loader.exec_module(fingerprint)
 
 def small_digests():
     return (fingerprint.preset_digest(("fig3a",)), fingerprint.point_digest(4),
-            fingerprint.oracle_digest(3), fingerprint.threshold_digest(("fig3a",)))
+            fingerprint.oracle_digest(3), fingerprint.threshold_digest(("fig3a",)),
+            fingerprint.point_digest(4, "input_output"))
 
 
 def test_digests_repeat():
     digests = small_digests()
     assert small_digests() == digests
-    assert len(set(digests)) == 4 and all(len(digest) == 64 for digest in digests)
+    assert len(set(digests)) == 5 and all(len(digest) == 64 for digest in digests)
 
 
 def test_a_changed_preset_cell_changes_its_digest(monkeypatch):

@@ -37,9 +37,7 @@ from magnonsteer.model import (
     build_blocks,
     build_diffusion,
     build_drift,
-    cavity_noise_factor,
     effective_coupling,
-    feedback_damping,
     intracavity_photon_number,
     optomagnonic_coupling,
     param_columns,
@@ -230,14 +228,14 @@ class TestBuildDiffusion:
     def test_paper_mode_cavity_factor(self):
         params = default_params(epsilon=0.86, diffusion_mode="paper")
         expected = (1 - 0.86**2) * (1 - 0.86) ** 2
-        assert cavity_noise_factor(params) == pytest.approx(expected, rel=1e-12)
+        assert derive(params).w_c == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(5.10e-3, rel=1e-2)
 
     def test_consistent_mode_cavity_factor(self):
         params = default_params(epsilon=0.86, theta=math.pi,
                                 diffusion_mode="consistent")
         expected = (1 - 0.86**2) * (1 + 0.86) ** 2
-        assert cavity_noise_factor(params) == pytest.approx(expected, rel=1e-12)
+        assert derive(params).w_c == pytest.approx(expected, rel=1e-12)
 
     def test_modes_agree_without_feedback(self):
         paper = build_diffusion(default_params(epsilon=0.0, diffusion_mode="paper"))
@@ -270,7 +268,7 @@ class TestInputOutputMode:
         params = default_params(epsilon=0.86, theta=math.pi,
                                 diffusion_mode="input_output")
         expected = (1 - 0.86**2) / (1 - 0.86) ** 2
-        assert cavity_noise_factor(params) == pytest.approx(expected, rel=1e-12)
+        assert derive(params).w_c == pytest.approx(expected, rel=1e-12)
         assert derive(params).k_fb == pytest.approx(expected * params.kappa_c, rel=1e-12)
 
     @pytest.mark.parametrize("epsilon", [0.3, 0.86])
@@ -289,7 +287,7 @@ class TestInputOutputMode:
                 exact = default_params(epsilon=epsilon, theta=float(theta),
                                        diffusion_mode="input_output")
                 first_order = exact.replace(diffusion_mode="paper")
-                gap = feedback_damping(exact) - feedback_damping(first_order)
+                gap = derive(exact).k_fb - derive(first_order).k_fb
                 assert abs(gap) <= 3.0 * epsilon**2 * exact.kappa_c
 
     def test_damping_positive_without_warning_at_every_phase(self):
@@ -332,8 +330,8 @@ class TestReflectivityNearOne:
                                             diffusion_mode="input_output")
                     eps, phase = mpmath.mpf(params.epsilon), mpmath.mpf(params.theta)
                     weight = (1 - eps**2) / (1 + 2 * eps * mpmath.cos(phase) + eps**2)
-                    for got, want in ((cavity_noise_factor(params), weight),
-                                      (feedback_damping(params),
+                    for got, want in ((derive(params).w_c, weight),
+                                      (derive(params).k_fb,
                                        mpmath.mpf(params.kappa_c) * weight)):
                         worst = max(worst, float(abs(mpmath.mpf(got) / want - 1)))
         assert worst <= 1e-12

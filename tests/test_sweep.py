@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ class TestAxisAndSpec:
             Axis("magic_knob", 0.0, 1.0, 5)
         with pytest.raises(SpecError):
             Axis("diffusion_mode", 0.0, 1.0, 5)
+        with pytest.raises(SpecError, match="not both"):
+            Axis("temperature", count=3, values=(0.1,))
+        with pytest.raises(SpecError, match="non-empty list"):
+            Axis("temperature", values=())
+        for partial, missing in (({}, "'start', 'stop', 'count'"),
+                                 ({"count": 5}, "'start', 'stop'"),
+                                 ({"start": 0.1, "count": 5}, "'stop'"),
+                                 ({"stop": 0.5, "count": 5}, "'start'")):
+            with pytest.raises(SpecError, match=re.escape(f"missing [{missing}]")):
+                Axis("temperature", **partial)
 
     def test_material_parameters_are_sweepable(self):
         spec = SweepSpec(

@@ -1,6 +1,6 @@
 """Print SHA-256 digests of the package's outputs on fixed inputs.
 
-Four digests, each over the exact bits of what it reads:
+Five digests, each over the exact bits of what it reads:
 
 - ``presets``: the seven preset CSV files, as ``magnonsteer preset`` writes
   them;
@@ -11,10 +11,15 @@ Four digests, each over the exact bits of what it reads:
   on the first 500 ``oracle_check`` inputs at seed 0;
 - ``thresholds``: ``find_threshold`` on every numeric output of every
   preset, falling and rising: the threshold, or the class and message of
-  the error it raises.
+  the error it raises;
+- ``input_output``: ``run_point`` as for ``point_stream``, on the same
+  inputs rebuilt in the ``input_output`` diffusion mode, and
+  ``analytic_covariance`` on each of them that is ``ok``. No other digest
+  reaches that mode: the point and oracle inputs draw ``paper`` and
+  ``consistent``, and every preset is ``paper``.
 
 The point and oracle inputs come from ``perfbench.bench.make_inputs``. A
-change that is meant to keep every number prints the same four lines as its
+change that is meant to keep every number prints the same five lines as its
 parent commit.
 
 Usage: python tools/fingerprint.py
@@ -51,17 +56,23 @@ def preset_digest(preset_ids: tuple[str, ...] = PRESET_IDS) -> str:
     return digest.hexdigest()
 
 
-def point_digest(count: int = POINTS) -> str:
+def point_digest(count: int = POINTS, mode: str | None = None) -> str:
     """The digest of ``run_point`` on the first ``count`` point_stream inputs.
 
     Each result is JSON text, whose floats are the shortest text that reads
-    back to the same bits.
+    back to the same bits. With a diffusion ``mode``, each input is rebuilt
+    in that mode, and the closed-form covariance of each ``ok`` point is
+    digested after its result.
     """
     digest = hashlib.sha256()
     for params in make_inputs("point_stream", SEED, count):
+        if mode is not None:
+            params = params.replace(diffusion_mode=mode)
         result = sweep.run_point(params)
         digest.update(json.dumps([result.to_flat_dict(), result.status, result.reason,
                                   result.max_real_part]).encode())
+        if mode is not None and result.status == "ok":
+            digest.update(analytic.analytic_covariance(params).tobytes())
     return digest.hexdigest()
 
 
@@ -93,7 +104,8 @@ def threshold_digest(preset_ids: tuple[str, ...] = PRESET_IDS) -> str:
 
 def main() -> int:
     for name, digest in (("presets", preset_digest), ("point_stream", point_digest),
-                         ("oracle_check", oracle_digest), ("thresholds", threshold_digest)):
+                         ("oracle_check", oracle_digest), ("thresholds", threshold_digest),
+                         ("input_output", lambda: point_digest(mode="input_output"))):
         print(f"{digest()}  {name}")
     return 0
 
