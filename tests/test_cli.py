@@ -287,12 +287,6 @@ class TestSweep:
           "not both"),
          ({"axis1": {"param": "temperature", "start": 0, "stop": 0.1, "count": 3,
                      "step": 0.05}}, "unknown axis keys: ['step']")]
-      # an axis states exactly one form: a non-empty values list, or a whole linspace
-      + [({"axis1": {"param": "temperature", "values": []}}, "non-empty list"),
-         ({"axis1": {"param": "temperature"}}, "missing ['start', 'stop', 'count']"),
-         ({"axis1": {"param": "temperature", "count": 5}}, "missing ['start', 'stop']"),
-         ({"axis1": {"param": "temperature", "start": 0.1, "count": 5}}, "missing ['stop']"),
-         ({"axis1": {"param": "temperature", "stop": 0.5, "count": 5}}, "missing ['start']")]
       # a span that overflows, and counts numpy refuses before allocating
       + [({"axis1": {"param": "theta", "start": -1e308, "stop": 1e308, "count": 3}},
           "axis stop - start must be finite")]
@@ -304,7 +298,13 @@ class TestSweep:
          ({"axis1": {"param": "temperature", "start": -10**400, "stop": 0.1, "count": 3}},
           "axis start does not fit in a double"),
          ({"axis1": {"param": "temperature", "start": 0, "stop": 10**400, "count": 3}},
-          "axis stop does not fit in a double")])
+          "axis stop does not fit in a double")]
+      # an axis states exactly one form: a non-empty values list, or a whole linspace
+      + [({"axis1": {"param": "temperature", "values": []}}, "non-empty list"),
+         ({"axis1": {"param": "temperature"}}, "missing ['start', 'stop', 'count']"),
+         ({"axis1": {"param": "temperature", "count": 5}}, "missing ['start', 'stop']"),
+         ({"axis1": {"param": "temperature", "start": 0.1, "count": 5}}, "missing ['stop']"),
+         ({"axis1": {"param": "temperature", "stop": 0.5, "count": 5}}, "missing ['start']")])
     def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
         document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
                               "count": 3},
