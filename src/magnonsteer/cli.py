@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, sweep, preset, threshold, validate-oracle. Exit codes:
-0 on success, 2 when no steady state exists (unstable drift), 3 on invalid
-specifications or parameter documents. JSON output is strict: a number that
+0 on success, 1 when ``validate-oracle`` finds a deviation above its
+``--tolerance``, 2 when no steady state exists (unstable drift), 3 on invalid
+specifications or parameter documents and on usage errors (an unknown
+option, a bad option value or a missing required one; argparse's own code
+for them would be 2). JSON output is strict: a number that
 is not finite (the NaN ``max_real_part`` of a drift with a non-finite entry)
 is written as null.
 
@@ -150,6 +153,14 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_SPEC, not EXIT_UNSTABLE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SPEC, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused after it.
@@ -157,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser unchanged, so every call of ``main`` in a
     process shares it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="magnonsteer",
         description="Steady-state quantum correlations of a qubit-cavity-magnon "
                     "system with a coherent feedback loop.",

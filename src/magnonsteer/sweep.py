@@ -7,9 +7,12 @@ point in one pass, with no per-point object. ``gaussian.steady_state_blocks``
 then gates, solves and judges the stack, and the batched measures kernel
 measures the accepted points, computing only the requested outputs and
 ``min_symplectic_eig``; it does not run when no point was accepted.
-``run_point`` is the same pipeline on one SystemParams, a stack of one, and
-``find_threshold`` runs its grid as one stack and each bisection step on one
-SystemParams, computing only the scanned measure.
+``run_point`` is the same pipeline on one SystemParams, a stack of one.
+``find_threshold`` is a one-axis sweep plus refinement: its grid, and then
+each bisection step as a stack of one, go through ``param_columns`` and the
+same pipeline, computing only the scanned measure, with no cut pass and no
+residual column; the bisection stops when its bracket is at most 1/256 of
+the grid step or its midpoint rounds onto an end.
 
 ``sweep_columns`` returns a sweep as the evaluated columns, in the CSV's
 header order, and ``format_csv`` writes those columns as text, so a sweep
@@ -179,24 +182,25 @@ class PointResult:
         return flat
 
 
-def _evaluate(params, outputs: tuple[str, ...]):
+def _evaluate(params, keys: tuple[str, ...]):
     """Run one SystemParams, or a grid from ``param_columns``, through the pipeline.
 
     Returns, per point in row order, the check that rejected it ("gate" or
     "residual", None if it was solved) and its largest drift eigenvalue real
-    part (NaN if it was solved), and per key of ``outputs + DIAGNOSTIC_KEYS``
-    a list of each point's value, None at the rejected points.
+    part (NaN if it was solved), and per key of ``keys`` (measure keys and
+    DIAGNOSTIC_KEYS) a list of each point's value, None at the rejected
+    points. Only those keys are computed.
     """
     # a grid's arithmetic overflows to inf without a warning, as floats do;
     # the stage then fails such points closed
     with np.errstate(over="ignore", invalid="ignore"):
         system = build_blocks(params, derive(params)).reshape(-1, 2, 3, 3)
     max_real, reasons, blocks, residual = steady_state_blocks(system)
-    keys = outputs + DIAGNOSTIC_KEYS
     if not len(blocks):  # an all-unstable stack leaves the kernel out
         return reasons, max_real.tolist(), {key: [None] * len(reasons) for key in keys}
-    columns = measure_blocks(blocks, outputs + ("min_symplectic_eig",))
-    columns["lyap_residual"] = residual.tolist()
+    columns = measure_blocks(blocks, tuple(key for key in keys if key != "lyap_residual"))
+    if "lyap_residual" in keys:
+        columns["lyap_residual"] = residual.tolist()
     if len(blocks) < len(reasons):
         for key in keys:
             values = iter(columns[key])
@@ -211,7 +215,7 @@ def run_point(params: SystemParams) -> PointResult:
     bound, is reported as a structured result with status "unstable" and
     the rejecting check in ``reason``, rather than raised.
     """
-    [reason], [max_real], columns = _evaluate(params, MEASURE_KEYS)
+    [reason], [max_real], columns = _evaluate(params, MEASURE_KEYS + DIAGNOSTIC_KEYS)
     if reason:
         return PointResult(status="unstable", max_real_part=max_real, reason=reason)
     return PointResult(
@@ -274,7 +278,8 @@ def sweep_columns(spec: SweepSpec) -> dict[str, list]:
     instead of raising.
     """
     axes = _axes(spec)
-    reasons, _, measured = _evaluate(param_columns(spec.base, axes), spec.outputs)
+    reasons, _, measured = _evaluate(param_columns(spec.base, axes),
+                                     spec.outputs + DIAGNOSTIC_KEYS)
     status = ["unstable" if reason else "ok" for reason in reasons]
     return {**_axis_columns(axes), **measured, "status": status}
 
@@ -324,8 +329,11 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
 
     The measure must be monotone-to-zero along axis1 inside the scanned
     window: scanning in the given direction it is positive, reaches zero
-    once, and stays zero. The grid crossing is refined by bisection to
-    1/256 of the grid step. Only the scanned measure is computed.
+    once, and stays zero. The grid, and then each bisection step as a stack
+    of one, go through ``param_columns`` and the sweep pipeline, which
+    computes only the scanned measure. The bisection refines the grid
+    crossing until the bracket is at most 1/256 of the grid step, or until
+    its midpoint rounds onto one of its ends, and returns that midpoint.
 
     Raises
     ------
@@ -351,19 +359,19 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     if measure.startswith("class_"):
         raise SpecError(f"threshold search needs a numeric measure, not {measure!r}")
 
-    grid = spec.axis1.grid()
+    param, grid = spec.axis1.param, spec.axis1.grid()
     increasing = bool((np.diff(grid) > 0.0).all())
     if direction == "rising":
         grid = grid[::-1]
 
-    def evaluate(params) -> list[float]:
-        reasons, max_real, columns = _evaluate(params, (measure,))
+    def evaluate(points) -> list[float]:
+        reasons, max_real, columns = _evaluate(points, (measure,))
         for reason, real in zip(reasons, max_real):
             if reason:
                 raise UnstableDrift(real, reason)
         return columns[measure]
 
-    on_grid = param_columns(spec.base, {spec.axis1.param: grid})  # checks the axis values first
+    on_grid = param_columns(spec.base, {param: grid})  # checks the axis values first
     if not increasing:
         # bisection refines between neighbouring grid values
         raise SpecError("threshold search needs axis1 values in strictly increasing order")
@@ -379,13 +387,13 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
 
     lo, hi = grid[crossing - 1], grid[crossing]
     resolution = abs(hi - lo) / 256.0
-    while abs(hi - lo) > resolution:
+    while True:
         mid = 0.5 * (lo + hi)
-        if evaluate(spec.base.replace(**{spec.axis1.param: mid}))[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+        # a midpoint that rounds onto an end would bisect the same bracket forever
+        if abs(hi - lo) <= resolution or mid in (lo, hi):
+            return float(mid)
+        positive = evaluate(param_columns(spec.base, {param: [mid]}))[0] > 0.0
+        lo, hi = (mid, hi) if positive else (lo, mid)
 
 
 # --- figure presets ----------------------------------------------------------

@@ -539,6 +539,25 @@ class TestVersion:
         assert info.value.code == 0
 
 
+# a usage error is an invalid call, so it exits 3 like an invalid document;
+# argparse's own code, 2, is the code for "no steady state"
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--diffusion", "nonsense"], "invalid choice: 'nonsense'"),
+    (["validate-oracle", "--trials", "zero"], "invalid int value: 'zero'"),
+    (["threshold", "--preset", "fig3a", "--measure", "LN_qm", "--direction", "sideways"],
+     "invalid choice: 'sideways'"),
+    (["sweep"], "the following arguments are required: --spec"),
+])
+def test_usage_error_exit_code(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == cli.EXIT_SPEC == 3
+    assert captured.out == ""
+    assert captured.err.startswith("usage: magnonsteer")
+    assert message in captured.err
+
+
 class TestParserReuse:
     def test_one_parser_serves_every_call(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -569,5 +588,5 @@ class TestParserReuse:
         shared = [outcome(argv) for argv in calls]
         assert build_parser.cache_info().misses == 1
         assert shared == fresh
-        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, "exit 2", "exit 0"]
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, "exit 3", "exit 0"]
         assert "invalid choice: 'nonsense'" in fresh[4][2]

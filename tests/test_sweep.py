@@ -535,6 +535,42 @@ class TestFindThreshold:
         with pytest.raises(NonMonotone):
             find_threshold(spec, "LN_qm")
 
+    @pytest.mark.parametrize("direction", ["falling", "rising"])
+    @pytest.mark.parametrize("width", [1, 100, 255])
+    def test_bisection_ends_in_a_narrow_bracket(self, monkeypatch, width, direction):
+        # the two grid values are `width` floats apart and the measure changes
+        # sign halfway between them, so a midpoint soon rounds onto an end
+        lo = 0.2
+        hi = float((np.array(lo).view(np.int64) + width).view(np.float64))
+        calls = []
+
+        def fake_evaluate(points, outputs):
+            calls.append(outputs)
+            if len(calls) > 200:
+                raise AssertionError("the bisection does not end")
+            temperatures = np.atleast_1d(points.temperature)
+            steps = (temperatures.view(np.int64) - np.array(lo).view(np.int64)).tolist()
+            alive = [s < (width + 1) // 2 if direction == "falling" else s > width // 2
+                     for s in steps]
+            return [None] * len(steps), [math.nan] * len(steps), {
+                "LN_qm": [1.0 if a else 0.0 for a in alive]}
+
+        monkeypatch.setattr(sweep_module, "_evaluate", fake_evaluate)
+        spec = SweepSpec(base=default_params(epsilon=0.0),
+                         axis1=Axis("temperature", values=(lo, hi)), outputs=("LN_qm",))
+        assert lo <= find_threshold(spec, "LN_qm", direction) <= hi
+
+    def test_computes_only_the_scanned_measure(self, monkeypatch):
+        kernel_keys, measure_blocks = [], sweep_module.measure_blocks
+
+        def spy(blocks, outputs):
+            kernel_keys.append(outputs)
+            return measure_blocks(blocks, outputs)
+
+        monkeypatch.setattr(sweep_module, "measure_blocks", spy)
+        find_threshold(preset("fig3a"), "LN_qm")
+        assert kernel_keys and set(kernel_keys) == {("LN_qm",)}
+
     @pytest.mark.parametrize("values", [(0.0, 0.5, 0.05, 0.3), (0.0, 0.05, 0.5, 0.05),
                                         (0.0, 0.1, 0.1, 0.3)])
     def test_rejects_axis_values_out_of_order(self, monkeypatch, values):
