@@ -75,10 +75,7 @@ def _dumps(payload: dict, **options) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    document = _load_json(args.params) if args.params else {}
-    if args.diffusion:
-        document["diffusion_mode"] = args.diffusion
-    params = params_from_dict(document)
+    params = params_from_dict({} if args.params is None else _load_json(args.params))
     result = run_point(params)
     payload = result.to_flat_dict()
     if result.status != "ok":
@@ -99,7 +96,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(_load_json(args.spec)) if args.spec else preset(args.preset)
+    spec = preset(args.preset) if args.spec is None else spec_from_dict(_load_json(args.spec))
     try:
         value = find_threshold(spec, args.measure, args.direction)
     except (NoCrossing, NonMonotone) as exc:
@@ -178,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="evaluate one parameter point")
     p_solve.add_argument("--params", help="JSON parameter document (defaults if omitted)")
-    p_solve.add_argument("--diffusion", choices=DIFFUSION_MODES,
-                         help="override the diffusion mode")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep specification")

@@ -7,7 +7,9 @@ point in one pass, with no per-point object. ``gaussian.steady_state_blocks``
 then gates, solves and judges the stack, and the batched measures kernel
 measures the accepted points, computing only the requested outputs and
 ``min_symplectic_eig``; it does not run when no point was accepted.
-``run_point`` is the same pipeline on one SystemParams, a stack of one.
+``run_point`` is the same pipeline on one SystemParams, a stack of one; a
+grid whose every axis holds one value is that point, as ``param_columns``
+returns it, and takes the same path.
 ``find_threshold`` is a one-axis sweep plus refinement: its grid, and then
 each bisection step as a stack of one, go through ``param_columns`` and the
 same pipeline, computing only the scanned measure, with no cut pass and no

@@ -67,18 +67,18 @@ class TestSolve:
         assert set(payload) == {*MEASURE_KEYS, "lyap_residual", "min_symplectic_eig", "status"}
 
     def test_params_file_and_diffusion_override(self, capsys, tmp_path):
+        # the diffusion mode of a point comes from its document
         params = tmp_path / "params.json"
-        params.write_text(json.dumps({"epsilon": 0.86, "temperature": 0.2}))
-        code, out, _ = run_cli(capsys, "solve", "--params", str(params),
-                               "--diffusion", "consistent")
+        params.write_text(json.dumps({"epsilon": 0.86, "temperature": 0.2,
+                                      "diffusion_mode": "consistent"}))
+        code, out, _ = run_cli(capsys, "solve", "--params", str(params))
         assert code == 0
         assert json.loads(out)["status"] == "ok"
 
     def test_diffusion_choices_cover_every_mode(self, capsys, tmp_path):
         params = tmp_path / "params.json"
-        params.write_text(json.dumps({"epsilon": 0.86}))
-        code, out, _ = run_cli(capsys, "solve", "--params", str(params),
-                               "--diffusion", "input_output")
+        params.write_text(json.dumps({"epsilon": 0.86, "diffusion_mode": "input_output"}))
+        code, out, _ = run_cli(capsys, "solve", "--params", str(params))
         assert code == 0
         assert json.loads(out)["min_symplectic_eig"] >= 0.5 - 1e-10
 
@@ -483,6 +483,14 @@ class TestValidateOracle:
         assert payload["trials"] == 25
         assert payload["max_relative_deviation"] <= 1e-8
 
+    def test_deviation_above_tolerance_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "validate-oracle", "--trials", "3", "--seed", "0",
+                                 "--tolerance", "0")
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert payload["passed"] is False and payload["tolerance"] == 0.0
+        assert 0.0 < payload["max_relative_deviation"] <= 1e-8
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_rejects_fewer_than_one_trial(self, capsys, trials):
         code, out, err = run_cli(capsys, "validate-oracle", "--trials", trials)
@@ -542,7 +550,7 @@ class TestVersion:
 # a usage error is an invalid call, so it exits 3 like an invalid document;
 # argparse's own code, 2, is the code for "no steady state"
 @pytest.mark.parametrize("argv, message", [
-    (["solve", "--diffusion", "nonsense"], "invalid choice: 'nonsense'"),
+    (["solve", "--diffusion", "paper"], "unrecognized arguments: --diffusion paper"),
     (["validate-oracle", "--trials", "zero"], "invalid int value: 'zero'"),
     (["threshold", "--preset", "fig3a", "--measure", "LN_qm", "--direction", "sideways"],
      "invalid choice: 'sideways'"),
@@ -558,6 +566,18 @@ def test_usage_error_exit_code(capsys, argv, message):
     assert message in captured.err
 
 
+# an empty path names no file to read; it is not an omitted option
+@pytest.mark.parametrize("argv", [
+    ["solve", "--params", ""],
+    ["threshold", "--spec", "", "--measure", "LN_qm"],
+    ["sweep", "--spec", ""],
+])
+def test_empty_path_cannot_be_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read")
+
+
 class TestParserReuse:
     def test_one_parser_serves_every_call(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -568,7 +588,7 @@ class TestParserReuse:
             ["preset", "--id", "fig3a"],
             ["sweep", "--spec", str(spec)],
             ["threshold", "--preset", "fig3a", "--measure", "LN_qm"],
-            ["solve", "--diffusion", "nonsense"],
+            ["solve", "--diffusion", "paper"],
             ["--version"],
         ]
 
@@ -589,4 +609,4 @@ class TestParserReuse:
         assert build_parser.cache_info().misses == 1
         assert shared == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 0, 0, "exit 3", "exit 0"]
-        assert "invalid choice: 'nonsense'" in fresh[4][2]
+        assert "unrecognized arguments: --diffusion paper" in fresh[4][2]

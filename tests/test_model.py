@@ -561,6 +561,10 @@ class TestParamColumns:
         # but not one with an invalid value on another axis
         with pytest.raises(SpecError, match=r"epsilon must lie in \[0, 1\)"):
             param_columns(base, {"temperature": [], "epsilon": [2.0]})
+        # a grid of one point is that point, in one dimension or two
+        assert param_columns(base, {"temperature": [0.1]}) == base.replace(temperature=0.1)
+        assert (param_columns(base, {"temperature": [0.1], "epsilon": np.array([[0.5]])})
+                == base.replace(temperature=0.1, epsilon=0.5))
 
     def test_rejects_fields_that_are_not_numeric_parameters(self):
         with pytest.raises(SpecError, match="cannot sweep"):

@@ -286,14 +286,18 @@ class TestAxisAndSpec:
                          axis1=Axis("temperature", values=(0.0, 0.05, 0.3)),
                          axis2=Axis("epsilon", values=(0.0, 0.3, 0.6)),
                          outputs=("LN_qm", "G_q_to_c", "class_cm", "R_min"))
-        rows = run_sweep(spec)
-        assert any(row["status"] == "unstable" for row in rows)
-        for params, row in zip(grid_points(spec), rows, strict=True):
-            assert (row["epsilon"], row["temperature"]) == (params.epsilon, params.temperature)
-            flat = run_point(params).to_flat_dict()
-            assert row["status"] == flat["status"]
-            for key in spec.outputs + ("lyap_residual", "min_symplectic_eig"):
-                assert row[key] == flat.get(key)
+        assert any(row["status"] == "unstable" for row in run_sweep(spec))
+        # a one-cell grid is evaluated as its one point
+        one_cell = dataclasses.replace(spec, axis1=Axis("temperature", values=(0.05,)),
+                                       axis2=Axis("epsilon", values=(0.3,)))
+        for grid in (spec, one_cell):
+            for params, row in zip(grid_points(grid), run_sweep(grid), strict=True):
+                assert (row["epsilon"], row["temperature"]) == (params.epsilon,
+                                                                params.temperature)
+                flat = run_point(params).to_flat_dict()
+                assert row["status"] == flat["status"]
+                for key in grid.outputs + ("lyap_residual", "min_symplectic_eig"):
+                    assert row[key] == flat.get(key)
 
     def test_grid_points_order(self):
         spec = SweepSpec(
@@ -570,6 +574,26 @@ class TestFindThreshold:
         monkeypatch.setattr(sweep_module, "measure_blocks", spy)
         find_threshold(preset("fig3a"), "LN_qm")
         assert kernel_keys and set(kernel_keys) == {("LN_qm",)}
+
+    def test_each_bisection_step_builds_one_point(self, monkeypatch):
+        # the grid's check builds its ends; each step is then one SystemParams
+        spec, builds, evaluations = preset("fig3a"), [], []
+        post_init, evaluate = SystemParams.__post_init__, sweep_module._evaluate
+
+        def counted_post_init(params):
+            builds.append(params)
+            post_init(params)
+
+        def counted_evaluate(params, keys):
+            evaluations.append(params)
+            return evaluate(params, keys)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counted_post_init)
+        monkeypatch.setattr(sweep_module, "_evaluate", counted_evaluate)
+        find_threshold(spec, "LN_qm")
+        assert len(evaluations) > 2
+        assert len(builds) == 2 + (len(evaluations) - 1)
+        assert all(type(step) is SystemParams for step in evaluations[1:])
 
     @pytest.mark.parametrize("values", [(0.0, 0.5, 0.05, 0.3), (0.0, 0.05, 0.5, 0.05),
                                         (0.0, 0.1, 0.1, 0.3)])
