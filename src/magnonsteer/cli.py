@@ -12,8 +12,10 @@ is written as null.
 ``main`` parses with one argument parser per process, built on its first
 call, so a program that calls ``main`` many times (the presets one after
 another) builds it once, and one that only imports this module builds none.
-``sweep`` and ``preset`` write ``format_csv(sweep_columns(spec))``: the
-evaluated columns go to text without a per-point row.
+``sweep``, ``preset`` and ``threshold`` read their sweep through ``_spec``:
+the ``--spec`` document, or else the preset. ``sweep`` and ``preset`` write
+``format_csv(sweep_columns(spec))``: the evaluated columns go to text
+without a per-point row.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ import numpy as np
 from . import __version__
 from .analytic import analytic_covariance
 from .errors import MagnonSteerError, NoCrossing, NonMonotone, SpecError, UnstableDrift
-from .model import DIFFUSION_MODES, _json_object, derive, params_from_dict
+from .model import DIFFUSION_MODES, _json_object, params_from_dict
 # run_sweep is not called here any more; it stays importable from this module
 # because the benchmark's tracer (perfbench/spans.py) wraps it by name here.
 from .sweep import (  # noqa: F401
     PRESET_IDS,
+    SweepSpec,
     find_threshold,
     format_csv,
     preset,
@@ -74,6 +77,11 @@ def _dumps(payload: dict, **options) -> str:
                        else value for key, value in payload.items()}, **options)
 
 
+def _spec(args: argparse.Namespace) -> SweepSpec:
+    """The command's sweep: its ``--spec`` document, or else its preset."""
+    return preset(args.preset) if args.spec is None else spec_from_dict(_load_json(args.spec))
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     params = params_from_dict({} if args.params is None else _load_json(args.params))
     result = run_point(params)
@@ -86,17 +94,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # a preset is a sweep document kept in the package
-    if args.command == "preset":
-        spec = preset(args.id)
-    else:
-        spec = spec_from_dict(_load_json(args.spec))
-    _write_text(args.out, format_csv(sweep_columns(spec)))
+    _write_text(args.out, format_csv(sweep_columns(_spec(args))))
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    spec = preset(args.preset) if args.spec is None else spec_from_dict(_load_json(args.spec))
+    spec = _spec(args)
     try:
         value = find_threshold(spec, args.measure, args.direction)
     except (NoCrossing, NonMonotone) as exc:
@@ -118,26 +121,24 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(DIFFUSION_MODES, 0.0)
     trials = dict.fromkeys(DIFFUSION_MODES, 0)
-    accepted = 0
-    while accepted < args.trials:
+    while (accepted := sum(trials.values())) < args.trials:
         mode = DIFFUSION_MODES[accepted % len(DIFFUSION_MODES)]
-        overrides = {
+        params = params_from_dict({
             "epsilon": rng.uniform(0.0, 0.95),
+            "theta": rng.uniform(0.0, 2.0 * math.pi),
             "temperature": rng.uniform(0.0, 1.0),
             "g_q_ratio": rng.uniform(0.5, 3.0),
             "diffusion_mode": mode,
-        }
-        params = params_from_dict(overrides)
+        })
         try:
             numeric = steady_state_covariance(params)
         except UnstableDrift:
             continue
-        closed = analytic_covariance(params, derive(params))
+        closed = analytic_covariance(params)
         mask = np.abs(closed) > 1e-12
         rel = float(np.max(np.abs(numeric - closed)[mask] / np.abs(closed)[mask]))
         worst[mode] = max(worst[mode], rel)
         trials[mode] += 1
-        accepted += 1
     overall = max(worst.values())
     passed = overall <= args.tolerance
     print(json.dumps({"trials": accepted, "seed": args.seed,
@@ -183,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_preset = sub.add_parser("preset", help="run a figure-reproduction preset")
-    p_preset.add_argument("--id", required=True, metavar="|".join(PRESET_IDS))
+    # a preset is a sweep document kept in the package
+    p_preset.add_argument("--id", required=True, dest="preset", metavar="|".join(PRESET_IDS))
     p_preset.add_argument("--out", help="CSV output path (stdout if omitted)")
-    p_preset.set_defaults(func=cmd_sweep)
+    p_preset.set_defaults(func=cmd_sweep, spec=None)
 
     p_thr = sub.add_parser("threshold", help="locate where a measure reaches zero")
     group = p_thr.add_mutually_exclusive_group(required=True)

@@ -1,9 +1,10 @@
 """Single-point evaluation, parameter sweeps, presets and CSV emission.
 
 Every call evaluates its points as one stack. A sweep is its base parameters
-plus at most two axis arrays, read as one grid by ``model.param_columns``:
-each axis is checked once, and the model builds the x' blocks of every
-point in one pass, with no per-point object. ``gaussian.steady_state_blocks``
+plus at most two axis arrays, of at most ``MAX_GRID_POINTS`` points together,
+read as one grid by ``model.param_columns``: each axis is checked once, and
+the model builds the x' blocks of every point in one pass, with no per-point
+object. ``gaussian.steady_state_blocks``
 then gates, solves and judges the stack, and the batched measures kernel
 measures the accepted points, computing only the requested outputs and
 ``min_symplectic_eig``; it does not run when no point was accepted.
@@ -65,6 +66,13 @@ from .model import (  # noqa: F401
 
 DIAGNOSTIC_KEYS = ("lyap_residual", "min_symplectic_eig")
 
+# The most points one sweep may hold. SweepSpec checks it from the axis
+# lengths, so no count that numpy would refuse (2**62 and up) or try to
+# allocate in vain reaches numpy: it ends in a SpecError. A point evaluated
+# with every output takes about 4.6 KB at peak, so a sweep at the bound
+# needs about 4.6 GB.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -106,17 +114,16 @@ class Axis:
     def grid(self) -> np.ndarray:
         if self.values is not None:
             return np.asarray(self.values, dtype=float)
-        try:
-            return np.linspace(self.start, self.stop, self.count)
-        except (ValueError, IndexError) as exc:
-            # numpy refuses a count it cannot hold before allocating: ValueError,
-            # or IndexError for one that rounds to 2**63
-            raise SpecError(f"cannot make an axis of {self.count} points: {exc}") from exc
+        return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep: base parameters, one or two axes, and the measures to emit."""
+    """A sweep: base parameters, one or two axes, and the measures to emit.
+
+    Its grid holds at most MAX_GRID_POINTS points, checked from the axis
+    lengths; a larger one raises SpecError before any array is made.
+    """
 
     base: SystemParams
     axis1: Axis
@@ -137,6 +144,10 @@ class SweepSpec:
         object.__setattr__(self, "outputs", outputs)
         if self.axis2 is not None and self.axis2.param == self.axis1.param:
             raise SpecError("axis1 and axis2 must sweep different parameters")
+        points = math.prod(a.count or len(a.values) for a in (self.axis1, self.axis2) if a)
+        if points > MAX_GRID_POINTS:
+            raise SpecError(f"cannot make {'a grid' if self.axis2 else 'an axis'} of {points} "
+                            f"points: a sweep holds at most {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True, init=False)

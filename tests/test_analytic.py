@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from magnonsteer import (
 )
 from magnonsteer.gaussian import assert_stable, check_physicality
 from magnonsteer.model import (
+    DIFFUSION_MODES,
     HBAR,
     SPEED_OF_LIGHT,
     TWO_PI,
@@ -30,14 +33,20 @@ def test_matches_solver_at_default_point():
     assert relative_gap(steady_state_covariance(params), analytic_covariance(params)) <= 1e-8
 
 
-@pytest.mark.parametrize("diffusion_mode", ["paper", "consistent", "input_output"])
-def test_matches_solver_on_random_stable_points(diffusion_mode):
+# each mode at the default phase theta = pi, and at a phase drawn uniformly in
+# [0, 2 pi) for every point; the default-phase cases keep their plain ids
+@pytest.mark.parametrize(
+    "diffusion_mode, draw_theta",
+    [pytest.param(mode, False, id=mode) for mode in DIFFUSION_MODES]
+    + [pytest.param(mode, True, id=f"{mode}-random_theta") for mode in DIFFUSION_MODES])
+def test_matches_solver_on_random_stable_points(diffusion_mode, draw_theta):
     rng = np.random.default_rng(2024)
     accepted = 0
     worst = 0.0
     while accepted < 120:
         params = default_params(
             epsilon=float(rng.uniform(0.0, 0.95)),
+            theta=float(rng.uniform(0.0, 2.0 * math.pi)) if draw_theta else math.pi,
             temperature=float(rng.uniform(0.0, 1.0)),
             g_q_ratio=float(rng.uniform(0.5, 3.0)),
             diffusion_mode=diffusion_mode,

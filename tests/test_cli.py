@@ -230,11 +230,10 @@ AXIS_END = st.one_of(st.just(-sys.float_info.max), st.just(sys.float_info.max), 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(field=st.sampled_from(NUMERIC_FIELDS), ends=st.lists(AXIS_END, min_size=2, max_size=2),
-       count=st.sampled_from((2, 3, 2**62, 10**30)))
+       count=st.sampled_from((2, 3, 10**12, 2**62, 10**30)))
 def test_every_linspace_axis_gives_an_exit_code(field, ends, count):
     # a sweep and a threshold scan over a linspace axis between the drawn ends,
-    # sorted; the large counts are ones numpy refuses before allocating, and
-    # no count numpy would try to allocate is drawn
+    # sorted; the large counts lie above the sweep size bound
     axis = {"param": field, "start": min(ends), "stop": max(ends), "count": count}
     with tempfile.TemporaryDirectory() as directory:
         spec = Path(directory, "spec.json")
@@ -287,7 +286,7 @@ class TestSweep:
           "not both"),
          ({"axis1": {"param": "temperature", "start": 0, "stop": 0.1, "count": 3,
                      "step": 0.05}}, "unknown axis keys: ['step']")]
-      # a span that overflows, and counts numpy refuses before allocating
+      # a span that overflows, and counts above the sweep size bound
       + [({"axis1": {"param": "theta", "start": -1e308, "stop": 1e308, "count": 3}},
           "axis stop - start must be finite")]
       + [({"axis1": {"param": "theta", "start": 0, "stop": 1, "count": count}},
@@ -304,7 +303,14 @@ class TestSweep:
          ({"axis1": {"param": "temperature"}}, "missing ['start', 'stop', 'count']"),
          ({"axis1": {"param": "temperature", "count": 5}}, "missing ['start', 'stop']"),
          ({"axis1": {"param": "temperature", "start": 0.1, "count": 5}}, "missing ['stop']"),
-         ({"axis1": {"param": "temperature", "stop": 0.5, "count": 5}}, "missing ['start']")])
+         ({"axis1": {"param": "temperature", "stop": 0.5, "count": 5}}, "missing ['start']")]
+      # one axis, and a grid of two axes, over the sweep size bound: numpy
+      # would try to allocate them
+      + [({"axis1": {"param": "temperature", "start": 0, "stop": 1, "count": 10**12}},
+          "cannot make an axis of 1000000000000 points"),
+         ({"axis1": {"param": "temperature", "start": 0, "stop": 1, "count": 10**5},
+           "axis2": {"param": "epsilon", "start": 0, "stop": 0.5, "count": 10**5}},
+          "cannot make a grid of 10000000000 points")])
     def test_malformed_spec_exit_code(self, capsys, tmp_path, change, named):
         document = {"axis1": {"param": "temperature", "start": 0, "stop": 0.1,
                               "count": 3},

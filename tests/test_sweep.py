@@ -39,7 +39,7 @@ from magnonsteer.model import (
     build_drift,
     effective_coupling,
 )
-from magnonsteer.sweep import PRESET_IDS, Axis, SweepSpec, grid_points
+from magnonsteer.sweep import MAX_GRID_POINTS, PRESET_IDS, Axis, SweepSpec, grid_points
 import magnonsteer.gaussian as gaussian_module
 import magnonsteer.sweep as sweep_module
 
@@ -241,6 +241,20 @@ class TestAxisAndSpec:
             SweepSpec(base=default_params(),
                       axis1=Axis("temperature", 0.0, 1.0, 3),
                       axis2=Axis("temperature", 0.0, 1.0, 3))
+
+    def test_spec_bounds_the_grid_size(self):
+        base = default_params()
+        at_bound = SweepSpec(base=base, axis1=Axis("temperature", 0.0, 1.0, MAX_GRID_POINTS))
+        assert at_bound.axis1.count == MAX_GRID_POINTS
+        over = MAX_GRID_POINTS + 1
+        with pytest.raises(SpecError, match=f"cannot make an axis of {over} points"):
+            SweepSpec(base=base, axis1=Axis("temperature", 0.0, 1.0, over))
+        # a values axis counts its values, and two axes their product
+        half = MAX_GRID_POINTS // 2 + 1
+        pair, line = Axis("epsilon", values=(0.0, 0.5)), Axis("temperature", 0.0, 1.0, half)
+        for axis1, axis2 in ((pair, line), (line, pair)):
+            with pytest.raises(SpecError, match=f"cannot make a grid of {2 * half} points"):
+                SweepSpec(base=base, axis1=axis1, axis2=axis2)
 
     def test_spec_rejects_duplicate_outputs(self):
         with pytest.raises(SpecError, match=r"duplicate measure keys: \['LN_qm', 'R_c'\]"):
