@@ -94,7 +94,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _write_text(args.out, format_csv(sweep_columns(_spec(args))))
+    spec = _spec(args)
+    try:
+        columns = sweep_columns(spec)
+    except MemoryError:  # the peak grows with the points, about 4.6 KB each
+        raise SpecError(f"not enough memory to evaluate a sweep of {spec.points} points") from None
+    _write_text(args.out, format_csv(columns))
     return EXIT_OK
 
 

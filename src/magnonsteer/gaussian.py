@@ -33,9 +33,15 @@ The symplectic eigenvalues are the singular values of M = B^T T A, with A
 and B the Cholesky factors of V_x and V_p and T = I; partially transposing
 mode k flips the sign of its x' or p' quadrature, which puts -1 at position
 k of the diagonal of T either way. ``min_symplectic_eig`` takes the
-smallest as nu_min = lambda_max(X X^T)^(-1/2), X = M^-1 = A^-1 T B^-T, from
-closed-form inverses of the triangular factors and one symmetric
-eigen-solve. The largest eigenvalue of a symmetric matrix has a small
+smallest as nu_min = lambda_max(X X^T)^(-1/2), X = M^-1 = A^-1 T B^-T, by one
+closed form over the block entries: the inverse Cholesky factors, the
+entries of X and X X^T, and Smith's trigonometric formula for the largest
+eigenvalue of a symmetric 3x3 matrix, applied to X X^T less its mean
+eigenvalue and scaled so that nothing overflows. Like ``block_gate`` it
+takes a stack of one on Python floats and a larger stack elementwise, with
+the same bits either way. Only a row whose two largest eigenvalues nearly
+meet, where that formula loses digits, takes an eigen-solve, of its own
+3x3 matrix. The largest eigenvalue of a symmetric matrix has a small
 relative error, so nu_min keeps one too; no route here forms nu^2, whose
 rounding error is far larger than nu's at the sub-vacuum states of the
 model.
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -80,10 +87,13 @@ _SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
 _SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
 _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
 
-# The identity, the strictly lower triangle, and the sign row of the state itself
-_EYE = np.eye(3)
-_STRICT = np.tri(3, k=-1)
+# The sign row of the state itself, and the lower entries of a row-major 3x3 matrix
 _UNSIGNED = np.ones((1, 3))
+_LOWER = operator.itemgetter(0, 3, 4, 6, 7, 8)
+
+# Smith's formula decides where r > SMITH_MIN_R; nearer r = -1, where the two largest
+# eigenvalues of the Gram matrix meet, eigvalsh does
+SMITH_MIN_R = -1.0 + 1e-2
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -386,27 +396,124 @@ def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:
     Returns (N, k): nu_min of V_x (+) V_p with T = diag(signs[i]), -1 at
     each partially transposed mode. The symplectic eigenvalues are the
     singular values of M = B^T T A for the Cholesky factors A, B of V_x and
-    V_p, so nu_min = lambda_max(X X^T)^(-1/2) with X = M^-1 = A^-1 T B^-T.
-    Each factor L = D (I + W), D its diagonal and W strictly lower, has the
-    closed-form inverse L^-1 = (I - W + W^2) D^-1, as W^3 = 0. T scales the
-    columns of A^-1 before the product, one factorisation serves every sign
-    row, and one symmetric eigen-solve the whole (N, k, 3, 3) stack. Its
-    largest eigenvalue has a small relative error, and so has nu_min.
+    V_p, so nu_min = lambda_max(G)^(-1/2) for the Gram matrix G = X X^T,
+    X = M^-1 = A^-1 T B^-T. One closed form over the block entries gives it:
+    the inverse factors (``_inverse_factor``), the entries of X and G
+    (``_gram_parts``, ``_nu_min``), and lambda_max(G) by Smith's
+    trigonometric formula (O. K. Smith, Commun. ACM 4, 168 (1961)) on
+    U = (G - q I) / q, q = tr G / 3: with p^2 = tr U^2 / 6 and
+    r = det U / 2 p^3, lambda_max = q (1 + 2 p cos(acos(r) / 3)). U's entries
+    are at most 3 in magnitude, so no intermediate overflows or underflows
+    over the scale ``covariance_blocks`` accepts, and nu_min keeps the small
+    relative error of lambda_max. Where r nears -1 the two largest
+    eigenvalues of G meet and acos loses digits; a row with r <= SMITH_MIN_R,
+    or where 2 p^3 is 0 or r is NaN, has its own G solved by
+    ``np.linalg.eigvalsh`` instead, the only eigen-solve here (13 of the
+    3,600 rows of the seven presets). A stack of one takes the formula on
+    Python floats, a larger stack as elementwise numpy arithmetic (+ - * /
+    and roots, with no matmul or reduction); both take acos and cos through
+    ``math``, one element at a time, so a block pair gets the same bits
+    whatever its stack holds.
 
     Raises
     ------
     NonPositiveInput
         If a block is not positive definite.
     """
-    try:
-        factors = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveInput("covariance block is not positive definite") from exc
-    recip = 1.0 / factors.diagonal(0, -2, -1)
-    strict = factors * (_STRICT * recip[..., :, None])
-    inverse = ((_EYE - strict) + strict @ strict) * recip[..., None, :]
-    x = (inverse[:, 0, None] * signs[:, None, :]) @ inverse[:, 1, None].swapaxes(-1, -2)
-    return 1.0 / np.sqrt(np.linalg.eigvalsh(x @ x.swapaxes(-1, -2))[..., -1])
+    b = np.asarray(blocks, dtype=float)
+    if len(b) == 1:
+        vx, vp = b.reshape(2, 9).tolist()
+        parts = _gram_parts(*_inverse_factor(*_LOWER(vx)), *_inverse_factor(*_LOWER(vp)))
+        return np.array([[_nu_min(*parts, t0 * t1, t0 * t2) for t0, t1, t2 in signs.tolist()]])
+    vx, vp = b.reshape(-1, 2, 9).transpose(1, 2, 0)[..., None]  # (9, N, 1): broadcast over rows
+    t0, t1, t2 = np.asarray(signs, dtype=float).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parts = _gram_parts(*_inverse_factor(*_LOWER(vx)), *_inverse_factor(*_LOWER(vp)))
+        return _nu_min(*parts, t0 * t1, t0 * t2)
+
+
+def _pivot(d):
+    """The root of a Cholesky pivot d, float or array; NonPositiveInput unless every d > 0."""
+    if d > 0.0 if type(d) is float else (d > 0.0).all():
+        return math.sqrt(d) if type(d) is float else np.sqrt(d)
+    raise NonPositiveInput("covariance block is not positive definite")
+
+
+def _inverse_factor(v00, v10, v11, v20, v21, v22):
+    """The lower entries (i00, i10, i11, i20, i21, i22) of L^-1, for the Cholesky
+    factor L of the symmetric matrix V with these lower entries; floats or arrays.
+
+    With V = U D U^T, U unit lower triangular, L^-1 = D^(-1/2) U^-1. The pivots
+    d = (v00, d11, d22) are taken from the entries of V, before any root.
+    """
+    i00 = 1.0 / _pivot(v00)
+    u10, u20 = v10 / v00, v20 / v00
+    d11 = v11 - u10 * v10
+    i11 = 1.0 / _pivot(d11)
+    e21 = v21 - u20 * v10
+    u21 = e21 / d11
+    i22 = 1.0 / _pivot(v22 - u20 * v20 - u21 * e21)
+    return i00, -u10 * i11, i11, (u21 * u10 - u20) * i22, -u21 * i22, i22
+
+
+def _gram_parts(a00, a10, a11, a20, a21, a22, b00, b10, b11, b20, b21, b22):
+    """What G = X X^T, X = A^-1 T B^-T, shares between sign rows, from the lower
+    entries of A^-1 and B^-1; floats or arrays.
+
+    X_ij is the sum of a_ik t_k b_jk over k <= min(i, j), and G is unchanged
+    when T changes sign, so T = diag(1, s1, s2), s1 = t0 t1, s2 = t0 t2. The
+    first row and column of X, and the terms of G made of them alone, are
+    then the same for every T. Returns x01, x02, g00, those terms of g10,
+    g11, g20, g21 and g22, and the products that make up x11, x12, x21 and x22.
+    """
+    x00, x01, x02, x10, x20 = a00 * b00, a00 * b10, a00 * b20, a10 * b00, a20 * b00
+    return (x01, x02, x00 * x00 + x01 * x01 + x02 * x02, x10 * x00, x10 * x10, x20 * x00,
+            x20 * x10, x20 * x20, a10 * b10, a11 * b11, a10 * b20, a11 * b21, a20 * b10,
+            a21 * b11, a20 * b20, a21 * b21, a22 * b22)
+
+
+def _nu_min(x01, x02, g00, h10, h11, h20, h21, h22,
+            c11, d11, c12, d12, c21, d21, c22, d22, e22, s1, s2):
+    """lambda_max(G)^(-1/2) for T = diag(1, s1, s2), from ``_gram_parts``: by Smith's
+    formula where r > SMITH_MIN_R, else by ``np.linalg.eigvalsh`` on that G; a
+    float, or an array over the stack."""
+    x11, x12, x21, x22 = c11 + s1 * d11, c12 + s1 * d12, c21 + s1 * d21, c22 + s1 * d22 + s2 * e22
+    gram = (g00, h10 + x11 * x01 + x12 * x02, h11 + x11 * x11 + x12 * x12,
+            h20 + x21 * x01 + x22 * x02, h21 + x21 * x11 + x22 * x12, h22 + x21 * x21 + x22 * x22)
+    g00, g10, g11, g20, g21, g22 = gram
+    q = (g00 + g11 + g22) / 3.0
+    point = type(q) is float
+    s = math.inf if point and not q else 1.0 / q  # q = 0 only where G underflows
+    u00, u11, u22 = (g00 - q) * s, (g11 - q) * s, (g22 - q) * s
+    u10, u20, u21 = g10 * s, g20 * s, g21 * s
+    square = (u00 * u00 + u11 * u11 + u22 * u22 + 2.0 * (u10 * u10 + u20 * u20 + u21 * u21)) / 6.0
+    det = (u00 * (u11 * u22 - u21 * u21) - u10 * (u10 * u22 - u21 * u20)
+           + u20 * (u10 * u21 - u11 * u20))
+    p = math.sqrt(square) if point else np.sqrt(square)
+    cube = 2.0 * p * square  # 2 p^3, and r = det U / 2 p^3
+    if point:
+        if cube > 0.0 and det / cube > SMITH_MIN_R:  # r <= 1 in exact arithmetic
+            return 1.0 / math.sqrt(q * (1.0 + 2.0 * p * _cos_third(det / cube)))
+        return _eigvalsh_nu(*([g] for g in gram))[0]
+    r = det / cube
+    smith = (cube > 0.0) & (r > SMITH_MIN_R)
+    cosine = np.reshape(list(map(_cos_third, np.where(smith, r, 1.0).ravel().tolist())), r.shape)
+    nu = 1.0 / np.sqrt(q * (1.0 + 2.0 * p * cosine))
+    if not smith.all():
+        rest = ~smith
+        nu[rest] = _eigvalsh_nu(*(np.broadcast_to(g, rest.shape)[rest] for g in gram))
+    return nu
+
+
+def _cos_third(r: float) -> float:
+    """cos(acos(r) / 3) through ``math``, with r clipped to at most 1."""
+    return math.cos(math.acos(r if r < 1.0 else 1.0) / 3.0)
+
+
+def _eigvalsh_nu(g00, g10, g11, g20, g21, g22) -> np.ndarray:
+    """lambda_max(G)^(-1/2) of the symmetric G (n,) with these lower entries, by ``eigvalsh``."""
+    gram = np.array([[g00, g10, g20], [g10, g11, g21], [g20, g21, g22]]).transpose(2, 0, 1)
+    return 1.0 / np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
 
 def check_physicality(cov: np.ndarray) -> tuple[bool, float]:

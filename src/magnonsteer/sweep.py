@@ -144,10 +144,14 @@ class SweepSpec:
         object.__setattr__(self, "outputs", outputs)
         if self.axis2 is not None and self.axis2.param == self.axis1.param:
             raise SpecError("axis1 and axis2 must sweep different parameters")
-        points = math.prod(a.count or len(a.values) for a in (self.axis1, self.axis2) if a)
-        if points > MAX_GRID_POINTS:
-            raise SpecError(f"cannot make {'a grid' if self.axis2 else 'an axis'} of {points} "
+        if self.points > MAX_GRID_POINTS:
+            raise SpecError(f"cannot make {'a grid' if self.axis2 else 'an axis'} of {self.points} "
                             f"points: a sweep holds at most {MAX_GRID_POINTS}")
+
+    @property
+    def points(self) -> int:
+        """The number of grid points, from the axis lengths."""
+        return math.prod(a.count or len(a.values) for a in (self.axis1, self.axis2) if a)
 
 
 @dataclass(frozen=True, init=False)

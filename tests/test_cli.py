@@ -379,6 +379,23 @@ class TestSweep:
         assert out == ""
         assert err == "error: duplicate measure keys: ['LN_qm']\n"
 
+    @pytest.mark.parametrize("command", ["sweep", "preset"])
+    def test_out_of_memory_exit_code(self, capsys, tmp_path, monkeypatch, command):
+        # a sweep whose arrays do not fit in memory ends in one error line, no traceback
+        def out_of_memory(spec):
+            raise MemoryError("Unable to allocate 91.6 MiB")
+
+        monkeypatch.setattr(cli, "sweep_columns", out_of_memory)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"axis1": {"param": "temperature", "start": 0, "stop": 1,
+                                              "count": 400000}}))
+        source = ["--spec", str(spec)] if command == "sweep" else ["--id", "fig5"]
+        code, out, err = run_cli(capsys, command, *source)
+        points = 400000 if command == "sweep" else sweep.preset("fig5").points
+        assert code == 3
+        assert out == ""
+        assert err == f"error: not enough memory to evaluate a sweep of {points} points\n"
+
 
 class TestPreset:
     def test_preset_to_stdout(self, capsys):

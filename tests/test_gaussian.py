@@ -2,6 +2,8 @@
 generic 6x6 oracle helpers in _oracles that the block kernel is checked
 against."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -536,8 +538,22 @@ def mp_min_symplectic(pair: np.ndarray, signs: np.ndarray):
         return min(mpmath.sqrt(mpmath.re(e)) for e in eigenvalues)
 
 
+def degenerate_pairs():
+    """States with two equal, or nearly equal, symplectic eigenvalues: two product
+    states, then random rotations O diag(n, n (1 + split), m) O^T of both blocks."""
+    pairs = [np.array([np.diag([0.7, 0.7, 1.5])] * 2), np.array([np.diag([0.5, 0.5, 2.5])] * 2)]
+    rng = np.random.default_rng(29)
+    for split in (0.0, 1e-12, 1e-9, 1e-6):
+        for n, m in ((0.5, 1.3), (0.8, 4.0), (2.0, 0.6)):
+            rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            v = rotation @ np.diag([n, n * (1.0 + split), m]) @ rotation.T
+            pairs.append(np.array([(v + v.T) / 2.0] * 2))
+    return np.array(pairs)
+
+
 class TestMinSymplecticEig:
-    """The inverse-Gram route against the SVD oracle and a 40-digit reference."""
+    """The closed form against the SVD oracle and a 40-digit reference, at its
+    degenerate rows and scale edges, and the same bits on every stack."""
 
     @pytest.fixture(scope="class", params=["random", "model"])
     def pairs(self, request):
@@ -567,11 +583,53 @@ class TestMinSymplecticEig:
         assert nus[1, 2:] == pytest.approx([0.5, 0.5], rel=1e-14)
 
     def test_rejects_indefinite_block(self):
-        vp = 0.5 * np.eye(3)
-        vp[2, 2] = -0.1
-        blocks = covariance_blocks(phase_covariant_cm(0.5 * np.eye(3), vp)[None])
-        with pytest.raises(NonPositiveInput):
-            min_symplectic_eig(blocks, CUT_SIGNS)
+        # a negative or a zero variance, on the float path and the array path
+        for variance in (-0.1, 0.0):
+            vp = 0.5 * np.eye(3)
+            vp[2, 2] = variance
+            cov = phase_covariant_cm(0.5 * np.eye(3), vp)
+            for count in (1, 3):
+                blocks = covariance_blocks(np.array([cov] * count))
+                with pytest.raises(NonPositiveInput):
+                    min_symplectic_eig(blocks, CUT_SIGNS)
+
+    def test_degenerate_spectrum(self):
+        # where the two largest Gram eigenvalues meet, the closed form alone would
+        # lose digits (2.8e-9 relative on the rotations); the eigen-solver takes those rows
+        pairs = degenerate_pairs()
+        got = min_symplectic_eig(pairs, CUT_SIGNS)
+        for pair, nus in zip(pairs, got):
+            for signs, nu in zip(CUT_SIGNS, nus):
+                want = mp_min_symplectic(pair, signs)
+                assert float(abs(nu - want) / want) <= 1e-14
+        negativities = [k for k in MEASURE_KEYS if k.startswith("LN_")]
+        columns = measure_blocks(pairs[:2], negativities)
+        assert all(columns[key] == [0.0, 0.0] for key in negativities)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_scale_edges(self, count):
+        # nu_min scales with the state, over the scale covariance_blocks accepts
+        states = (steady_state_covariance(default_params(epsilon=0.9)), tmsv_with_spectator(0.5),
+                  steady_state_covariance(default_params(temperature=2.0)))
+        unit = covariance_blocks(np.array(states[:count]))
+        want = min_symplectic_eig(unit, CUT_SIGNS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-99, 1e-60, 1e-30, 1.0, 1e30, 1e60, 1e99):
+                got = min_symplectic_eig(unit * scale, CUT_SIGNS)
+                assert np.allclose(got, want * scale, rtol=1e-14, atol=0.0)
+
+    def test_same_bits_on_every_stack(self, monkeypatch):
+        # preset states and rows that go to the eigen-solver, in one stack
+        pairs = np.concatenate([model_block_pairs(), degenerate_pairs()])
+        solved = []
+        solver = gaussian_module._eigvalsh_nu
+        monkeypatch.setattr(gaussian_module, "_eigvalsh_nu",
+                            lambda *gram: solved.append(len(gram[0])) or solver(*gram))
+        stacked = min_symplectic_eig(pairs, CUT_SIGNS)
+        assert 0 < sum(solved) < stacked.size
+        alone = np.concatenate([min_symplectic_eig(pair[None], CUT_SIGNS) for pair in pairs])
+        assert np.array_equal(stacked, alone)
 
     def test_is_the_physicality_check(self):
         for cov in (vacuum_cm(3), tmsv_with_spectator(0.5),
