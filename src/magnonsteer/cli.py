@@ -3,11 +3,11 @@
 Subcommands: solve, sweep, preset, threshold, validate-oracle. Exit codes:
 0 on success, 1 when ``validate-oracle`` finds a deviation above its
 ``--tolerance``, 2 when no steady state exists (unstable drift), 3 on invalid
-specifications or parameter documents and on usage errors (an unknown
+specifications or parameter documents, on usage errors (an unknown
 option, a bad option value or a missing required one; argparse's own code
-for them would be 2). JSON output is strict: a number that
-is not finite (the NaN ``max_real_part`` of a drift with a non-finite entry)
-is written as null.
+for them would be 2) and when a command runs out of memory. JSON output is
+strict: a number that is not finite (the NaN ``max_real_part`` of a drift
+with a non-finite entry) is written as null.
 
 ``main`` parses with one argument parser per process, built on its first
 call, so a program that calls ``main`` many times (the presets one after
@@ -94,12 +94,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _spec(args)
-    try:
-        columns = sweep_columns(spec)
-    except MemoryError:  # the peak grows with the points, about 4.6 KB each
-        raise SpecError(f"not enough memory to evaluate a sweep of {spec.points} points") from None
-    _write_text(args.out, format_csv(columns))
+    _write_text(args.out, format_csv(sweep_columns(_spec(args))))
     return EXIT_OK
 
 
@@ -226,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSTABLE
     except MagnonSteerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    except MemoryError:  # a sweep's peak grows with its points, about 4.6 KB each
+        print(f"error: not enough memory to run {args.command}", file=sys.stderr)
         return EXIT_SPEC
 
 

@@ -19,7 +19,9 @@ computing only the requested slots:
   (party, steered) matrix, a pair being steered by the padded party x = 1,
   z = 0. One steered mode has nu = l33_x l33_p; two have the singular
   values of M = B^T T A for the trailing 2x2 factors A, B, nu_max from two
-  ``hypot`` terms and nu_min = a22 a33 b22 b33 / nu_max;
+  ``hypot`` terms and nu_min = a22 a33 b22 b33 / nu_max. A steering party
+  is judged by the same factor: l22^2 / P22 = 1 - rho^2, rho the
+  correlation of its two modes, so by their correlation, not their scale;
 - the 3x3 cuts: ``gaussian.min_symplectic_eig`` gives the one-versus-two
   negativities and the smallest symplectic eigenvalue over the stacked sign
   rows, by one closed form: the inverse Cholesky factors of the blocks, the
@@ -225,30 +227,34 @@ def _table(entries) -> np.ndarray:
                      for block in (0, 1)]).transpose(2, 0, 1)
 
 
-def _check(high, low, positive) -> None:
-    """Raise unless every party is well conditioned and ``positive`` is, in both blocks.
+def _check(party, first, last) -> None:
+    """Raise unless every steering party is well conditioned and every slot positive.
 
-    ``high`` and ``low`` (2, parties, N) are twice the largest and smallest
-    eigenvalue of each steering party in each block, and its condition
-    number is the largest over the smallest across both blocks;
-    ``positive`` is the last diagonal entry of each slot's Cholesky factor
-    in each block, NaN where the slot's conditional is not positive
+    ``party`` (2, split, N) is 1 - rho^2 of the party of each slot steering
+    one mode, in each block: l22^2 / P22, rho the correlation of its two
+    modes, 1 for a padded one-mode party and NaN for a party that is not
+    positive definite. The party's block scaled to unit diagonal has
+    condition number (1 + |rho|) / (1 - |rho|), about 4 / (1 - rho^2), so a
+    party is judged by its modes' correlation, never by their scale. A party
+    of one mode steering two is its P11 alone, of condition number 1.
+    ``first`` and ``last`` are l11 and l33 of each slot in each block, NaN
+    where the slot's party (l11) or conditional (l33) is not positive
     definite.
 
     Raises
     ------
     SingularBlock
-        If a party has condition number above CONDITION_CUTOFF.
+        If a party's condition number so scaled is above about
+        CONDITION_CUTOFF in its x' or its p' block.
     NonPositiveInput
         If a party's block, or else a conditional block, is not positive
         definite.
     """
-    if (high[:, None] <= CONDITION_CUTOFF * low).all() and (positive > 0.0).all():
+    if (party >= 4.0 / CONDITION_CUTOFF).all() and (last > 0.0).all():
         return
-    top, bottom = np.maximum(*high), np.minimum(*low)
-    if np.any((bottom >= 0.0) & (top > CONDITION_CUTOFF * bottom)):
+    if np.any(party < 4.0 / CONDITION_CUTOFF):
         raise SingularBlock("steering-party block is numerically singular")
-    if not np.all(bottom > 0.0):
+    if np.isnan(party).any() or not (first > 0.0).all():
         raise NonPositiveInput("covariance block is not positive definite")
     raise NonPositiveInput("conditional block is not positive definite")
 
@@ -273,10 +279,8 @@ def _conditional(table: np.ndarray, plan: "_Plan"):
     l31 = p31 / l11
     l32 = (p32 - l21 * l31) / l22
     l33 = np.sqrt((p33 - l31 * l31) - l32 * l32)
-    x11, x21, x22 = table[plan.parties]  # with eigenvalues (trace +- gap) / 2
-    trace, gap = x11 + x22, np.hypot(x11 - x22, x21 + x21)
-    _check(trace + gap, trace - gap, l33)
     split = plan.split
+    _check((l22 * l22)[:, :split] / p22[:, :split], l11, l33)
     (a22, b22), (a32, b32), (a33, b33) = (l[:, split:] for l in (l22, l32, l33))
     m11 = plan.signs[0] * b22 * a22 + b32 * a32
     m12, m21, m22 = b32 * a33, b33 * a32, b33 * a33
@@ -305,7 +309,6 @@ class _Plan(NamedTuple):
     """
 
     slots: np.ndarray | None  # (6, 2, slots) rows of the entries
-    parties: np.ndarray | None  # (3, 2, parties) rows of each steering party's 2x2 block
     split: int  # how many slots steer one mode
     signs: tuple  # the (sign, both) arguments of the two-mode slots, each (slots, 1)
     cuts: np.ndarray | None  # (k, 3) sign rows
@@ -330,9 +333,6 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
     slots = [k for k in _SLOTS if k in wanted]
     split = sum(len(k.rpartition("_")[2]) == 1 for k in slots)
     both = np.array([float(k.startswith("G_")) for k in slots[split:]])[:, None]
-    # each slot's party once, as (P11, P21, P22), a one-mode party x read as (x, 0, x)
-    parties = dict.fromkeys(e[:3] if k < split else (e[0], 0, e[0])
-                            for k, e in enumerate(map(_SLOTS.get, slots)))
     cuts = [k for k in _CUTS if k in wanted]
     rows = slots + cuts
     measured = len(rows)
@@ -345,7 +345,6 @@ def _plan(outputs: tuple[str, ...]) -> _Plan:
             rows += keys
     return _Plan(
         slots=_table([_SLOTS[k] for k in slots]) if slots else None,
-        parties=_table(parties) if parties else None,
         split=split,
         signs=(2.0 * both - 1.0, both),
         cuts=np.array([_CUTS[k] for k in cuts]) if cuts else None,
@@ -379,7 +378,9 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     NonPositiveInput
         If a block a requested measure reads is not positive definite.
     SingularBlock
-        If a steering party is numerically singular.
+        If a steering party is numerically singular: its two modes
+        correlated to 1 - rho^2 below 4 / CONDITION_CUTOFF in either block,
+        whatever their scale.
     """
     if isinstance(outputs, str):
         raise ValueError("outputs must be a list of measure keys")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from magnonsteer.errors import NonPositiveInput, SingularBlock
@@ -76,6 +77,24 @@ def symplectic_spectrum(blocks: np.ndarray, signs: np.ndarray | None = None) -> 
     if signs is not None:
         bt = bt * signs[..., None, :]
     return np.linalg.svd(bt @ factors[:, 0], compute_uv=False)
+
+
+def mp_symplectic_eigenvalues(vx, vp, signs=None) -> list:
+    """Symplectic eigenvalues of the block pair V_x (+) V_p, T = diag(signs), ascending.
+
+    The square roots of the eigenvalues of T V_x T V_p in 50-digit mpmath,
+    where forming nu^2 is harmless. The blocks are n x n numpy arrays or
+    mpmath matrices, read exactly; ``signs`` defaults to all ones (the
+    state itself, no partial transpose).
+    """
+    with mpmath.workdps(50):
+        vx, vp = mpmath.matrix(vx), mpmath.matrix(vp)
+        flip = mpmath.diag([1] * vx.rows if signs is None else [int(sign) for sign in signs])
+        product = flip * vx * flip * vp
+        # mpmath.eig returns its eigenvectors too for a 1x1 matrix, whatever it is asked
+        squares = ([product[0, 0]] if product.rows == 1
+                   else mpmath.eig(product, left=False, right=False))
+        return sorted(mpmath.sqrt(mpmath.re(e)) for e in squares)
 
 
 def rotation_symplectic(phi: float) -> np.ndarray:
@@ -271,15 +290,18 @@ def extract_submatrix(cov: np.ndarray, modes) -> np.ndarray:
 def schur_complement_steered(cov: np.ndarray, split: Bipartition) -> np.ndarray:
     """Conditional covariance Y - Z^T X^-1 Z of party_b after measuring party_a.
 
-    Raises SingularBlock if the party_a block has condition number above
-    CONDITION_CUTOFF.
+    Raises SingularBlock if the party_a block, scaled to unit diagonal, has
+    condition number above CONDITION_CUTOFF: a party is judged by the
+    correlation of its quadratures, not by their scale, so squeezing a mode
+    along its quadratures never changes the verdict.
     """
     v = np.asarray(cov, dtype=float)
     _check_modes(split.party_a + split.party_b, v.shape[0] // 2)
     ia = quadrature_indices(split.party_a)
     ib = quadrature_indices(split.party_b)
     x, y, z = v[np.ix_(ia, ia)], v[np.ix_(ib, ib)], v[np.ix_(ia, ib)]
-    if np.linalg.cond(x) > CONDITION_CUTOFF:
+    scale = 1.0 / np.sqrt(np.diag(x))
+    if np.linalg.cond(scale[:, None] * x * scale) > CONDITION_CUTOFF:
         raise SingularBlock("steering-party block is numerically singular")
     comp = y - z.T @ np.linalg.solve(x, z)
     return 0.5 * (comp + comp.T)

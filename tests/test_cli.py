@@ -149,12 +149,15 @@ EDGE_DOCUMENTS = [
     ({"B0": 1e-3, "gyromagnetic_ratio": 5e-324}, 2, "unstable"),
     # a JSON integer beyond the largest double
     ({"temperature": 10**400}, 3, "parameter temperature does not fit in a double"),
+    # a hot magnon, x' variance 7.4e15 against the qubit's 0.79: well
+    # conditioned once each mode is scaled, so it is measured
+    ({"B0": 1e-18, "drive_power": 1e-11}, 0, "ok"),
 ]
 
 
 @pytest.mark.parametrize("document, expected, shown", EDGE_DOCUMENTS,
                          ids=["sphere_radius", "wavelength_zero", "wavelength_negative",
-                              "magnon_frequency_zero", "temperature_huge_integer"])
+                              "magnon_frequency_zero", "temperature_huge_integer", "hot_magnon"])
 def test_edge_documents_exit_codes(capsys, tmp_path, document, expected, shown):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(document))
@@ -379,22 +382,33 @@ class TestSweep:
         assert out == ""
         assert err == "error: duplicate measure keys: ['LN_qm']\n"
 
-    @pytest.mark.parametrize("command", ["sweep", "preset"])
+    @pytest.mark.parametrize("command", ["sweep", "preset", "threshold", "solve"])
     def test_out_of_memory_exit_code(self, capsys, tmp_path, monkeypatch, command):
-        # a sweep whose arrays do not fit in memory ends in one error line, no traceback
-        def out_of_memory(spec):
+        # a command whose arrays do not fit in memory ends in one error line, no traceback
+        def out_of_memory(*args):
             raise MemoryError("Unable to allocate 91.6 MiB")
 
-        monkeypatch.setattr(cli, "sweep_columns", out_of_memory)
+        for name in ("sweep_columns", "find_threshold", "run_point"):
+            monkeypatch.setattr(cli, name, out_of_memory)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"axis1": {"param": "temperature", "start": 0, "stop": 1,
                                               "count": 400000}}))
-        source = ["--spec", str(spec)] if command == "sweep" else ["--id", "fig5"]
-        code, out, err = run_cli(capsys, command, *source)
-        points = 400000 if command == "sweep" else sweep.preset("fig5").points
+        source = {"sweep": ["--spec", str(spec)], "preset": ["--id", "fig5"],
+                  "threshold": ["--spec", str(spec), "--measure", "LN_qm"], "solve": []}
+        code, out, err = run_cli(capsys, command, *source[command])
         assert code == 3
         assert out == ""
-        assert err == f"error: not enough memory to evaluate a sweep of {points} points\n"
+        assert err == f"error: not enough memory to run {command}\n"
+
+    def test_hot_magnon_sweep(self, capsys, tmp_path):
+        # one B0 row whose magnon x' variance is 7.4e15 against the qubit's 0.79
+        # is measured like the others; no row aborts the sweep
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": {"drive_power": 1e-11},
+                                    "axis1": {"param": "B0", "values": [0.1, 1e-9, 1e-18]}}))
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 0
+        assert [line.rpartition(",")[2] for line in out.splitlines()[1:]] == ["ok"] * 3
 
 
 class TestPreset:

@@ -4,7 +4,6 @@ against."""
 
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -54,6 +53,7 @@ from _oracles import (
     Bipartition,
     direct_symplectic_spectrum,
     extract_submatrix,
+    mp_symplectic_eigenvalues,
     omega,
     partial_transpose,
     phase_covariant_cm,
@@ -526,18 +526,6 @@ def model_block_pairs():
     return np.concatenate(pairs)
 
 
-def mp_min_symplectic(pair: np.ndarray, signs: np.ndarray):
-    """nu_min of the block pair with T = diag(signs), to 40 digits.
-
-    At this precision forming nu^2 as the eigenvalues of T V_x T V_p is harmless.
-    """
-    with mpmath.workdps(40):
-        flip = mpmath.diag([int(sign) for sign in signs])
-        vx, vp = (mpmath.matrix(block.tolist()) for block in pair)
-        eigenvalues = mpmath.eig(flip * vx * flip * vp, left=False, right=False)
-        return min(mpmath.sqrt(mpmath.re(e)) for e in eigenvalues)
-
-
 def degenerate_pairs():
     """States with two equal, or nearly equal, symplectic eigenvalues: two product
     states, then random rotations O diag(n, n (1 + split), m) O^T of both blocks."""
@@ -552,7 +540,7 @@ def degenerate_pairs():
 
 
 class TestMinSymplecticEig:
-    """The closed form against the SVD oracle and a 40-digit reference, at its
+    """The closed form against the SVD oracle and the 50-digit reference, at its
     degenerate rows and scale edges, and the same bits on every stack."""
 
     @pytest.fixture(scope="class", params=["random", "model"])
@@ -564,7 +552,7 @@ class TestMinSymplecticEig:
         worst = max(float(abs(nu - want) / want)
                     for pair, nus in zip(pairs, got)
                     for signs, nu in zip(CUT_SIGNS, nus)
-                    for want in [mp_min_symplectic(pair, signs)])
+                    for want in [mp_symplectic_eigenvalues(*pair, signs)[0]])
         assert worst <= 1e-14
 
     def test_matches_svd_oracle(self, pairs):
@@ -600,7 +588,7 @@ class TestMinSymplecticEig:
         got = min_symplectic_eig(pairs, CUT_SIGNS)
         for pair, nus in zip(pairs, got):
             for signs, nu in zip(CUT_SIGNS, nus):
-                want = mp_min_symplectic(pair, signs)
+                want = mp_symplectic_eigenvalues(*pair, signs)[0]
                 assert float(abs(nu - want) / want) <= 1e-14
         negativities = [k for k in MEASURE_KEYS if k.startswith("LN_")]
         columns = measure_blocks(pairs[:2], negativities)
@@ -741,11 +729,16 @@ class TestSchurComplement:
         assert np.all(np.linalg.eigvalsh(out) > 0)
 
     def test_singular_steering_block(self):
+        # a party is judged by the correlation of its quadratures, not their scale
         cov = vacuum_cm(2)
-        cov[0, 0] = 1.0
-        cov[1, 1] = 1e-15
+        cov[0, 0] = cov[1, 1] = 1.0
+        cov[0, 1] = cov[1, 0] = 1.0 - 1e-13
         with pytest.raises(SingularBlock):
             schur_complement_steered(cov, Bipartition((0,), (1,)))
+        cov[0, 1] = cov[1, 0] = 0.0
+        cov[1, 1] = 1e-15
+        assert schur_complement_steered(cov, Bipartition((0,), (1,))) == pytest.approx(
+            0.5 * np.eye(2), abs=0.0)
 
 
 class TestBipartition:

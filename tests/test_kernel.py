@@ -12,6 +12,7 @@ from magnonsteer import (
     SingularBlock,
     correlation_report,
     default_params,
+    params_from_dict,
     preset,
     run_point,
     run_sweep,
@@ -28,6 +29,7 @@ from _oracles import (
     gaussian_steering,
     log_negativity_1v2,
     log_negativity_2mode,
+    mp_symplectic_eigenvalues,
     phase_covariant_cm,
     random_phase_covariant_cm,
     symplectic_eigenvalues,
@@ -127,19 +129,6 @@ def test_kernel_matches_helpers_on_a_stack(states):
             assert_same(columns[key][k], want[key], key)
 
 
-def mp_symplectic_eigenvalues(vx, vp, pivot: int | None) -> list:
-    """Symplectic eigenvalues of V_x (+) V_p, mode ``pivot`` transposed, ascending.
-
-    Takes 50-digit mpmath blocks; at this precision forming nu^2 as the
-    eigenvalues of T V_x T V_p is harmless.
-    """
-    with mpmath.workdps(50):
-        flip = mpmath.diag([-1 if i == pivot else 1 for i in range(vx.rows)])
-        product = flip * vx * flip * vp
-        return sorted(mpmath.sqrt(mpmath.re(e))
-                      for e in mpmath.eig(product, left=False, right=False))
-
-
 def mp_sub(block, rows, cols):
     return mpmath.matrix([[block[i, j] for j in cols] for i in rows])
 
@@ -152,25 +141,18 @@ def mp_conditional(v, key: str):
             * mp_sub(v, party, steered))
 
 
-def mp_two_mode_blocks(blocks: np.ndarray, key: str):
-    """The 50-digit 2x2 blocks (V_x, V_p, transposed mode) of a two-mode slot.
+def mp_slot_blocks(blocks: np.ndarray, key: str):
+    """The 50-digit blocks (V_x, V_p, signs of T) of a conditional-pass slot.
 
     A pair's own blocks, its first mode transposed; or the conditional of
-    the two modes a single mode steers.
+    the modes a party steers.
     """
     with mpmath.workdps(50):
         vx, vp = (mpmath.matrix(block.tolist()) for block in blocks)
         if key.startswith("LN_"):
             modes = [LABELS.index(lbl) for lbl in key[3:]]
-            return mp_sub(vx, modes, modes), mp_sub(vp, modes, modes), 0
+            return mp_sub(vx, modes, modes), mp_sub(vp, modes, modes), (-1, 1)
         return mp_conditional(vx, key), mp_conditional(vp, key), None
-
-
-def mp_one_mode_nu(blocks: np.ndarray, key: str):
-    """The 50-digit nu = sqrt(c_x c_p) of a steering of one mode, c its conditional variance."""
-    with mpmath.workdps(50):
-        cx, cp = (mp_conditional(mpmath.matrix(block.tolist()), key)[0, 0] for block in blocks)
-        return mpmath.sqrt(cx * cp)
 
 
 def test_sub_vacuum_spectra_match_50_digit_reference():
@@ -193,19 +175,17 @@ def test_sub_vacuum_spectra_match_50_digit_reference():
     one, nu_min, nu_max = measures._conditional(measures._entry_table(blocks), plan)
     worst = worst_one = 0.0
     for k, pair in enumerate(blocks):
-        with mpmath.workdps(50):
-            vx, vp = (mpmath.matrix(block.tolist()) for block in pair)
         nu = columns["min_symplectic_eig"][k]
-        worst = max(worst, abs(nu - mp_symplectic_eigenvalues(vx, vp, None)[0]))
-        for pivot, key in enumerate(keys[:3]):
+        worst = max(worst, abs(nu - mp_symplectic_eigenvalues(*pair)[0]))
+        for key in keys[:3]:
             if columns[key][k] > 0:
                 nu = np.exp(-columns[key][k]) / 2
-                worst = max(worst, abs(nu - mp_symplectic_eigenvalues(vx, vp, pivot)[0]))
+                worst = max(worst, abs(nu - mp_symplectic_eigenvalues(*pair, measures._CUTS[key])[0]))
         for slot, key in enumerate(slots[:plan.split]):
-            want = mp_one_mode_nu(pair, key)
+            (want,) = mp_symplectic_eigenvalues(*mp_slot_blocks(pair, key))
             worst_one = max(worst_one, abs(one[slot, k] - want) / want)
         for slot, key in enumerate(slots[plan.split:]):
-            low, high = mp_symplectic_eigenvalues(*mp_two_mode_blocks(pair, key))
+            low, high = mp_symplectic_eigenvalues(*mp_slot_blocks(pair, key))
             worst = max(worst, abs(nu_min[slot, k] - low), abs(nu_max[slot, k] - high) / high)
     assert plan.split == 9
     assert float(worst) <= 1e-15
@@ -302,7 +282,8 @@ def unphysical_pair_state():
 
 
 def singular_cavity_state():
-    """Three-mode matrix whose cavity block is numerically singular."""
+    """Three-mode matrix whose cavity variances, 0.5 (x') and 1e-14 (p'), differ
+    by 14 orders of magnitude but are uncorrelated."""
     cov = vacuum_cm(3)
     cov[1, 1] = 1e-14
     return cov
@@ -319,10 +300,12 @@ def test_bad_matrix_in_a_block_raises_like_the_helper():
     assert "not positive definite" in str(batched.value)
     # the same matrix passes when no output needs its c-q blocks
     measure_columns(np.array([good[0], bad, good[1]]), ("G_m_to_c",))
-    # a steering party's own block that is not positive definite is named so
+    # a steering party's own block that is not positive definite is named so,
+    # whether it steers one mode or two
     party = np.array([[np.diag([-0.5, 0.5, 0.5]), 0.5 * np.eye(3)]])
-    with pytest.raises(NonPositiveInput, match="^covariance block is not positive definite"):
-        measure_blocks(party, ("G_c_to_q",))
+    for outputs in (("G_c_to_q",), ("G_c_to_qm",)):
+        with pytest.raises(NonPositiveInput, match="^covariance block is not positive definite"):
+            measure_blocks(party, outputs)
 
 
 def indefinite_conditional_state():
@@ -346,14 +329,14 @@ def test_a_pass_computes_only_the_slots_asked_for():
 
 
 def test_singular_block_in_a_block_raises_like_the_helper():
+    # a party is judged by its modes' correlation, not their scale: the cavity
+    # is no steering party the kernel or the helper rejects, and both measure it
     good = random_states(2, seed=4)
-    bad = singular_cavity_state()
-    with pytest.raises(SingularBlock) as scalar:
-        gaussian_steering(bad, Bipartition((0,), (1,)))
-    for outputs in (("G_c_to_q",), ("G_c_to_qm",), ("class_cm",), ("mono_out_c",)):
-        with pytest.raises(SingularBlock) as batched:
-            measure_columns(np.array([good[0], good[1], bad]), outputs)
-        assert str(batched.value) == str(scalar.value)
+    covs = np.array([good[0], good[1], singular_cavity_state()])
+    wants = [reference_measures(cov) for cov in covs]
+    for key in ("G_c_to_q", "G_c_to_qm", "class_cm", "mono_out_c"):
+        for got, want in zip(measure_columns(covs, (key,))[key], wants):
+            assert_same(got, want[key], key)
 
 
 def singular_pair_party_state():
@@ -375,6 +358,44 @@ def test_singular_two_mode_party_raises_like_the_helper():
         assert str(batched.value) == str(scalar.value)
     # its one-mode parties are well conditioned
     measure_columns(np.array([good[0], bad, good[1]]), ("G_q_to_c", "G_m_to_c"))
+
+
+@pytest.mark.parametrize("power", [10, -10, 20, -20, 40, -40])
+def test_local_squeezing_leaves_every_measure_unchanged(power):
+    # squeezing mode k scales its x' row and column by 2^power and its p' ones
+    # by 2^-power; every measure is invariant under it, the scaling is exact
+    # in binary, and a party is judged by its modes' correlation, so the
+    # kernel gives the same bits
+    blocks = covariance_blocks(random_states(12, seed=31))
+    outputs = (*MEASURE_KEYS, "min_symplectic_eig")
+    want = measure_blocks(blocks, outputs)
+    for k in range(3):
+        squeezed = blocks.copy()
+        for block, sign in ((0, 1), (1, -1)):
+            squeezed[:, block, k, :] *= 2.0 ** (sign * power)
+            squeezed[:, block, :, k] *= 2.0 ** (sign * power)
+        assert measure_blocks(squeezed, outputs) == want, k
+
+
+# a hot magnon: x' variance 7.4e15 against the qubit's 0.79, each steering
+# party well conditioned once its modes are scaled to unit variance
+HOT_MAGNON = {"B0": 1e-18, "drive_power": 1e-11}
+
+
+def test_hot_magnon_steering_matches_50_digit_reference():
+    # every steering, within 1e-12 absolute, and the symplectic eigenvalues
+    # of every conditional, which span 0.72 to 7.1e15, within 1e-14 relative
+    blocks = covariance_blocks(steady_state_covariance(params_from_dict(HOT_MAGNON))[None])
+    slots = [key for key in measures._SLOTS if key.startswith("G_")]
+    columns = measure_blocks(blocks, slots)
+    plan = measures._plan(tuple(slots))
+    one, nu_min, nu_max = measures._conditional(measures._entry_table(blocks), plan)
+    got = [[nu] for nu in one[:, 0]] + [list(pair) for pair in zip(nu_min[:, 0], nu_max[:, 0])]
+    for key, nus in zip(slots, got):
+        want = mp_symplectic_eigenvalues(*mp_slot_blocks(blocks[0], key))
+        steering = max(0.0, -sum(float(mpmath.log(2 * nu)) for nu in want if nu < 0.5))
+        assert abs(columns[key][0] - steering) <= 1e-12, key
+        assert all(abs(nu - w) <= 1e-14 * w for nu, w in zip(nus, want)), key
 
 
 def test_report_delegates_to_the_kernel():
