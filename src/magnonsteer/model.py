@@ -104,19 +104,18 @@ NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "diffus
 def param_columns(base: SystemParams, axes: dict[str, np.ndarray]) -> SystemParams | SimpleNamespace:
     """A grid of points: the fields of ``base``, with the swept ones the arrays of ``axes``.
 
-    The arrays broadcast against each other; the grid's points are the
-    elements of their broadcast shape, in row-major order. A grid whose
-    every array holds one value is its one point, returned as the
-    SystemParams ``base.replace`` builds, so it takes the point path and
-    raises that point's SpecError. Otherwise each array is checked once:
-    every check SystemParams makes on a numeric field admits an interval,
-    so an array passes when its smallest and largest values do (a NaN is
-    both); an empty array has none to check, and makes an empty grid. An
-    invalid grid raises the SpecError of its first invalid point.
+    The names of ``axes`` are numeric fields of SystemParams, as ``Axis``
+    has checked them for every caller. The arrays broadcast against each
+    other; the grid's points are the elements of their broadcast shape, in
+    row-major order. A grid whose every array holds one value is its one
+    point, returned as the SystemParams ``base.replace`` builds, so it
+    takes the point path and raises that point's SpecError. Otherwise each
+    array is checked once: every check SystemParams makes on a numeric
+    field admits an interval, so an array passes when its smallest and
+    largest values do (a NaN is both); an empty array has none to check,
+    and makes an empty grid. An invalid grid raises the SpecError of its
+    first invalid point.
     """
-    unknown = set(axes) - set(NUMERIC_FIELDS)
-    if unknown:
-        raise SpecError(f"cannot sweep over {sorted(unknown)}; choose from {NUMERIC_FIELDS}")
     columns = {name: np.asarray(values, dtype=float) for name, values in axes.items()}
     if all(column.size == 1 for column in columns.values()):
         return base.replace(**{name: column.item() for name, column in columns.items()})

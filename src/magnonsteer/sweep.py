@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -154,15 +154,17 @@ class SweepSpec:
         return math.prod(a.count or len(a.values) for a in (self.axis1, self.axis2) if a)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PointResult:
     """Evaluation of one parameter point: its measures plus solver diagnostics.
 
     ``measures`` maps every key of MEASURE_KEYS to its value, in that order,
     and is None for an unstable point. ``report`` is the nested
-    ``CorrelationReport`` view of the same values, built on each access; a
-    ``report`` passed to the constructor (as ``dataclasses.replace`` does)
-    stands in for ``measures``. The benchmark's own tests perturb results
+    ``CorrelationReport`` view of the same values, built on each access. To
+    the constructor it is an ``InitVar``: a report given there (as
+    ``dataclasses.replace`` does) stands in for ``measures``. ``replace``
+    passes the current view unless told otherwise, so replacing ``measures``
+    takes ``report=None`` as well. The benchmark's own tests perturb results
     through that view.
     """
 
@@ -172,22 +174,11 @@ class PointResult:
     min_symplectic_eig: float | None = None
     max_real_part: float | None = None
     reason: str | None = None  # for "unstable": "gate" or "residual"
+    report: InitVar[CorrelationReport | None] = None
 
-    def __init__(self, status: str, measures: dict | None = None,
-                 lyap_residual: float | None = None, min_symplectic_eig: float | None = None,
-                 max_real_part: float | None = None, reason: str | None = None,
-                 report: CorrelationReport | None = None):
+    def __post_init__(self, report):
         if report is not None:
-            measures = report.to_flat_dict()
-        for name, value in (("status", status), ("measures", measures),
-                            ("lyap_residual", lyap_residual),
-                            ("min_symplectic_eig", min_symplectic_eig),
-                            ("max_real_part", max_real_part), ("reason", reason)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def report(self) -> CorrelationReport | None:
-        return None if self.measures is None else CorrelationReport.from_flat(self.measures)
+            object.__setattr__(self, "measures", report.to_flat_dict())
 
     def to_flat_dict(self) -> dict:
         flat = {} if self.measures is None else dict(self.measures)
@@ -197,6 +188,12 @@ class PointResult:
             flat["min_symplectic_eig"] = self.min_symplectic_eig
         flat["status"] = self.status
         return flat
+
+
+# assigned after the class body, where it would otherwise be the InitVar's default
+PointResult.report = property(
+    lambda self: None if self.measures is None else CorrelationReport.from_flat(self.measures),
+    doc="The nested CorrelationReport view of ``measures``, built on each access.")
 
 
 def _evaluate(params, keys: tuple[str, ...]):

@@ -566,10 +566,6 @@ class TestParamColumns:
         assert (param_columns(base, {"temperature": [0.1], "epsilon": np.array([[0.5]])})
                 == base.replace(temperature=0.1, epsilon=0.5))
 
-    def test_rejects_fields_that_are_not_numeric_parameters(self):
-        with pytest.raises(SpecError, match="cannot sweep"):
-            param_columns(default_params(), {"diffusion_mode": np.zeros(2)})
-
 
 # parameter documents whose derived quantities underflow a denominator to
 # zero, with the field each one sweeps in a grid and that field's value

@@ -38,8 +38,17 @@ from magnonsteer.model import (
     build_diffusion,
     build_drift,
     effective_coupling,
+    param_columns,
 )
-from magnonsteer.sweep import MAX_GRID_POINTS, PRESET_IDS, Axis, SweepSpec, grid_points
+from magnonsteer.sweep import (
+    DIAGNOSTIC_KEYS,
+    MAX_GRID_POINTS,
+    PRESET_IDS,
+    Axis,
+    PointResult,
+    SweepSpec,
+    grid_points,
+)
 import magnonsteer.gaussian as gaussian_module
 import magnonsteer.sweep as sweep_module
 
@@ -112,6 +121,14 @@ class TestRunPoint:
         flipped = dataclasses.replace(result, status="unstable", report=None)
         assert flipped.measures == result.measures and flipped.status == "unstable"
         assert run_point(default_params(drive_power=1e4, g_q=0.2e6)).report is None
+        # report is an InitVar of the dataclass's own constructor: replace
+        # without it reads the view back, and it is no field of the result
+        assert PointResult.__dataclass_params__.init
+        relabelled = dataclasses.replace(result, status="unstable")
+        assert relabelled.measures == result.measures
+        assert list(relabelled.measures) == list(MEASURE_KEYS)
+        assert PointResult("ok").report is None
+        assert "report" not in repr(result)
 
     def test_unstable_points_skip_the_kernel(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -473,6 +490,44 @@ class TestRunSweep:
         assert statuses.count("unstable") == 14
         assert all(status == "unstable"
                    for status, k_fb in zip(statuses, damping) if k_fb <= 0)
+
+    def test_any_stacking_of_a_grid_gives_the_same_bits(self):
+        # the presets, 14 unstable phases, 3 overflowing temperatures and the
+        # hot magnon; a chunk of one takes param_columns' point path
+        documents = [
+            {"base": {"epsilon": 0.6}, "axis1": {
+                "param": "theta", "start": 0.0, "stop": 2.0 * math.pi, "count": 64}},
+            {"axis1": {"param": "temperature", "values": [0.01, 1e200, 1e300, 1e307]}},
+            {"base": {"drive_power": 1e-11}, "axis1": {"param": "B0", "values": [0.1, 1e-9, 1e-18]}},
+        ]
+        specs = [preset(preset_id) for preset_id in PRESET_IDS] + list(map(spec_from_dict, documents))
+
+        def bits(values):
+            return [value.hex() if isinstance(value, float) else value for value in values]
+
+        unstable = []
+        for spec in specs:
+            keys = spec.outputs + DIAGNOSTIC_KEYS
+            axes = sweep_module._axis_columns(sweep_module._axes(spec))
+
+            def stacked(size):
+                reasons, max_real, columns = [], [], {key: [] for key in keys}
+                for start in range(0, spec.points, size):
+                    chunk = {name: np.array(values[start:start + size])
+                             for name, values in axes.items()}
+                    chunk_reasons, chunk_max_real, chunk_columns = sweep_module._evaluate(
+                        param_columns(spec.base, chunk), keys)
+                    reasons += chunk_reasons
+                    max_real += chunk_max_real
+                    for key in keys:
+                        columns[key] += chunk_columns[key]
+                return reasons, bits(max_real), {key: bits(columns[key]) for key in keys}
+
+            whole = stacked(spec.points)
+            for size in (1, 7, 64, 257):
+                assert stacked(size) == whole, (spec.axis1.param, size)
+            unstable.append(sum(map(bool, whole[0])))
+        assert unstable == [0] * len(PRESET_IDS) + [14, 3, 0]
 
     def test_deterministic_across_runs(self):
         spec = small_spec(count=6)
