@@ -39,9 +39,11 @@ entries of X and X X^T, and Smith's trigonometric formula for the largest
 eigenvalue of a symmetric 3x3 matrix, applied to X X^T less its mean
 eigenvalue and scaled so that nothing overflows. Like ``block_gate`` it
 takes a stack of one on Python floats and a larger stack elementwise, with
-the same bits either way. Only a row whose two largest eigenvalues nearly
-meet, where that formula loses digits, takes an eigen-solve, of its own
-3x3 matrix. The largest eigenvalue of a symmetric matrix has a small
+the same bits either way: on a stack the inverse factors of V_x and V_p
+are one pass over both blocks, and only acos and cos run per row, mapped
+from ``math`` over the rows' floats. Only a row whose two largest
+eigenvalues nearly meet, where that formula loses digits, takes an
+eigen-solve, of its own 3x3 matrix. The largest eigenvalue of a symmetric matrix has a small
 relative error, so nu_min keeps one too; no route here forms nu^2, whose
 rounding error is far larger than nu's at the sub-vacuum states of the
 model.
@@ -398,7 +400,8 @@ def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:
     singular values of M = B^T T A for the Cholesky factors A, B of V_x and
     V_p, so nu_min = lambda_max(G)^(-1/2) for the Gram matrix G = X X^T,
     X = M^-1 = A^-1 T B^-T. One closed form over the block entries gives it:
-    the inverse factors (``_inverse_factor``), the entries of X and G
+    the inverse factors (``_inverse_factor``, of both blocks in one pass
+    over a stack), the entries of X and G
     (``_gram_parts``, ``_nu_min``), and lambda_max(G) by Smith's
     trigonometric formula (O. K. Smith, Commun. ACM 4, 168 (1961)) on
     U = (G - q I) / q, q = tr G / 3: with p^2 = tr U^2 / 6 and
@@ -411,9 +414,10 @@ def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:
     ``np.linalg.eigvalsh`` instead, the only eigen-solve here (13 of the
     3,600 rows of the seven presets). A stack of one takes the formula on
     Python floats, a larger stack as elementwise numpy arithmetic (+ - * /
-    and roots, with no matmul or reduction); both take acos and cos through
-    ``math``, one element at a time, so a block pair gets the same bits
-    whatever its stack holds.
+    and roots, with no matmul or reduction), which clips r at 1 and maps
+    ``math.acos`` and then ``math.cos`` over its rows; both take acos and
+    cos through ``math``, one element at a time, so a block pair gets the
+    same bits whatever its stack holds.
 
     Raises
     ------
@@ -425,11 +429,11 @@ def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:
         vx, vp = b.reshape(2, 9).tolist()
         parts = _gram_parts(*_inverse_factor(*_LOWER(vx)), *_inverse_factor(*_LOWER(vp)))
         return np.array([[_nu_min(*parts, t0 * t1, t0 * t2) for t0, t1, t2 in signs.tolist()]])
-    vx, vp = b.reshape(-1, 2, 9).transpose(1, 2, 0)[..., None]  # (9, N, 1): broadcast over rows
+    v = b.reshape(-1, 2, 9).transpose(2, 1, 0)[..., None]  # (9, 2, N, 1): broadcast over rows
     t0, t1, t2 = np.asarray(signs, dtype=float).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        parts = _gram_parts(*_inverse_factor(*_LOWER(vx)), *_inverse_factor(*_LOWER(vp)))
-        return _nu_min(*parts, t0 * t1, t0 * t2)
+        inverse_x, inverse_p = zip(*_inverse_factor(*_LOWER(v)))  # both blocks in one pass
+        return _nu_min(*_gram_parts(*inverse_x, *inverse_p), t0 * t1, t0 * t2)
 
 
 def _pivot(d):
@@ -492,22 +496,20 @@ def _nu_min(x01, x02, g00, h10, h11, h20, h21, h22,
     p = math.sqrt(square) if point else np.sqrt(square)
     cube = 2.0 * p * square  # 2 p^3, and r = det U / 2 p^3
     if point:
-        if cube > 0.0 and det / cube > SMITH_MIN_R:  # r <= 1 in exact arithmetic
-            return 1.0 / math.sqrt(q * (1.0 + 2.0 * p * _cos_third(det / cube)))
+        if cube > 0.0 and (r := det / cube) > SMITH_MIN_R:  # r <= 1 in exact arithmetic
+            cosine = math.cos(math.acos(r if r < 1.0 else 1.0) / 3.0)
+            return 1.0 / math.sqrt(q * (1.0 + 2.0 * p * cosine))
         return _eigvalsh_nu(*([g] for g in gram))[0]
     r = det / cube
     smith = (cube > 0.0) & (r > SMITH_MIN_R)
-    cosine = np.reshape(list(map(_cos_third, np.where(smith, r, 1.0).ravel().tolist())), r.shape)
+    clipped = np.where(smith, np.minimum(r, 1.0), 1.0).ravel().tolist()
+    angle = np.fromiter(map(math.acos, clipped), float, r.size) / 3.0
+    cosine = np.fromiter(map(math.cos, angle.tolist()), float, r.size).reshape(r.shape)
     nu = 1.0 / np.sqrt(q * (1.0 + 2.0 * p * cosine))
     if not smith.all():
         rest = ~smith
         nu[rest] = _eigvalsh_nu(*(np.broadcast_to(g, rest.shape)[rest] for g in gram))
     return nu
-
-
-def _cos_third(r: float) -> float:
-    """cos(acos(r) / 3) through ``math``, with r clipped to at most 1."""
-    return math.cos(math.acos(r if r < 1.0 else 1.0) / 3.0)
 
 
 def _eigvalsh_nu(g00, g10, g11, g20, g21, g22) -> np.ndarray:

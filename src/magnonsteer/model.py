@@ -13,10 +13,13 @@ over the grid. A grid gives bit for bit the values of its points taken one
 at a time, by one rule: on arrays numpy does +, -, * and /, which round
 alike in numpy and in Python, and everything whose float form rounds
 differently or can raise (powers, cos and sin, roots, the quotients that
-can underflow to a zero denominator, and ``thermal_occupation``) runs
-element by element on Python floats through ``_pointwise``. That is the
-formulas' one switch between a point and a grid; ``build_blocks`` has the
-other, and stacks its entries only for a grid. The rule holds by
+can underflow to a zero denominator, and the ``math.expm1`` of
+``thermal_occupation``) runs element by element on Python floats through
+``_pointwise``. That is the formulas' switch between a point and a grid;
+``thermal_occupation`` has its own, which does its arithmetic and its
+cases (T = 0, an exponent past 700, a zero exponent) on the arrays and
+maps only ``math.expm1``, and ``build_blocks`` has the last, and writes a
+grid's entries into one preallocated array. The rule holds by
 construction: ``SystemParams`` reads every numeric field through
 ``_number`` and stores a Python float, however the point is built, so a
 point's formulas never see a numpy scalar, a bool or an int.
@@ -190,7 +193,19 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     Exactly zero at T = 0 and monotone increasing in T. A zero omega (a
     magnon frequency gyromagnetic_ratio * B0 that underflows) gives the limit
     omega -> 0+: zero at T = 0 and inf above, as a subnormal omega does.
+    Either argument may be an array: the arithmetic is then numpy's, with
+    each case below an array select, and only ``math.expm1`` runs per
+    element, so every element has the bits of its floats.
     """
+    if isinstance(omega, np.ndarray) or isinstance(temperature, np.ndarray):
+        if np.any(omega < 0) or np.any(temperature < 0):
+            raise ValueError("omega and temperature must be non-negative")
+        with np.errstate(over="ignore"):  # x = inf and 1 / expm1(x) = inf, as on floats
+            x = HBAR * omega / KB / np.where(temperature == 0.0, 1.0, temperature)
+            zero = (temperature == 0.0) | (x > 700.0)
+            # math.expm1 takes only the x that reach it on floats: it overflows past 709
+            occupation = 1.0 / _pointwise(math.expm1, np.where(zero | (x == 0.0), 1.0, x))
+        return np.where(zero, 0.0, np.where(x == 0.0, math.inf, occupation))
     if omega < 0:
         raise ValueError("omega must be non-negative")
     if temperature < 0:
@@ -285,9 +300,9 @@ def derive(params: SystemParams) -> DerivedQuantities:
         g_m_eff=effective_coupling(params),
         k_fb=k_fb,
         w_c=w_c,
-        N_c=_pointwise(thermal_occupation, params.omega_c, params.temperature),
-        N_q=_pointwise(thermal_occupation, params.omega_q, params.temperature),
-        N_m=_pointwise(thermal_occupation, omega_m, params.temperature),
+        N_c=thermal_occupation(params.omega_c, params.temperature),
+        N_q=thermal_occupation(params.omega_q, params.temperature),
+        N_m=thermal_occupation(omega_m, params.temperature),
     )
 
 
@@ -314,7 +329,9 @@ def build_blocks(params: SystemParams, derived: DerivedQuantities | None = None)
                d_c, 0.0, 0.0, 0.0, d_q, 0.0, 0.0, 0.0, d_m)
     if isinstance(params, SystemParams):
         return np.array(entries).reshape(2, 3, 3)
-    blocks = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    blocks = np.empty(np.broadcast_shapes(*map(np.shape, entries)) + (18,))
+    for column, entry in enumerate(entries):
+        blocks[..., column] = entry
     return blocks.reshape(blocks.shape[:-1] + (2, 3, 3))
 
 

@@ -161,10 +161,11 @@ class PointResult:
     ``measures`` maps every key of MEASURE_KEYS to its value, in that order,
     and is None for an unstable point. ``report`` is the nested
     ``CorrelationReport`` view of the same values, built on each access. To
-    the constructor it is an ``InitVar``: a report given there (as
-    ``dataclasses.replace`` does) stands in for ``measures``. ``replace``
-    passes the current view unless told otherwise, so replacing ``measures``
-    takes ``report=None`` as well. The benchmark's own tests perturb results
+    the constructor it is an ``InitVar``: a newly built report given there,
+    as ``dataclasses.replace(result, report=...)`` gives it, stands in for
+    ``measures``. A report read from the view never does, so ``replace``,
+    which passes the current view unless told otherwise, keeps or replaces
+    ``measures`` as it is told. The benchmark's own tests perturb results
     through that view.
     """
 
@@ -177,7 +178,7 @@ class PointResult:
     report: InitVar[CorrelationReport | None] = None
 
     def __post_init__(self, report):
-        if report is not None:
+        if report is not None and not hasattr(report, "_view"):
             object.__setattr__(self, "measures", report.to_flat_dict())
 
     def to_flat_dict(self) -> dict:
@@ -190,10 +191,21 @@ class PointResult:
         return flat
 
 
+def _report_view(result: PointResult) -> CorrelationReport | None:
+    """The nested CorrelationReport view of ``measures``, built on each access.
+
+    The view is marked as one; a report that ``dataclasses.replace`` builds
+    from it is a new report, and is not.
+    """
+    if result.measures is None:
+        return None
+    view = CorrelationReport.from_flat(result.measures)
+    object.__setattr__(view, "_view", True)
+    return view
+
+
 # assigned after the class body, where it would otherwise be the InitVar's default
-PointResult.report = property(
-    lambda self: None if self.measures is None else CorrelationReport.from_flat(self.measures),
-    doc="The nested CorrelationReport view of ``measures``, built on each access.")
+PointResult.report = property(_report_view)
 
 
 def _evaluate(params, keys: tuple[str, ...]):

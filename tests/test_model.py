@@ -88,6 +88,11 @@ class TestThermalOccupation:
             thermal_occupation(-1.0, 1.0)
         with pytest.raises(ValueError):
             thermal_occupation(1e9, -0.1)
+        # and so do arrays with one negative entry
+        with pytest.raises(ValueError):
+            thermal_occupation(np.array([1e9, -1.0]), 1.0)
+        with pytest.raises(ValueError):
+            thermal_occupation(1e9, np.array([0.1, -0.1]))
 
 
 class TestCouplings:
@@ -555,6 +560,24 @@ class TestParamColumns:
         assert bits(single) == bits(base.replace(epsilon=0.5))
         assert derive(columns).N_c.tolist() == [
             derive(base.replace(temperature=t)).N_c for t in (0.0, 0.1)]
+        # the occupations of a temperature column are those of its points, bit
+        # for bit, at T = 0, at a subnormal T and on both sides of each mode's
+        # x = hbar omega / kB T = 700, where the occupation becomes exactly zero
+        omegas = {"N_c": base.omega_c, "N_q": base.omega_q,
+                  "N_m": base.gyromagnetic_ratio * base.B0}
+        cutoffs = {name: HBAR * omega / KB / 700.0 for name, omega in omegas.items()}
+        edges = [0.0, 5e-324, 0.1]
+        for cutoff in cutoffs.values():
+            edges += [cutoff * (1 - 1e-9), np.nextafter(cutoff, 0.0), cutoff,
+                      np.nextafter(cutoff, 1.0), cutoff * (1 + 1e-9)]
+        grid = derive(param_columns(base, {"temperature": np.array(edges)}))
+        for name, omega in omegas.items():
+            occupations = [thermal_occupation(omega, float(t)) for t in edges]
+            assert [n.hex() for n in getattr(grid, name).tolist()] == [
+                n.hex() for n in occupations], name
+            below, above = (thermal_occupation(omega, cutoffs[name] * (1 + sign * 1e-9))
+                            for sign in (-1, 1))
+            assert below == 0.0 < above, name
         # an empty axis is an empty grid
         empty = param_columns(base, {"temperature": np.array([])})
         assert build_blocks(empty).shape == (0, 2, 3, 3)

@@ -129,6 +129,9 @@ class TestRunPoint:
         assert list(relabelled.measures) == list(MEASURE_KEYS)
         assert PointResult("ok").report is None
         assert "report" not in repr(result)
+        # a report read from the view never stands in for the measures replace is given
+        assert dataclasses.replace(run_point(default_params()),
+                                   measures={"LN_qm": 1.0}).measures == {"LN_qm": 1.0}
 
     def test_unstable_points_skip_the_kernel(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -492,12 +495,14 @@ class TestRunSweep:
                    for status, k_fb in zip(statuses, damping) if k_fb <= 0)
 
     def test_any_stacking_of_a_grid_gives_the_same_bits(self):
-        # the presets, 14 unstable phases, 3 overflowing temperatures and the
-        # hot magnon; a chunk of one takes param_columns' point path
+        # the presets, 14 unstable phases, zero and subnormal temperatures
+        # with 3 overflowing ones, and the hot magnon; a chunk of one takes
+        # param_columns' point path
         documents = [
             {"base": {"epsilon": 0.6}, "axis1": {
                 "param": "theta", "start": 0.0, "stop": 2.0 * math.pi, "count": 64}},
-            {"axis1": {"param": "temperature", "values": [0.01, 1e200, 1e300, 1e307]}},
+            {"axis1": {"param": "temperature",
+                       "values": [0.0, 5e-324, 0.01, 1e200, 1e300, 1e307]}},
             {"base": {"drive_power": 1e-11}, "axis1": {"param": "B0", "values": [0.1, 1e-9, 1e-18]}},
         ]
         specs = [preset(preset_id) for preset_id in PRESET_IDS] + list(map(spec_from_dict, documents))
