@@ -36,12 +36,13 @@ described once, in ``_DERIVED`` (each key's formula kind and source keys):
 the requested keys are closed over it, and each kind is one array operation
 on the rows of its sources.
 ``measure_columns`` and ``correlation_report`` split 6x6 covariances into
-blocks around it.
+blocks around it. Every entry point returns flat mappings keyed as
+MEASURE_KEYS; the nested view of one point's measures, ``CorrelationReport``,
+is defined in ``sweep`` beside ``PointResult``, which builds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -77,7 +78,7 @@ def classify_steering(g_ab: float, g_ba: float) -> str:
     return "two_way_symmetric" if abs(g_ab - g_ba) <= CLASS_TOL else "two_way_asymmetric"
 
 
-# --- full report -------------------------------------------------------------
+# --- measure keys ------------------------------------------------------------
 
 MODE_LABELS = ("c", "q", "m")
 _PAIRS = ("cq", "cm", "qm")
@@ -86,42 +87,6 @@ _PAIRS = ("cq", "cm", "qm")
 def _rest(label: str) -> str:
     """The labels of the two modes other than ``label``, in mode order."""
     return "".join(lbl for lbl in MODE_LABELS if lbl != label)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """The measures of one point grouped by kind: the nested view of a flat mapping.
-
-    Maps are keyed by mode labels ("c", "q", "m") and pair strings ("cq",
-    "cm", "qm"); bipartition keys are ordered "a_to_b" strings. The pipeline
-    builds none: ``sweep.PointResult.report`` builds it on access from its
-    flat ``measures``.
-    """
-
-    ln_pairs: dict[str, float]
-    ln_one_two: dict[str, float]
-    steering: dict[str, float]
-    asymmetry: dict[str, float]
-    steering_class: dict[str, str]
-    contangle_residuals: dict[str, float]
-    r_min: float
-    steering_monogamy: dict[str, float]
-
-    def to_flat_dict(self) -> dict[str, float | str]:
-        """Flat JSON-ready mapping with stable, documented key names."""
-        return {key: getattr(self, field) if nested is None else getattr(self, field)[nested]
-                for key, (field, nested) in _REPORT_SLOTS.items()}
-
-    @classmethod
-    def from_flat(cls, flat: dict[str, float | str]) -> "CorrelationReport":
-        """The report holding the values of a flat mapping over MEASURE_KEYS."""
-        fields = {}
-        for key, (field, nested) in _REPORT_SLOTS.items():
-            if nested is None:
-                fields[field] = flat[key]
-            else:
-                fields.setdefault(field, {})[nested] = flat[key]
-        return cls(**fields)
 
 
 MEASURE_KEYS = (
@@ -135,21 +100,6 @@ MEASURE_KEYS = (
     "mono_out_c", "mono_in_c", "mono_out_q", "mono_in_q", "mono_out_m", "mono_in_m",
     "class_cq", "class_cm", "class_qm",
 )
-
-_FIELDS = {"LN": "ln_pairs", "G": "steering", "asym": "asymmetry",
-           "R": "contangle_residuals", "mono": "steering_monogamy", "class": "steering_class"}
-
-
-def _report_slot(key: str) -> tuple[str, str | None]:
-    """The CorrelationReport field holding a measure key, and its key in that field's map."""
-    kind, _, rest = key.partition("_")
-    if kind == "LN" and "_" in rest:
-        return "ln_one_two", rest[0]
-    return ("r_min", None) if key == "R_min" else (_FIELDS[kind], rest)
-
-
-# Each measure key's place in the report, in MEASURE_KEYS order
-_REPORT_SLOTS = {key: _report_slot(key) for key in MEASURE_KEYS}
 
 
 # --- the kernel ----------------------------------------------------------------

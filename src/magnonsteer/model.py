@@ -214,7 +214,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         return 0.0
     # divided in this order so that a subnormal temperature gives x = inf,
     # not a product KB T that underflows to zero
-    x = HBAR * omega / KB / temperature
+    x = HBAR * float(omega) / KB / float(temperature)
     if x > 700.0:  # exp would overflow; occupation is below double tiny
         return 0.0
     # x is zero when hbar omega underflows; 1 / expm1(0) is then inf

@@ -22,6 +22,11 @@ header order, and ``format_csv`` writes those columns as text, so a sweep
 reaches its CSV file without a per-point object; ``run_sweep`` is the row
 view of the same columns. Points are in deterministic axis order, so
 identical sweep specifications produce byte-identical CSV files.
+
+A ``PointResult`` holds one point's measures as the kernel's flat mapping.
+Its ``report`` is the nested ``CorrelationReport`` view, defined here with
+the table ``_REPORT_SLOTS`` that places each measure key in it, and built
+on each access.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .gaussian import (  # noqa: F401
 )
 from .measures import (  # noqa: F401
     MEASURE_KEYS,
-    CorrelationReport,
     correlation_report,
     measure_blocks,
 )
@@ -155,6 +159,47 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
+class CorrelationReport:
+    """The measures of one point grouped by kind: the nested view of a flat mapping.
+
+    Maps are keyed by mode labels ("c", "q", "m") and pair strings ("cq",
+    "cm", "qm"); bipartition keys are ordered "a_to_b" strings. The pipeline
+    builds none: ``PointResult.report`` builds it on access from its flat
+    ``measures``.
+    """
+
+    ln_pairs: dict[str, float]
+    ln_one_two: dict[str, float]
+    steering: dict[str, float]
+    asymmetry: dict[str, float]
+    steering_class: dict[str, str]
+    contangle_residuals: dict[str, float]
+    r_min: float
+    steering_monogamy: dict[str, float]
+
+    def to_flat_dict(self) -> dict[str, float | str]:
+        """Flat JSON-ready mapping with stable, documented key names."""
+        return {key: getattr(self, field) if nested is None else getattr(self, field)[nested]
+                for key, (field, nested) in _REPORT_SLOTS.items()}
+
+
+_FIELDS = {"LN": "ln_pairs", "G": "steering", "asym": "asymmetry",
+           "R": "contangle_residuals", "mono": "steering_monogamy", "class": "steering_class"}
+
+
+def _report_slot(key: str) -> tuple[str, str | None]:
+    """The CorrelationReport field holding a measure key, and its key in that field's map."""
+    kind, _, rest = key.partition("_")
+    if kind == "LN" and "_" in rest:
+        return "ln_one_two", rest[0]
+    return ("r_min", None) if key == "R_min" else (_FIELDS[kind], rest)
+
+
+# Each measure key's place in the report, in MEASURE_KEYS order
+_REPORT_SLOTS = {key: _report_slot(key) for key in MEASURE_KEYS}
+
+
+@dataclass(frozen=True)
 class PointResult:
     """Evaluation of one parameter point: its measures plus solver diagnostics.
 
@@ -199,7 +244,13 @@ def _report_view(result: PointResult) -> CorrelationReport | None:
     """
     if result.measures is None:
         return None
-    view = CorrelationReport.from_flat(result.measures)
+    values = {}
+    for key, (field, nested) in _REPORT_SLOTS.items():
+        if nested is None:
+            values[field] = result.measures[key]
+        else:
+            values.setdefault(field, {})[nested] = result.measures[key]
+    view = CorrelationReport(**values)
     object.__setattr__(view, "_view", True)
     return view
 

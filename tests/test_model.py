@@ -50,13 +50,18 @@ from test_cli import UNREADABLE_JSON
 
 class TestThermalOccupation:
     def test_zero_temperature_is_exactly_zero(self):
-        assert thermal_occupation(TWO_PI * 1e9, 0.0) == 0.0
+        for temperature in (0.0, 0, np.float64(0.0)):
+            occupation = thermal_occupation(TWO_PI * 1e9, temperature)
+            assert type(occupation) is float and occupation == 0.0
 
     def test_unit_occupation_point(self):
         # hbar omega / kB T = ln 2  <=>  N = 1 / (2 - 1) = 1
         omega = TWO_PI * 1e9
         temperature = HBAR * omega / (KB * math.log(2.0))
         assert thermal_occupation(omega, temperature) == pytest.approx(1.0, rel=1e-12)
+        # a numpy scalar takes the float path and gives the float's bits, as a float
+        occupation = thermal_occupation(np.float64(omega), np.float64(temperature))
+        assert type(occupation) is float and occupation == thermal_occupation(omega, temperature)
 
     def test_magnon_occupation_at_ten_millikelvin(self):
         omega = TWO_PI * 2.8e9
@@ -81,6 +86,9 @@ class TestThermalOccupation:
 
     def test_subnormal_temperature_is_zero_occupation(self):
         assert thermal_occupation(TWO_PI * 8e9, 5e-324) == 0.0
+        # numpy scalars divide as floats too: no overflow warning, a float zero
+        occupation = thermal_occupation(np.float64(5e10), np.float64(5e-324))
+        assert type(occupation) is float and occupation == 0.0
         assert run_point(default_params(temperature=5e-324)).status == "ok"
 
     def test_rejects_bad_arguments(self):

@@ -10,8 +10,8 @@ Two sets of states, each checked and reported on its own:
 
 For each of the four sign rows of the cut pass (the three one-versus-two
 partial transposes and the state itself), ``gaussian.min_symplectic_eig``
-on the whole stack of a set is compared with nu_min from mpmath at 50
-digits, where forming nu^2 as the eigenvalues of T V_x T V_p is harmless.
+on the whole stack of a set is compared with nu_min from the tests' 50-digit
+reference, ``mp_symplectic_eigenvalues`` in ``tests/_oracles.py``.
 Prints, per set, the worst, 99th-percentile and median relative error of
 each sign row and of all of them, and how many rows went to the
 eigen-solver instead of the closed form.
@@ -26,18 +26,18 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]  # this checkout's package and benchmark
+# this checkout's package, benchmark and test oracles
+sys.path[0:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
+from _oracles import mp_symplectic_eigenvalues  # noqa: E402
 from magnonsteer import gaussian, model, sweep  # noqa: E402
 from perfbench.bench import make_inputs  # noqa: E402
 
 SEED = 0
 POINTS = 2000
-DIGITS = 50
 WORST_BOUND = 1e-11
 CUTS = {"LN_c_qm": [-1.0, 1.0, 1.0], "LN_q_cm": [1.0, -1.0, 1.0],
         "LN_m_cq": [1.0, 1.0, -1.0], "min_symplectic_eig": [1.0, 1.0, 1.0]}
@@ -65,15 +65,6 @@ def preset_points():
         yield from sweep.grid_points(sweep.preset(preset_id))
 
 
-def reference(pair: np.ndarray, signs: list[float]):
-    """nu_min of the block pair with T = diag(signs), to DIGITS digits."""
-    with mpmath.workdps(DIGITS):
-        flip = mpmath.diag([int(sign) for sign in signs])
-        vx, vp = (mpmath.matrix(block.tolist()) for block in pair)
-        eigenvalues = mpmath.eig(flip * vx * flip * vp, left=False, right=False)
-        return min(mpmath.sqrt(mpmath.re(e)) for e in eigenvalues)
-
-
 def check(name: str, blocks: np.ndarray) -> float:
     """Print the relative errors of one set of states; return the worst."""
     solver = gaussian._eigvalsh_nu
@@ -90,7 +81,7 @@ def check(name: str, blocks: np.ndarray) -> float:
         gaussian._eigvalsh_nu = solver
     errors = np.array([[float(abs(nu - want) / want)
                         for nu, signs in zip(row, CUTS.values())
-                        for want in [reference(pair, signs)]]
+                        for want in [mp_symplectic_eigenvalues(*pair, signs)[0]]]
                        for pair, row in zip(blocks, got)])
     print(f"{name}: {len(blocks)} states, {errors.size} rows, {sum(solved)} by eigvalsh; "
           "relative error of nu_min against 50 digits:")
