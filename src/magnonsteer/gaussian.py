@@ -17,6 +17,10 @@ coefficients of the shifted Q_x, with no eigen-solve; only a rejected
 point's largest eigenvalue real part takes one, of Q_x. A stack of N block
 pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
 ``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6.
+A stack of one, a single point's steady state, takes the gate's verdict,
+the residual bound and the accept/reject bookkeeping on Python floats; the
+norms, the solve, its residual and the mirror stay numpy calls, so the
+point has the same bits as inside any stack.
 
 ``_max_real_part`` is the one place that decides where that largest real
 part is NaN: at an accepted point, and at a drift with a non-finite entry,
@@ -152,17 +156,19 @@ def block_gate(drift_x: np.ndarray) -> np.ndarray:
     on Python floats, with the same roundings and no numpy call per
     operation. A non-finite coefficient fails.
     """
+    stable = _gate(drift_x)
+    return np.array([stable]) if type(stable) is bool else stable
+
+
+def _gate(drift_x):
+    """``block_gate``'s verdict: a bool for a stack of one, else an array."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
         shift = _BLOCK_TOL * np.sqrt(np.add.reduce(q * q, axis=1))
-        if len(q) == 1:
-            entries, shift = q[0].tolist(), shift.item()
-        else:
-            entries = list(q.T)
+        entries, shift = (q[0].tolist(), shift.item()) if len(q) == 1 else (list(q.T), shift)
         for diagonal in (0, 4, 8):
             entries[diagonal] = entries[diagonal] + shift
-        stable = _routh_hurwitz(*entries)
-    return np.array([stable]) if len(q) == 1 else stable
+        return _routh_hurwitz(*entries)
 
 
 def _routh_hurwitz(a00, a01, a02, a10, a11, a12, a20, a21, a22):
@@ -223,13 +229,19 @@ def lyapunov_residual(drift: np.ndarray, cov: np.ndarray, diffusion: np.ndarray)
         return _frobenius(product + product.swapaxes(-1, -2) + diffusion)
 
 
-def residual_accepted(residual: np.ndarray, diffusion_norm: np.ndarray) -> np.ndarray:
-    """Whether each residual meets LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F), given ||D||_F.
+def residual_accepted(residual, diffusion_norm):
+    """Whether each residual meets LYAPUNOV_RESIDUAL_TOL max(1, ||D||_F), given ||D||_F;
+    a bool for a float residual, else an array.
 
     A bound that is not finite accepts nothing: at extreme temperatures the
-    norms overflow. Callers run this, the norms and the solve behind
-    ``residual`` under ``np.errstate(over="ignore", invalid="ignore")``.
+    norms overflow, and a NaN norm gives a NaN bound, as ``np.maximum``
+    propagates it (Python's ``max(1.0, nan)`` is 1.0, so the float spelling
+    is a comparison that NaN fails). Callers run this, the norms and the
+    solve behind ``residual`` under ``np.errstate(over="ignore", invalid="ignore")``.
     """
+    if type(residual) is float:
+        bound = LYAPUNOV_RESIDUAL_TOL * (1.0 if diffusion_norm < 1.0 else diffusion_norm)
+        return math.isfinite(bound) and residual <= bound
     bound = LYAPUNOV_RESIDUAL_TOL * np.maximum(1.0, diffusion_norm)
     return np.isfinite(bound) & (residual <= bound)
 
@@ -304,7 +316,10 @@ def steady_state_blocks(system: np.ndarray):
     rejects whole is not solved at all.
     Every step runs under one ``np.errstate``, so overflowing entries give
     inf or NaN and no warning. Every point is computed alike, whatever else
-    its stack holds.
+    its stack holds. A stack of one takes its own route
+    (``_steady_state_point``), in ``block_gate``'s pattern: the verdicts,
+    the 6x6 residual, its bound and the reasons are Python floats, while
+    every numpy call that makes an output's bits is the stack's.
 
     Returns each point's largest drift eigenvalue real part (NaN where it
     was accepted, and where a drift entry is not finite, which fails the
@@ -322,6 +337,8 @@ def steady_state_blocks(system: np.ndarray):
     system = np.ascontiguousarray(system, dtype=float)
     count = len(system)
     with np.errstate(over="ignore", invalid="ignore"):
+        if count == 1:
+            return _steady_state_point(system)
         gated = block_gate(system[:, 0])
         gates = gated.tolist()
         solved = system if all(gates) else system[gated]
@@ -339,6 +356,20 @@ def steady_state_blocks(system: np.ndarray):
         reason = [(None if next(verdict) else "residual") if ok else "gate" for ok in gates]
         max_real = _max_real_part(system[:, 0], np.array([r is not None for r in reason]))
     return max_real, reason, blocks[passed], residual[passed]
+
+
+def _steady_state_point(system: np.ndarray):
+    """``steady_state_blocks`` of a stack of one, under its ``np.errstate``: the
+    stack's numpy calls, with the verdicts, the 6x6 residual and its bound on floats."""
+    reason = "gate"
+    if _gate(system[:, 0]):
+        cov, residual = solve_lyapunov_stack(system[:, 0], system[:, 1])
+        r_x = residual.item()
+        residual = math.sqrt(2.0 * (r_x * r_x))
+        if residual_accepted(residual, math.sqrt(2.0) * _frobenius(system[:, 1]).item()):
+            return np.array([math.nan]), [None], mirror_pairs(cov), np.array([residual])
+        reason = "residual"
+    return _max_real_part(system[:, 0]), [reason], np.empty((0, 2, 3, 3)), np.empty(0)
 
 
 def mirror_pairs(cov_x: np.ndarray) -> np.ndarray:

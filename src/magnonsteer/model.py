@@ -35,6 +35,7 @@ import math
 import warnings  # noqa: F401
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,12 +134,14 @@ def param_columns(base: SystemParams, axes: dict[str, np.ndarray]) -> SystemPara
     return SimpleNamespace(**{**vars(base), **columns})
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
+class DerivedQuantities(NamedTuple):
     """Quantities computed from SystemParams before matrix assembly.
 
-    On a grid from ``param_columns``, a quantity that varies over the grid
-    is an array of the grid's broadcast shape.
+    An immutable record read by attribute. It is a named tuple because
+    every point derives one, and the closed-form check a second, and a
+    tuple builds in under half a frozen dataclass's time. On a grid from
+    ``param_columns``, a quantity that varies over the grid is an array of
+    the grid's broadcast shape.
     """
 
     omega_m: float      # magnon frequency, gyromagnetic_ratio * B0

@@ -126,6 +126,13 @@ class TestSolveLyapunov:
             solve_lyapunov(-np.eye(2), np.array([[1.0, np.inf], [-np.inf, 1.0]]))
         # a residual that overflows is inf, with no warning
         assert lyapunov_residual(1e200 * np.eye(2), 1e200 * np.eye(2), np.eye(2)) == np.inf
+        # the bound's float spelling, which a stack of one takes, decides as the
+        # array one; a NaN norm gives a NaN bound, as np.maximum(1, nan) is NaN
+        for residual in (0.0, 1e-10, np.inf, np.nan):
+            for norm in (0.0, 1.0, 1e300, np.inf, np.nan):
+                on_arrays = residual_accepted(np.array([residual]), np.array([norm]))
+                assert residual_accepted(residual, norm) is bool(on_arrays[0])
+        assert not residual_accepted(0.0, np.nan)
 
     def test_rejects_marginally_stable_drift(self):
         # a decay rate 14 orders below the rest lies inside the Hurwitz gate's
@@ -342,18 +349,24 @@ class TestSteadyStateBlocks:
         assert blocks.dtype == residual.dtype == np.float64
 
     def test_point_alone_is_the_point_in_a_mixed_stack(self):
-        # ok rows, gate rows (one with an infinite coupling) and the paper point
-        # that passes the gate by a hair and fails the residual bound
+        # ok rows, gate rows (one with an infinite coupling), the paper point
+        # that passes the gate by a hair and fails the residual bound, and two
+        # hot points whose bound is not finite: the diffusion norm overflows,
+        # then the diffusion entries themselves are infinite
         points = [default_params(), default_params(epsilon=0.9, theta=0.3),
                   default_params(epsilon=0.4947298263, theta=0.0),
                   default_params(epsilon=0.3, theta=1.0, temperature=0.5,
                                  diffusion_mode="input_output"),
                   default_params(kappa_c=1e-300, g_q=1e6),
                   default_params(drive_power=1e4, g_q=0.2e6),
-                  default_params(epsilon=0.86, diffusion_mode="consistent")]
+                  default_params(epsilon=0.86, diffusion_mode="consistent"),
+                  default_params(temperature=1e300), default_params(temperature=1e307)]
         system = np.stack([build_blocks(p) for p in points])
+        assert np.isfinite(system[7, 1]).all() and np.isinf(system[8, 1]).any()
         max_real, reason, blocks, residual = steady_state_blocks(system)
-        assert reason == [None, "gate", "residual", None, "gate", "gate", None]
+        assert reason == [None, "gate", "residual", None, "gate", "gate", None,
+                          "residual", "residual"]
+        assert max_real[7:] == pytest.approx([-8.3288e6] * 2, rel=1e-4)
         outputs = MEASURE_KEYS + ("min_symplectic_eig",)
         columns = measure_blocks(blocks, outputs)
         accepted = 0

@@ -152,6 +152,11 @@ class TestDerive:
         derived = derive(params)
         assert derived.omega_m == params.gyromagnetic_ratio * params.B0
         assert derived.omega_m == pytest.approx(TWO_PI * 2.8e9, rel=1e-12)
+        # an immutable record of floats, read by name
+        with pytest.raises(AttributeError):
+            derived.omega_m = 0.0
+        for name in ("omega_m", "g_m_eff", "k_fb", "w_c", "N_c", "N_q", "N_m"):
+            assert type(getattr(derived, name)) is float
 
     def test_transmissivity_identity(self):
         for eps in (0.0, 0.3, 0.86, 0.999):
