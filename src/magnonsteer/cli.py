@@ -61,7 +61,7 @@ def _load_json(path: str) -> dict:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
     else:
         try:

@@ -20,14 +20,17 @@ pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
 A stack of one, a single point's steady state, takes the gate's verdict,
 the residual bound and the accept/reject bookkeeping on Python floats; the
 norms, the solve, its residual and the mirror stay numpy calls, so the
-point has the same bits as inside any stack.
+point has the same bits as inside any stack. A larger stack, an empty one
+included, solves whatever the gate passes.
 
 ``_max_real_part`` is the one place that decides where that largest real
 part is NaN: at an accepted point, and at a drift with a non-finite entry,
-which gets no eigen-solve. ``hurwitz_gate``, and through it
-``assert_stable`` and ``solve_lyapunov``, runs under the stage's
-``np.errstate``, so a drift that is not finite, or whose norm overflows,
-fails the 6x6 gate as it fails the stage's, without a warning.
+which gets no eigen-solve. ``steady_state_blocks`` opens one
+``np.errstate(over="ignore", invalid="ignore")`` per call and runs the
+gate's verdict (``_gate``) under it. ``block_gate`` and ``hurwitz_gate``,
+and through it ``assert_stable`` and ``solve_lyapunov``, open the same
+errstate themselves, so a drift that is not finite, or whose norm
+overflows, fails the 6x6 gate as it fails the stage's, without a warning.
 
 ``solve_lyapunov_stack`` solves for the n(n+1)/2 entries of the upper
 triangle of V (its half-vectorisation, vech), six unknowns for a 3x3 block,
@@ -156,19 +159,23 @@ def block_gate(drift_x: np.ndarray) -> np.ndarray:
     on Python floats, with the same roundings and no numpy call per
     operation. A non-finite coefficient fails.
     """
-    stable = _gate(drift_x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stable = _gate(drift_x)
     return np.array([stable]) if type(stable) is bool else stable
 
 
 def _gate(drift_x):
-    """``block_gate``'s verdict: a bool for a stack of one, else an array."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
-        shift = _BLOCK_TOL * np.sqrt(np.add.reduce(q * q, axis=1))
-        entries, shift = (q[0].tolist(), shift.item()) if len(q) == 1 else (list(q.T), shift)
-        for diagonal in (0, 4, 8):
-            entries[diagonal] = entries[diagonal] + shift
-        return _routh_hurwitz(*entries)
+    """``block_gate``'s verdict: a bool for a stack of one, else an array.
+
+    Runs under its caller's ``np.errstate``, like ``_routh_hurwitz``:
+    ``block_gate``'s, or the stage's.
+    """
+    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
+    shift = _BLOCK_TOL * np.sqrt(np.add.reduce(q * q, axis=1))
+    entries, shift = (q[0].tolist(), shift.item()) if len(q) == 1 else (list(q.T), shift)
+    for diagonal in (0, 4, 8):
+        entries[diagonal] = entries[diagonal] + shift
+    return _routh_hurwitz(*entries)
 
 
 def _routh_hurwitz(a00, a01, a02, a10, a11, a12, a20, a21, a22):
@@ -212,7 +219,7 @@ def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
             raise ValueError("diffusion matrix must be symmetric")
         assert_stable(q)
         cov, residual = solve_lyapunov_stack(q[None], d[None])
-        if not residual_accepted(residual, np.linalg.norm(d))[0]:
+        if not residual_accepted(residual, _frobenius(d))[0]:
             raise SingularSystem("steady-state solve failed the residual bound")
     return cov[0]
 
@@ -253,10 +260,10 @@ def solve_lyapunov_stack(drift: np.ndarray,
     The unknowns are vech(V), the n(n+1)/2 entries V_ij with i <= j, and the
     equations the same entries of Q V + V Q^T = -D. The coefficients of the
     whole stack are one product of Q's n^2 entries with a constant table
-    (``_vech_tables``), and one solve serves the stack; V is gathered from
-    vech(V) and is symmetric by construction. Returns the covariances and
-    their residuals ||Q V + V Q^T + D||_F; the callers judge them with
-    ``residual_accepted``.
+    (``_vech_tables``), and one solve serves the stack, of any size, an
+    empty one included; V is gathered from vech(V) and is symmetric by
+    construction. Returns the covariances and their residuals
+    ||Q V + V Q^T + D||_F; the callers judge them with ``residual_accepted``.
 
     Raises
     ------
@@ -272,7 +279,7 @@ def solve_lyapunov_stack(drift: np.ndarray,
         vech = np.linalg.solve(coeff, d.reshape(count, n * n)[:, upper])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    cov = vech.reshape(count, -1)[:, gather].reshape(count, n, n)
+    cov = vech[..., 0][:, gather].reshape(count, n, n)
     return cov, lyapunov_residual(q, cov, d)
 
 
@@ -311,15 +318,17 @@ def steady_state_blocks(system: np.ndarray):
     that pass have their x' block solved and V_p written as its mirror
     S V_x S; as r_p = r_x and D_p = D_x, the 6x6 residual is sqrt(2 r_x^2) and
     the 6x6 diffusion norm sqrt(2) ||D_x||_F, which ``residual_accepted``
-    judges. Only the rejected points have an eigen-solve, of Q_x, whose
-    largest eigenvalue real part is the 6x6 drift's, and a stack the gate
-    rejects whole is not solved at all.
-    Every step runs under one ``np.errstate``, so overflowing entries give
-    inf or NaN and no warning. Every point is computed alike, whatever else
-    its stack holds. A stack of one takes its own route
-    (``_steady_state_point``), in ``block_gate``'s pattern: the verdicts,
-    the 6x6 residual, its bound and the reasons are Python floats, while
-    every numpy call that makes an output's bits is the stack's.
+    judges. A stack solves whatever the gate passes, all of it uncopied
+    when it passes whole, and nothing but an empty stack when it passes
+    none. Only the rejected points have an eigen-solve, of Q_x, whose
+    largest eigenvalue real part is the 6x6 drift's.
+    This function opens one ``np.errstate`` and runs every step under it,
+    the gate included, so overflowing entries give inf or NaN and no
+    warning. Every point is computed alike, whatever else its stack holds.
+    A stack of one takes its own route (``_steady_state_point``), in
+    ``block_gate``'s pattern: the verdicts, the 6x6 residual, its bound and
+    the reasons are Python floats, while every numpy call that makes an
+    output's bits is the stack's.
 
     Returns each point's largest drift eigenvalue real part (NaN where it
     was accepted, and where a drift entry is not finite, which fails the
@@ -339,16 +348,13 @@ def steady_state_blocks(system: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         if count == 1:
             return _steady_state_point(system)
-        gated = block_gate(system[:, 0])
+        gated = _gate(system[:, 0])
         gates = gated.tolist()
         solved = system if all(gates) else system[gated]
-        if len(solved):
-            cov, residual = solve_lyapunov_stack(solved[:, 0], solved[:, 1])
-            residual = np.sqrt(2.0 * np.square(residual))
-            passed = residual_accepted(residual, math.sqrt(2.0) * _frobenius(solved[:, 1]))
-            blocks = mirror_pairs(cov)
-        else:  # the gate rejected every point, so there is nothing to solve
-            blocks, residual, passed = np.empty((0, 2, 3, 3)), np.empty(0), np.empty(0, dtype=bool)
+        cov, residual = solve_lyapunov_stack(solved[:, 0], solved[:, 1])
+        residual = np.sqrt(2.0 * np.square(residual))
+        passed = residual_accepted(residual, math.sqrt(2.0) * _frobenius(solved[:, 1]))
+        blocks = mirror_pairs(cov)
         verdicts = passed.tolist()
         if len(verdicts) == count and all(verdicts):
             return np.full(count, np.nan), [None] * count, blocks, residual

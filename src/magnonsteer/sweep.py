@@ -5,17 +5,19 @@ plus at most two axis arrays, of at most ``MAX_GRID_POINTS`` points together,
 read as one grid by ``model.param_columns``: each axis is checked once, and
 the model builds the x' blocks of every point in one pass, with no per-point
 object. ``gaussian.steady_state_blocks``
-then gates, solves and judges the stack, and the batched measures kernel
-measures the accepted points, computing only the requested outputs and
-``min_symplectic_eig``; it does not run when no point was accepted.
+then gates, solves and judges the stack, and gives each accepted point's
+residual, the ``lyap_residual`` column. The batched measures kernel
+measures the accepted points, computing only the outputs it is asked for,
+the requested measures and ``min_symplectic_eig``; it does not run when no
+point was accepted.
 ``run_point`` is the same pipeline on one SystemParams, a stack of one; a
 grid whose every axis holds one value is that point, as ``param_columns``
 returns it, and takes the same path.
 ``find_threshold`` is a one-axis sweep plus refinement: its grid, and then
 each bisection step as a stack of one, go through ``param_columns`` and the
-same pipeline, computing only the scanned measure, with no cut pass and no
-residual column; the bisection stops when its bracket is at most 1/256 of
-the grid step or its midpoint rounds onto an end.
+same pipeline, with the scanned measure as the kernel's one output and no
+cut pass; the bisection stops when its bracket is at most 1/256 of the grid
+step or its midpoint rounds onto an end.
 
 ``sweep_columns`` returns a sweep as the evaluated columns, in the CSV's
 header order, and ``format_csv`` writes those columns as text, so a sweep
@@ -32,7 +34,6 @@ on each access.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
@@ -104,7 +105,7 @@ class Axis:
             return
         if missing:
             raise SpecError(f"axis needs values, or start, stop and count; missing {missing}")
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise SpecError(f"axis count must be an integer, got {self.count!r}")
         object.__setattr__(self, "start", _number(self.start, "axis start"))
         object.__setattr__(self, "stop", _number(self.stop, "axis stop"))
@@ -259,30 +260,30 @@ def _report_view(result: PointResult) -> CorrelationReport | None:
 PointResult.report = property(_report_view)
 
 
-def _evaluate(params, keys: tuple[str, ...]):
+def _evaluate(params, outputs: tuple[str, ...]):
     """Run one SystemParams, or a grid from ``param_columns``, through the pipeline.
 
     Returns, per point in row order, the check that rejected it ("gate" or
     "residual", None if it was solved) and its largest drift eigenvalue real
-    part (NaN if it was solved), and per key of ``keys`` (measure keys and
-    DIAGNOSTIC_KEYS) a list of each point's value, None at the rejected
-    points. Only those keys are computed.
+    part (NaN if it was solved), and a list of each point's value, None at
+    the rejected points, per key of ``outputs`` (the kernel's outputs:
+    measure keys and ``min_symplectic_eig``), then ``lyap_residual``, the
+    stage's. The kernel computes only ``outputs``, and does not run when
+    no point was accepted.
     """
     # a grid's arithmetic overflows to inf without a warning, as floats do;
     # the stage then fails such points closed
     with np.errstate(over="ignore", invalid="ignore"):
         system = build_blocks(params, derive(params)).reshape(-1, 2, 3, 3)
     max_real, reasons, blocks, residual = steady_state_blocks(system)
-    if not len(blocks):  # an all-unstable stack leaves the kernel out
-        return reasons, max_real.tolist(), {key: [None] * len(reasons) for key in keys}
-    columns = measure_blocks(blocks, tuple(key for key in keys if key != "lyap_residual"))
-    if "lyap_residual" in keys:
-        columns["lyap_residual"] = residual.tolist()
+    # an all-unstable stack leaves the kernel out
+    columns = measure_blocks(blocks, outputs) if len(blocks) else dict.fromkeys(outputs, [])
+    columns["lyap_residual"] = residual.tolist()
     if len(blocks) < len(reasons):
-        for key in keys:
-            values = iter(columns[key])
+        for key, column in columns.items():
+            values = iter(column)
             columns[key] = [None if reason else next(values) for reason in reasons]
-    return reasons, max_real.tolist(), {key: columns[key] for key in keys}
+    return reasons, max_real.tolist(), columns
 
 
 def run_point(params: SystemParams) -> PointResult:
@@ -292,7 +293,7 @@ def run_point(params: SystemParams) -> PointResult:
     bound, is reported as a structured result with status "unstable" and
     the rejecting check in ``reason``, rather than raised.
     """
-    [reason], [max_real], columns = _evaluate(params, MEASURE_KEYS + DIAGNOSTIC_KEYS)
+    [reason], [max_real], columns = _evaluate(params, MEASURE_KEYS + ("min_symplectic_eig",))
     if reason:
         return PointResult(status="unstable", max_real_part=max_real, reason=reason)
     return PointResult(
@@ -356,9 +357,10 @@ def sweep_columns(spec: SweepSpec) -> dict[str, list]:
     """
     axes = _axes(spec)
     reasons, _, measured = _evaluate(param_columns(spec.base, axes),
-                                     spec.outputs + DIAGNOSTIC_KEYS)
+                                     spec.outputs + ("min_symplectic_eig",))
     status = ["unstable" if reason else "ok" for reason in reasons]
-    return {**_axis_columns(axes), **measured, "status": status}
+    ordered = {key: measured[key] for key in spec.outputs + DIAGNOSTIC_KEYS}
+    return {**_axis_columns(axes), **ordered, "status": status}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

@@ -235,6 +235,10 @@ class TestSolveLyapunov:
         cov, residual = solve_lyapunov_stack(drift, diffusion)
         assert np.array_equal(cov, cov.swapaxes(-1, -2))
         assert residual_accepted(residual, np.linalg.norm(diffusion, axis=(-2, -1))).all()
+        # a stack of any size, an empty one included
+        cov, residual = solve_lyapunov_stack(drift[:0], diffusion[:0])
+        assert cov.shape == (0, n, n) and residual.shape == (0,)
+        assert cov.dtype == residual.dtype == np.float64
 
 
 def gate_on_blocks_and_6x6(drift_x):
@@ -329,16 +333,15 @@ class TestBlockGate:
 
 
 class TestSteadyStateBlocks:
-    def test_stack_rejected_whole_is_not_solved(self, monkeypatch):
+    def test_stack_rejected_whole_gives_empty_blocks(self):
         system = np.stack([build_blocks(default_params(epsilon=0.9, theta=theta))
                            for theta in np.linspace(0.0, 0.5, 8)])
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("solve_lyapunov_stack ran with no gated point")
-
-        monkeypatch.setattr(gaussian_module, "solve_lyapunov_stack", refuse)
         max_real, reason, blocks, residual = steady_state_blocks(system)
         assert reason == ["gate"] * 8
+        for index, point in enumerate(system):
+            alone = steady_state_blocks(point[None])
+            assert alone[1] == [reason[index]]
+            assert alone[0].tobytes() == max_real[index:index + 1].tobytes()
         # the eigen-solve of Q_x, whose spectrum is the 6x6 drift's twice,
         # agrees with that of the 6x6 drift at roundoff
         assert np.array_equal(max_real, np.linalg.eigvals(system[:, 0]).real.max(axis=-1))

@@ -521,7 +521,7 @@ class TestRunSweep:
                     chunk = {name: np.array(values[start:start + size])
                              for name, values in axes.items()}
                     chunk_reasons, chunk_max_real, chunk_columns = sweep_module._evaluate(
-                        param_columns(spec.base, chunk), keys)
+                        param_columns(spec.base, chunk), spec.outputs + ("min_symplectic_eig",))
                     reasons += chunk_reasons
                     max_real += chunk_max_real
                     for key in keys:
