@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .gaussian import assemble_blocks, mirror_pairs
+from .gaussian import x_block_matrix
 from .model import DerivedQuantities, SystemParams, derive
 
 DENOMINATOR_TOL = 1e-12
@@ -29,7 +29,9 @@ DENOMINATOR_TOL = 1e-12
 def analytic_covariance(
     params: SystemParams, derived: DerivedQuantities | None = None
 ) -> np.ndarray:
-    """Assemble the 6x6 steady-state covariance from the closed forms.
+    """The 6x6 steady-state covariance from the closed forms.
+
+    ``gaussian.x_block_matrix`` writes it from the six entries of V_x.
 
     Raises
     ------
@@ -118,5 +120,4 @@ def analytic_covariance(
     # Python floats overflow to inf, and inf - inf is NaN, without an exception
     if not all(map(math.isfinite, (den, v11, v14, v16, v33, v35, v66))):
         raise DegenerateDenominator("closed-form terms overflow at these rates, or an input is infinite")
-    cov_x = np.array([[v11, v14, v16], [v14, v33, -v35], [v16, -v35, v66]])
-    return assemble_blocks(mirror_pairs(cov_x))
+    return x_block_matrix([[v11, v14, v16], [v14, v33, -v35], [v16, -v35, v66]])

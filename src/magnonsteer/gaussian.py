@@ -16,7 +16,8 @@ and ``block_gate`` decides from three elementwise Routh-Hurwitz
 coefficients of the shifted Q_x, with no eigen-solve; only a rejected
 point's largest eigenvalue real part takes one, of Q_x. A stack of N block
 pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
-``assemble_blocks`` and ``covariance_blocks`` convert to and from 6x6.
+``x_block_matrix`` (one x' block and its mirror), ``assemble_blocks`` (a
+stack of block pairs) and ``covariance_blocks`` convert to and from 6x6.
 A stack of one, a single point's steady state, takes the gate's verdict,
 the residual bound and the accept/reject bookkeeping on Python floats; the
 norms, the solve, its residual and the mirror stay numpy calls, so the
@@ -95,6 +96,8 @@ _COLS = _ROWS.swapaxes(-1, -2)
 _SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
 _SIGNS = _SIGN[:, :, None] * _SIGN[:, None, :]
 _MIRROR = np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0])
+# Row-major indices in a 6x6 matrix of the x' block's entries, then the p' block's
+_FLAT = (_ROWS * 6 + _COLS).ravel()
 
 # The sign row of the state itself, and the lower entries of a row-major 3x3 matrix
 _UNSIGNED = np.ones((1, 3))
@@ -384,6 +387,22 @@ def mirror_pairs(cov_x: np.ndarray) -> np.ndarray:
     blocks[..., 0, :, :] = cov_x
     np.multiply(cov_x, _MIRROR, out=blocks[..., 1, :, :])
     return blocks
+
+
+def x_block_matrix(x) -> np.ndarray:
+    """The 6x6 matrix of one x' block ``x`` (3, 3) and its mirror p' block S x S.
+
+    The block's nine floats and the mirror's nine go into a zero matrix in
+    one scatter. p' entry (i, j) is f_i f_j x_ij, f = (1, -1, 1), the
+    mirror's signs times those of p', written as a negation where it is -1,
+    so every bit, signed zeros included, is that of
+    ``assemble_blocks(mirror_pairs(x))``; only a NaN's sign may differ.
+    ``x`` is an array or nested lists of floats.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = x.tolist() if type(x) is np.ndarray else x
+    matrix = np.zeros((6, 6))
+    matrix.ravel()[_FLAT] = (a, b, c, d, e, f, g, h, i, a, -b, c, -d, e, -f, g, -h, i)
+    return matrix
 
 
 def assemble_blocks(blocks: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpecError
-from .gaussian import assemble_blocks, mirror_pairs
+from .gaussian import x_block_matrix
 
 # CODATA 2018
 HBAR = 1.054571817e-34      # J s
@@ -339,13 +339,15 @@ def build_blocks(params: SystemParams, derived: DerivedQuantities | None = None)
 
 
 def build_drift(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
-    """Drift matrix (6, 6) in the quadrature ordering, assembled from ``build_blocks``."""
-    return assemble_blocks(mirror_pairs(build_blocks(params, derived)[0]))
+    """Drift matrix (6, 6) in the quadrature ordering: ``gaussian.x_block_matrix``
+    of the x' drift from ``build_blocks``."""
+    return x_block_matrix(build_blocks(params, derived)[0])
 
 
 def build_diffusion(params: SystemParams, derived: DerivedQuantities | None = None) -> np.ndarray:
-    """Diagonal diffusion matrix (6, 6) of the input noise, rad/s, from ``build_blocks``."""
-    return assemble_blocks(mirror_pairs(build_blocks(params, derived)[1]))
+    """Diagonal diffusion matrix (6, 6) of the input noise, rad/s: ``gaussian.x_block_matrix``
+    of the x' diffusion from ``build_blocks``."""
+    return x_block_matrix(build_blocks(params, derived)[1])
 
 
 # --- parameter ingestion -----------------------------------------------------

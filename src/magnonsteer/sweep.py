@@ -44,12 +44,12 @@ import numpy as np
 # tracer (perfbench/spans.py) wraps the per-point stages by name here.
 from .errors import NoCrossing, NonMonotone, SpecError, UnknownPreset, UnstableDrift
 from .gaussian import (  # noqa: F401
-    assemble_blocks,
     assert_stable,
     check_physicality,
     lyapunov_residual,
     solve_lyapunov,
     steady_state_blocks,
+    x_block_matrix,
 )
 from .measures import (  # noqa: F401
     MEASURE_KEYS,
@@ -276,8 +276,10 @@ def _evaluate(params, outputs: tuple[str, ...]):
     with np.errstate(over="ignore", invalid="ignore"):
         system = build_blocks(params, derive(params)).reshape(-1, 2, 3, 3)
     max_real, reasons, blocks, residual = steady_state_blocks(system)
-    # an all-unstable stack leaves the kernel out
-    columns = measure_blocks(blocks, outputs) if len(blocks) else dict.fromkeys(outputs, [])
+    if not len(blocks):  # an all-unstable stack leaves the kernel out
+        return reasons, max_real.tolist(), {key: [None] * len(reasons)
+                                            for key in outputs + ("lyap_residual",)}
+    columns = measure_blocks(blocks, outputs)
     columns["lyap_residual"] = residual.tolist()
     if len(blocks) < len(reasons):
         for key, column in columns.items():
@@ -307,6 +309,9 @@ def run_point(params: SystemParams) -> PointResult:
 def steady_state_covariance(params: SystemParams) -> np.ndarray:
     """Steady-state covariance matrix for one parameter point.
 
+    ``gaussian.x_block_matrix`` of the accepted V_x: an array of its own,
+    with the bits of the point's 6x6 inside any stack.
+
     Raises
     ------
     UnstableDrift
@@ -316,7 +321,7 @@ def steady_state_covariance(params: SystemParams) -> np.ndarray:
     max_real, [reason], blocks, _ = steady_state_blocks(build_blocks(params, derive(params))[None])
     if reason:
         raise UnstableDrift(float(max_real[0]), reason)
-    return assemble_blocks(blocks)[0]
+    return x_block_matrix(blocks[0, 0])
 
 
 def _axes(spec: SweepSpec) -> dict[str, np.ndarray]:

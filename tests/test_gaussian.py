@@ -46,6 +46,7 @@ from magnonsteer.gaussian import (
     residual_accepted,
     solve_lyapunov_stack,
     steady_state_blocks,
+    x_block_matrix,
 )
 import magnonsteer.gaussian as gaussian_module
 
@@ -434,6 +435,27 @@ class TestPhaseCovariantBlocks:
         assert np.array_equal(vx, matrix[np.ix_([0, 3, 5], [0, 3, 5])])
         sign = np.array([1.0, -1.0, -1.0])
         assert np.array_equal(vp, np.outer(sign, sign) * matrix[np.ix_([1, 2, 4], [1, 2, 4])])
+
+    @pytest.mark.parametrize("mode", DIFFUSION_MODES)
+    def test_x_block_matrix_has_the_bits_of_the_assembled_mirror(self, mode):
+        rng = np.random.default_rng(60)
+        system = np.stack([build_blocks(default_params(
+            epsilon=float(rng.uniform(0.0, 0.95)), theta=float(rng.uniform(0.0, 2.0 * np.pi)),
+            temperature=float(rng.uniform(0.0, 1.0)), g_q_ratio=float(rng.uniform(0.5, 3.0)),
+            diffusion_mode=mode)) for _ in range(300)])
+        _, _, blocks, _ = steady_state_blocks(system)
+        assert len(blocks) >= 150
+        # a signed zero comes out as the sign flips of the mirror and of p' leave it
+        zeros = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -2.0], [0.0, 3.0, -0.0]])
+        for x in [*system[:, 0], *system[:, 1], *blocks[:, 0], zeros, np.zeros((3, 3))]:
+            assert x_block_matrix(x).tobytes() == assemble_blocks(mirror_pairs(x)).tobytes()
+        assert x_block_matrix(zeros.tolist()).tobytes() == x_block_matrix(zeros).tobytes()
+
+    def test_x_block_matrix_keeps_nan_and_inf(self):
+        x = np.array([[np.nan, np.inf, 1.0], [-np.inf, 2.0, np.nan], [3.0, np.inf, -np.inf]])
+        matrix = x_block_matrix(x)
+        assert np.array_equal(matrix, assemble_blocks(mirror_pairs(x)), equal_nan=True)
+        assert np.isnan(matrix).sum() == 4 and np.isinf(matrix).sum() == 8
 
     def test_steady_state_is_assembled_from_its_blocks(self):
         cov = steady_state_covariance(default_params(epsilon=0.86))

@@ -140,9 +140,13 @@ class TestRunPoint:
         monkeypatch.setattr(sweep_module, "measure_blocks", refuse)
         result = run_point(default_params(drive_power=1e4, g_q=0.2e6))
         assert (result.status, result.reason) == ("unstable", "gate")
-        spec = spec_from_dict({"base": {"epsilon": 0.9}, "axis1": {
+        spec = spec_from_dict({"base": {"epsilon": 0.9}, "outputs": ["LN_qm", "LN_cm"], "axis1": {
             "param": "theta", "start": 0.0, "stop": 0.5, "count": 8}})
         assert [row["status"] for row in run_sweep(spec)] == ["unstable"] * 8
+        columns = sweep_columns(spec)
+        values = [columns[key] for key in ("LN_qm", "LN_cm", *DIAGNOSTIC_KEYS)]
+        assert all(column == [None] * 8 for column in values)
+        assert len({id(column) for column in values}) == len(values)
 
 
 class TestOneSteadyStatePath:
@@ -181,6 +185,10 @@ class TestOneSteadyStatePath:
         assert ("unstable", False) in seen
         assert any(solved != "unstable" for solved, _ in seen)
 
+    def test_steady_state_covariance_is_an_owned_array(self):
+        cov = steady_state_covariance(default_params())
+        assert cov.shape == (6, 6) and cov.flags.c_contiguous and cov.base is None
+
     def test_steady_state_covariance_is_the_pipeline_covariance(self):
         rng = np.random.default_rng(11)
         points = [default_params(epsilon=float(rng.uniform(0.0, 0.95)),
@@ -188,13 +196,13 @@ class TestOneSteadyStatePath:
                                  temperature=float(rng.uniform(0.0, 1.0)),
                                  g_q_ratio=float(rng.uniform(0.5, 3.0)),
                                  diffusion_mode=("paper", "consistent", "input_output")[k % 3])
-                  for k in range(60)]
+                  for k in range(257)]
         system = np.stack([build_blocks(params) for params in points])
         _, reasons, blocks, _ = steady_state_blocks(system)
         solved = [params for params, reason in zip(points, reasons) if reason is None]
-        assert len(solved) >= 30
+        assert len(solved) >= 128
         for params, expected in zip(solved, assemble_blocks(blocks)):
-            assert np.array_equal(steady_state_covariance(params), expected)
+            assert steady_state_covariance(params).tobytes() == expected.tobytes()
 
 
 class TestAxisAndSpec:
@@ -391,6 +399,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(SystemParams, "__post_init__", counting_check)
         monkeypatch.setattr(gaussian_module, "assemble_blocks", recording_assemble)
+        monkeypatch.setattr(sweep_module, "x_block_matrix",
+                            lambda x: assembled.append(x) or gaussian_module.x_block_matrix(x))
         # each axis is checked by its smallest and largest value, not per point
         assert len(run_sweep(spec)) == 600 and len(built) == 4 and not assembled
         built.clear()
