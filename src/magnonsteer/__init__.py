@@ -10,9 +10,7 @@ uses; every other helper is reached through its module, for example
 ``magnonsteer.gaussian.solve_lyapunov``.
 """
 
-from .analytic import analytic_covariance
 from .errors import (
-    DegenerateDenominator,
     MagnonSteerError,
     NoCrossing,
     NonMonotone,
@@ -41,7 +39,6 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateDenominator",
     "MagnonSteerError",
     "NoCrossing",
     "NonMonotone",
@@ -54,7 +51,6 @@ __all__ = [
     "SystemParams",
     "UnknownPreset",
     "UnstableDrift",
-    "analytic_covariance",
     "correlation_report",
     "default_params",
     "derive",

@@ -11,6 +11,12 @@ coefficients serve every diffusion mode; the mode enters only through
 All rates are scaled by kappa_c before evaluation: the raw coefficient
 polynomials reach eighth order in rates of magnitude ~1e7 rad/s and would
 needlessly stress double precision.
+
+No other module of the package imports this one: the command line and every
+result go through the numeric solver alone. It is kept in the package only
+for the tests (``tests/test_analytic.py`` holds the solver to it in every
+diffusion mode) and for the benchmark's ``oracle_check`` workload and
+``tools/fingerprint.py``, which import it as ``magnonsteer.analytic``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Command-line front end.
 
-Subcommands: solve, sweep, preset, threshold, validate-oracle. Exit codes:
-0 on success, 1 when ``validate-oracle`` finds a deviation above its
-``--tolerance``, 2 when no steady state exists (unstable drift), 3 on invalid
-specifications or parameter documents, on usage errors (an unknown
-option, a bad option value or a missing required one; argparse's own code
-for them would be 2) and when a command runs out of memory. JSON output is
+Subcommands: solve, sweep, preset, threshold. Exit codes: 0 on success, 2
+when no steady state exists (unstable drift), 3 on invalid specifications or
+parameter documents, on usage errors (an unknown command or option, a bad
+option value or a missing required one; argparse's own code for them would
+be 2) and when a command runs out of memory. JSON output is
 strict: a number that is not finite (the NaN ``max_real_part`` of a drift
 with a non-finite entry) is written as null.
 
@@ -26,12 +25,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .analytic import analytic_covariance
 from .errors import MagnonSteerError, NoCrossing, NonMonotone, SpecError, UnstableDrift
-from .model import DIFFUSION_MODES, _json_object, params_from_dict
+from .model import _json_object, params_from_dict
 # run_sweep is not called here any more; it stays importable from this module
 # because the benchmark's tracer (perfbench/spans.py) wraps it by name here.
 from .sweep import (  # noqa: F401
@@ -43,7 +39,6 @@ from .sweep import (  # noqa: F401
     run_point,
     run_sweep,
     spec_from_dict,
-    steady_state_covariance,
     sweep_columns,
 )
 
@@ -111,46 +106,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_validate_oracle(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise SpecError("--trials must be at least 1")
-    if args.seed < 0:
-        raise SpecError("--seed must be non-negative")
-    if not 0.0 <= args.tolerance < math.inf:
-        raise SpecError("--tolerance must be finite and non-negative")
-    rng = np.random.default_rng(args.seed)
-    worst = dict.fromkeys(DIFFUSION_MODES, 0.0)
-    trials = dict.fromkeys(DIFFUSION_MODES, 0)
-    while (accepted := sum(trials.values())) < args.trials:
-        mode = DIFFUSION_MODES[accepted % len(DIFFUSION_MODES)]
-        params = params_from_dict({
-            "epsilon": rng.uniform(0.0, 0.95),
-            "theta": rng.uniform(0.0, 2.0 * math.pi),
-            "temperature": rng.uniform(0.0, 1.0),
-            "g_q_ratio": rng.uniform(0.5, 3.0),
-            "diffusion_mode": mode,
-        })
-        try:
-            numeric = steady_state_covariance(params)
-        except UnstableDrift:
-            continue
-        closed = analytic_covariance(params)
-        mask = np.abs(closed) > 1e-12
-        rel = float(np.max(np.abs(numeric - closed)[mask] / np.abs(closed)[mask]))
-        worst[mode] = max(worst[mode], rel)
-        trials[mode] += 1
-    overall = max(worst.values())
-    passed = overall <= args.tolerance
-    print(json.dumps({"trials": accepted, "seed": args.seed,
-                      "max_relative_deviation": overall,
-                      "by_mode": {mode: {"trials": trials[mode],
-                                         "max_relative_deviation": worst[mode]}
-                                  for mode in DIFFUSION_MODES},
-                      "tolerance": args.tolerance,
-                      "passed": passed}))
-    return EXIT_OK if passed else 1
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit EXIT_SPEC, not EXIT_UNSTABLE."""
 
@@ -196,15 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--measure", required=True)
     p_thr.add_argument("--direction", choices=("falling", "rising"), default="falling")
     p_thr.set_defaults(func=cmd_threshold)
-
-    p_val = sub.add_parser("validate-oracle",
-                           help="cross-check the closed-form covariance against "
-                                "the steady-state solver, cycling through the "
-                                "diffusion modes")
-    p_val.add_argument("--trials", type=int, default=100)
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--tolerance", type=float, default=1e-8)
-    p_val.set_defaults(func=cmd_validate_oracle)
 
     return parser
 

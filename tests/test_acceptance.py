@@ -30,7 +30,6 @@ import pytest
 from magnonsteer import (
     NoCrossing,
     UnstableDrift,
-    analytic_covariance,
     correlation_report,
     default_params,
     find_threshold,
@@ -39,6 +38,7 @@ from magnonsteer import (
     run_sweep,
     steady_state_covariance,
 )
+from magnonsteer.analytic import analytic_covariance
 from magnonsteer.measures import measure_columns
 from magnonsteer.model import build_diffusion
 from magnonsteer.sweep import Axis, SweepSpec, grid_points

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from magnonsteer import (
-    DegenerateDenominator,
-    UnstableDrift,
-    analytic_covariance,
-    default_params,
-    derive,
-    steady_state_covariance,
-)
+from magnonsteer import UnstableDrift, default_params, derive, steady_state_covariance
+from magnonsteer.analytic import analytic_covariance
+from magnonsteer.errors import DegenerateDenominator
 from magnonsteer.gaussian import assert_stable, check_physicality
 from magnonsteer.model import (
     DIFFUSION_MODES,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -10,10 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magnonsteer import UnstableDrift, cli, sweep
+from magnonsteer import cli, sweep
 from magnonsteer.cli import build_parser, main
 from magnonsteer.measures import MEASURE_KEYS
-from magnonsteer.model import DIFFUSION_MODES, NUMERIC_FIELDS, default_params
+from magnonsteer.model import NUMERIC_FIELDS, default_params
 from magnonsteer.sweep import PRESET_IDS
 
 
@@ -510,73 +511,6 @@ def test_unreadable_json_file_exit_code(capsys, tmp_path, command, option, conte
     assert err.startswith(f"error: invalid JSON in {path}: ")
 
 
-class TestValidateOracle:
-    def test_small_run_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "25",
-                               "--seed", "7")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["passed"] is True
-        assert payload["trials"] == 25
-        assert payload["max_relative_deviation"] <= 1e-8
-
-    def test_deviation_above_tolerance_exits_1(self, capsys):
-        code, out, err = run_cli(capsys, "validate-oracle", "--trials", "3", "--seed", "0",
-                                 "--tolerance", "0")
-        payload = json.loads(out)
-        assert (code, err) == (1, "")
-        assert payload["passed"] is False and payload["tolerance"] == 0.0
-        assert 0.0 < payload["max_relative_deviation"] <= 1e-8
-
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_rejects_fewer_than_one_trial(self, capsys, trials):
-        code, out, err = run_cli(capsys, "validate-oracle", "--trials", trials)
-        assert code == 3
-        assert out == ""
-        assert "trials" in err
-
-    @pytest.mark.parametrize("option, value", [
-        ("--seed", "-1"),
-        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-inf"),
-        ("--tolerance", "-1e-8"),
-    ])
-    def test_rejects_a_negative_seed_or_tolerance(self, capsys, option, value):
-        # before any trial runs, so no traceback and no bare NaN token in the output
-        code, out, err = run_cli(capsys, "validate-oracle", "--trials", "1", f"{option}={value}")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and option in err
-
-    def test_every_diffusion_mode_is_checked(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "7",
-                               "--seed", "3")
-        assert code == 0
-        payload = json.loads(out)
-        by_mode = payload["by_mode"]
-        assert list(by_mode) == list(DIFFUSION_MODES)
-        assert [by_mode[mode]["trials"] for mode in DIFFUSION_MODES] == [3, 2, 2]
-        for mode in DIFFUSION_MODES:
-            assert 0.0 < by_mode[mode]["max_relative_deviation"] <= 1e-8
-        assert payload["max_relative_deviation"] == max(
-            entry["max_relative_deviation"] for entry in by_mode.values())
-        # a draw without a steady state is skipped, and counts in no mode
-        solve, rejected = cli.steady_state_covariance, []
-
-        def unstable_once(params):
-            if not rejected:
-                rejected.append(params)
-                raise UnstableDrift(1.0)
-            return solve(params)
-
-        monkeypatch.setattr(cli, "steady_state_covariance", unstable_once)
-        code, out, _ = run_cli(capsys, "validate-oracle", "--trials", "7", "--seed", "3")
-        skipped = json.loads(out)
-        assert code == 0 and rejected
-        assert skipped["trials"] == payload["trials"]
-        assert ([skipped["by_mode"][mode]["trials"] for mode in DIFFUSION_MODES]
-                == [by_mode[mode]["trials"] for mode in DIFFUSION_MODES])
-
-
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -584,11 +518,24 @@ class TestVersion:
         assert info.value.code == 0
 
 
+# the closed form (magnonsteer.analytic) is a test oracle, not a product path:
+# importing the package and its command line, in a fresh interpreter, leaves it
+# unloaded
+def test_command_line_never_loads_the_closed_form():
+    code = ("import sys, magnonsteer, magnonsteer.cli; "
+            "print(*sorted(name for name in sys.modules if name.startswith('magnonsteer')))")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout.split()
+    assert "magnonsteer.cli" in loaded and "magnonsteer.sweep" in loaded
+    assert "magnonsteer.analytic" not in loaded
+
+
 # a usage error is an invalid call, so it exits 3 like an invalid document;
 # argparse's own code, 2, is the code for "no steady state"
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--diffusion", "paper"], "unrecognized arguments: --diffusion paper"),
-    (["validate-oracle", "--trials", "zero"], "invalid int value: 'zero'"),
+    (["validate-oracle"], "invalid choice: 'validate-oracle'"),
     (["threshold", "--preset", "fig3a", "--measure", "LN_qm", "--direction", "sideways"],
      "invalid choice: 'sideways'"),
     (["sweep"], "the following arguments are required: --spec"),
