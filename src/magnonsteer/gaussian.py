@@ -10,19 +10,21 @@ on x' and V_p on p'. The two blocks mirror each other: the p' drift of
 ``model.build_blocks`` is S Q_x S with S = diag(1, 1, -1) while both blocks
 share one diagonal diffusion, so V_p = S V_x S. S only flips signs, so a
 solve of the p' block gives exactly S V_x S and the same residual as the x'
-block, and ``steady_state_blocks`` solves V_x alone. It also gates each
-point on Q_x alone: the spectrum of the 6x6 drift is that of Q_x twice,
-and ``block_gate`` decides from three elementwise Routh-Hurwitz
-coefficients of the shifted Q_x, with no eigen-solve; only a rejected
-point's largest eigenvalue real part takes one, of Q_x. A stack of N block
+block, and ``steady_state_blocks`` solves and returns V_x alone;
+``mirror_pairs`` writes V_p beside it where a block pair is wanted. It
+also gates each point on Q_x alone: the spectrum of the 6x6 drift is that
+of Q_x twice, and ``block_gate`` decides from three elementwise
+Routh-Hurwitz coefficients of the shifted Q_x, with no eigen-solve; only a
+rejected point's largest eigenvalue real part takes one, of Q_x. The norms
+||Q_x||_F and ||D_x||_F of a stack are one reduction. A stack of N block
 pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
 ``x_block_matrix`` (one x' block and its mirror), ``assemble_blocks`` (a
 stack of block pairs) and ``covariance_blocks`` convert to and from 6x6.
-A stack of one, a single point's steady state, takes the gate's verdict,
-the residual bound and the accept/reject bookkeeping on Python floats; the
-norms, the solve, its residual and the mirror stay numpy calls, so the
-point has the same bits as inside any stack. A larger stack, an empty one
-included, solves whatever the gate passes.
+A stack of one, a single point's steady state, takes the norms, the gate's
+verdict, the residual bound and the accept/reject bookkeeping on Python
+floats; the norm reduction, the solve and its residual stay numpy calls,
+so the point has the same bits as inside any stack. A larger stack, an
+empty one included, solves whatever the gate passes.
 
 ``_max_real_part`` is the one place that decides where that largest real
 part is NaN: at an accepted point, and at a drift with a non-finite entry,
@@ -162,23 +164,29 @@ def block_gate(drift_x: np.ndarray) -> np.ndarray:
     on Python floats, with the same roundings and no numpy call per
     operation. A non-finite coefficient fails.
     """
+    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
     with np.errstate(over="ignore", invalid="ignore"):
-        stable = _gate(drift_x)
-    return np.array([stable]) if type(stable) is bool else stable
+        if len(q) == 1:
+            return np.array([_gate(q[0].tolist(), _flat_norms(q).item())])
+        return _gate(list(q.T), _flat_norms(q))
 
 
-def _gate(drift_x):
-    """``block_gate``'s verdict: a bool for a stack of one, else an array.
+def _flat_norms(flat: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each flattened matrix (..., n^2): ``_frobenius``'s sum, as a
+    contiguous run of n^2 entries sums the same over one axis or two."""
+    return np.sqrt(np.add.reduce(flat * flat, axis=-1))
+
+
+def _gate(entries, norm):
+    """``block_gate``'s verdict from the nine entries of Q_x, row-major, and ||Q_x||_F:
+    Python floats, giving a bool, or arrays over a stack.
 
     Runs under its caller's ``np.errstate``, like ``_routh_hurwitz``:
     ``block_gate``'s, or the stage's.
     """
-    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
-    shift = _BLOCK_TOL * np.sqrt(np.add.reduce(q * q, axis=1))
-    entries, shift = (q[0].tolist(), shift.item()) if len(q) == 1 else (list(q.T), shift)
-    for diagonal in (0, 4, 8):
-        entries[diagonal] = entries[diagonal] + shift
-    return _routh_hurwitz(*entries)
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = entries
+    shift = _BLOCK_TOL * norm
+    return _routh_hurwitz(a00 + shift, a01, a02, a10, a11 + shift, a12, a20, a21, a22 + shift)
 
 
 def _routh_hurwitz(a00, a01, a02, a10, a11, a12, a20, a21, a22):
@@ -282,7 +290,7 @@ def solve_lyapunov_stack(drift: np.ndarray,
         vech = np.linalg.solve(coeff, d.reshape(count, n * n)[:, upper])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    cov = vech[..., 0][:, gather].reshape(count, n, n)
+    cov = vech[:, gather, 0].reshape(count, n, n)
     return cov, lyapunov_residual(q, cov, d)
 
 
@@ -316,27 +324,28 @@ def _vech_tables(n: int) -> tuple[np.ndarray, ...]:
 def steady_state_blocks(system: np.ndarray):
     """Gate, solve and judge the steady states of x' blocks (N, 2, 3, 3).
 
-    ``system`` holds each point's ``model.build_blocks``. ``block_gate``
-    decides on Q_x what ``hurwitz_gate`` decides on the 6x6 drift. Drifts
-    that pass have their x' block solved and V_p written as its mirror
-    S V_x S; as r_p = r_x and D_p = D_x, the 6x6 residual is sqrt(2 r_x^2) and
-    the 6x6 diffusion norm sqrt(2) ||D_x||_F, which ``residual_accepted``
-    judges. A stack solves whatever the gate passes, all of it uncopied
-    when it passes whole, and nothing but an empty stack when it passes
-    none. Only the rejected points have an eigen-solve, of Q_x, whose
-    largest eigenvalue real part is the 6x6 drift's.
+    ``system`` holds each point's ``model.build_blocks``. One reduction takes
+    ||Q_x||_F and ||D_x||_F of every point. ``block_gate`` decides on Q_x,
+    shifted by the first, what ``hurwitz_gate`` decides on the 6x6 drift.
+    Drifts that pass have their x' block solved; V_p is its mirror S V_x S
+    (``mirror_pairs``), r_p = r_x and D_p = D_x, so the 6x6 residual is
+    sqrt(2 r_x^2) and the 6x6 diffusion norm sqrt(2) ||D_x||_F, which
+    ``residual_accepted`` judges. A stack solves whatever the gate passes,
+    all of it uncopied when it passes whole, and nothing but an empty stack
+    when it passes none. Only the rejected points have an eigen-solve, of
+    Q_x, whose largest eigenvalue real part is the 6x6 drift's.
     This function opens one ``np.errstate`` and runs every step under it,
     the gate included, so overflowing entries give inf or NaN and no
     warning. Every point is computed alike, whatever else its stack holds.
     A stack of one takes its own route (``_steady_state_point``), in
-    ``block_gate``'s pattern: the verdicts, the 6x6 residual, its bound and
-    the reasons are Python floats, while every numpy call that makes an
-    output's bits is the stack's.
+    ``block_gate``'s pattern: the norms, the verdicts, the 6x6 residual, its
+    bound and the reasons are Python floats, while every numpy call that
+    makes an output's bits is the stack's.
 
     Returns each point's largest drift eigenvalue real part (NaN where it
     was accepted, and where a drift entry is not finite, which fails the
     gate), a list of each point's rejecting check ("gate", "residual" or
-    None), and the block pairs (n, 2, 3, 3) and residuals (n,) of the
+    None), and the x' blocks V_x (n, 3, 3) and residuals (n,) of the
     accepted points, in order.
 
     Raises
@@ -348,37 +357,40 @@ def steady_state_blocks(system: np.ndarray):
     # whole is solved uncopied with the same roundings
     system = np.ascontiguousarray(system, dtype=float)
     count = len(system)
+    flat = system.reshape(count, 2, 9)
     with np.errstate(over="ignore", invalid="ignore"):
+        norms = _flat_norms(flat)  # ||Q_x||_F and ||D_x||_F per point
         if count == 1:
-            return _steady_state_point(system)
-        gated = _gate(system[:, 0])
+            return _steady_state_point(system, flat[0, 0].tolist(), *norms[0].tolist())
+        gated = _gate(list(flat[:, 0].T), norms[:, 0])
         gates = gated.tolist()
-        solved = system if all(gates) else system[gated]
+        solved, norms = (system, norms) if all(gates) else (system[gated], norms[gated])
         cov, residual = solve_lyapunov_stack(solved[:, 0], solved[:, 1])
         residual = np.sqrt(2.0 * np.square(residual))
-        passed = residual_accepted(residual, math.sqrt(2.0) * _frobenius(solved[:, 1]))
-        blocks = mirror_pairs(cov)
+        passed = residual_accepted(residual, math.sqrt(2.0) * norms[:, 1])
         verdicts = passed.tolist()
         if len(verdicts) == count and all(verdicts):
-            return np.full(count, np.nan), [None] * count, blocks, residual
+            return np.full(count, np.nan), [None] * count, cov, residual
         verdict = iter(verdicts)
         reason = [(None if next(verdict) else "residual") if ok else "gate" for ok in gates]
         max_real = _max_real_part(system[:, 0], np.array([r is not None for r in reason]))
-    return max_real, reason, blocks[passed], residual[passed]
+    return max_real, reason, cov[passed], residual[passed]
 
 
-def _steady_state_point(system: np.ndarray):
-    """``steady_state_blocks`` of a stack of one, under its ``np.errstate``: the
-    stack's numpy calls, with the verdicts, the 6x6 residual and its bound on floats."""
+def _steady_state_point(system: np.ndarray, drift_x: list, drift_norm: float,
+                        diffusion_norm: float):
+    """``steady_state_blocks`` of a stack of one, under its ``np.errstate``, given
+    the nine floats of Q_x and both norms: the stack's numpy calls, with the
+    verdicts, the 6x6 residual and its bound on floats."""
     reason = "gate"
-    if _gate(system[:, 0]):
+    if _gate(drift_x, drift_norm):
         cov, residual = solve_lyapunov_stack(system[:, 0], system[:, 1])
         r_x = residual.item()
         residual = math.sqrt(2.0 * (r_x * r_x))
-        if residual_accepted(residual, math.sqrt(2.0) * _frobenius(system[:, 1]).item()):
-            return np.array([math.nan]), [None], mirror_pairs(cov), np.array([residual])
+        if residual_accepted(residual, math.sqrt(2.0) * diffusion_norm):
+            return np.array([math.nan]), [None], cov, np.array([residual])
         reason = "residual"
-    return _max_real_part(system[:, 0]), [reason], np.empty((0, 2, 3, 3)), np.empty(0)
+    return _max_real_part(system[:, 0]), [reason], np.empty((0, 3, 3)), np.empty(0)
 
 
 def mirror_pairs(cov_x: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ read as one grid by ``model.param_columns``: each axis is checked once, and
 the model builds the x' blocks of every point in one pass, with no per-point
 object. ``gaussian.steady_state_blocks``
 then gates, solves and judges the stack, and gives each accepted point's
-residual, the ``lyap_residual`` column. The batched measures kernel
-measures the accepted points, computing only the outputs it is asked for,
-the requested measures and ``min_symplectic_eig``; it does not run when no
-point was accepted.
+x' block V_x and residual, the ``lyap_residual`` column. The batched
+measures kernel measures the accepted points' block pairs, each V_x beside
+its mirror from ``gaussian.mirror_pairs``, computing only the outputs it is
+asked for, the requested measures and ``min_symplectic_eig``; it does not
+run when no point was accepted.
 ``run_point`` is the same pipeline on one SystemParams, a stack of one; a
 grid whose every axis holds one value is that point, as ``param_columns``
 returns it, and takes the same path.
@@ -47,6 +48,7 @@ from .gaussian import (  # noqa: F401
     assert_stable,
     check_physicality,
     lyapunov_residual,
+    mirror_pairs,
     solve_lyapunov,
     steady_state_blocks,
     x_block_matrix,
@@ -268,20 +270,21 @@ def _evaluate(params, outputs: tuple[str, ...]):
     part (NaN if it was solved), and a list of each point's value, None at
     the rejected points, per key of ``outputs`` (the kernel's outputs:
     measure keys and ``min_symplectic_eig``), then ``lyap_residual``, the
-    stage's. The kernel computes only ``outputs``, and does not run when
-    no point was accepted.
+    stage's. The stage gives the accepted V_x, and ``mirror_pairs`` makes
+    them the block pairs the kernel reads. The kernel computes only
+    ``outputs``, and does not run when no point was accepted.
     """
     # a grid's arithmetic overflows to inf without a warning, as floats do;
     # the stage then fails such points closed
     with np.errstate(over="ignore", invalid="ignore"):
         system = build_blocks(params, derive(params)).reshape(-1, 2, 3, 3)
-    max_real, reasons, blocks, residual = steady_state_blocks(system)
-    if not len(blocks):  # an all-unstable stack leaves the kernel out
+    max_real, reasons, cov, residual = steady_state_blocks(system)
+    if not len(cov):  # an all-unstable stack leaves the kernel out
         return reasons, max_real.tolist(), {key: [None] * len(reasons)
                                             for key in outputs + ("lyap_residual",)}
-    columns = measure_blocks(blocks, outputs)
+    columns = measure_blocks(mirror_pairs(cov), outputs)
     columns["lyap_residual"] = residual.tolist()
-    if len(blocks) < len(reasons):
+    if len(cov) < len(reasons):
         for key, column in columns.items():
             values = iter(column)
             columns[key] = [None if reason else next(values) for reason in reasons]
@@ -309,8 +312,9 @@ def run_point(params: SystemParams) -> PointResult:
 def steady_state_covariance(params: SystemParams) -> np.ndarray:
     """Steady-state covariance matrix for one parameter point.
 
-    ``gaussian.x_block_matrix`` of the accepted V_x: an array of its own,
-    with the bits of the point's 6x6 inside any stack.
+    ``gaussian.x_block_matrix`` of the V_x the stage accepts, which writes
+    the mirror V_p itself: an array of its own, with the bits of the
+    point's 6x6 inside any stack.
 
     Raises
     ------
@@ -318,10 +322,10 @@ def steady_state_covariance(params: SystemParams) -> np.ndarray:
         If the point fails the Hurwitz gate or its steady state fails the
         residual bound; ``reason`` says which.
     """
-    max_real, [reason], blocks, _ = steady_state_blocks(build_blocks(params, derive(params))[None])
+    max_real, [reason], cov, _ = steady_state_blocks(build_blocks(params, derive(params))[None])
     if reason:
         raise UnstableDrift(float(max_real[0]), reason)
-    return x_block_matrix(blocks[0, 0])
+    return x_block_matrix(cov[0])
 
 
 def _axes(spec: SweepSpec) -> dict[str, np.ndarray]:

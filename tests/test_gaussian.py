@@ -337,7 +337,7 @@ class TestSteadyStateBlocks:
     def test_stack_rejected_whole_gives_empty_blocks(self):
         system = np.stack([build_blocks(default_params(epsilon=0.9, theta=theta))
                            for theta in np.linspace(0.0, 0.5, 8)])
-        max_real, reason, blocks, residual = steady_state_blocks(system)
+        max_real, reason, cov, residual = steady_state_blocks(system)
         assert reason == ["gate"] * 8
         for index, point in enumerate(system):
             alone = steady_state_blocks(point[None])
@@ -349,8 +349,8 @@ class TestSteadyStateBlocks:
         six = hurwitz_gate(assemble_blocks(mirror_pairs(system[:, 0])))[0]
         assert np.abs(max_real - six).max() <= 1e-12 * np.abs(six).min()
         assert (max_real > 0).all()
-        assert blocks.shape == (0, 2, 3, 3) and residual.shape == (0,)
-        assert blocks.dtype == residual.dtype == np.float64
+        assert cov.shape == (0, 3, 3) and residual.shape == (0,)
+        assert cov.dtype == residual.dtype == np.float64
 
     def test_point_alone_is_the_point_in_a_mixed_stack(self):
         # ok rows, gate rows (one with an infinite coupling), the paper point
@@ -367,27 +367,27 @@ class TestSteadyStateBlocks:
                   default_params(temperature=1e300), default_params(temperature=1e307)]
         system = np.stack([build_blocks(p) for p in points])
         assert np.isfinite(system[7, 1]).all() and np.isinf(system[8, 1]).any()
-        max_real, reason, blocks, residual = steady_state_blocks(system)
+        max_real, reason, cov, residual = steady_state_blocks(system)
         assert reason == [None, "gate", "residual", None, "gate", "gate", None,
                           "residual", "residual"]
         assert max_real[7:] == pytest.approx([-8.3288e6] * 2, rel=1e-4)
         outputs = MEASURE_KEYS + ("min_symplectic_eig",)
-        columns = measure_blocks(blocks, outputs)
+        columns = measure_blocks(mirror_pairs(cov), outputs)
         accepted = 0
         for index, point in enumerate(system):
             alone = steady_state_blocks(point[None])
             assert alone[0].tobytes() == max_real[index:index + 1].tobytes()
             assert alone[1] == [reason[index]]
             if reason[index] is not None:
-                assert alone[2].shape == (0, 2, 3, 3) and alone[3].shape == (0,)
+                assert alone[2].shape == (0, 3, 3) and alone[3].shape == (0,)
                 continue
-            assert alone[2].tobytes() == blocks[accepted:accepted + 1].tobytes()
+            assert alone[2].tobytes() == cov[accepted:accepted + 1].tobytes()
             assert alone[3].tobytes() == residual[accepted:accepted + 1].tobytes()
-            measured = measure_blocks(alone[2], outputs)
+            measured = measure_blocks(mirror_pairs(alone[2]), outputs)
             assert {key: bits(values) for key, values in measured.items()} == {
                 key: bits(values[accepted:accepted + 1]) for key, values in columns.items()}
             accepted += 1
-        assert accepted == len(blocks) == 3
+        assert accepted == len(cov) == 3
 
     def test_non_finite_drift_has_no_eigen_solve(self, monkeypatch):
         # an infinite optomagnonic coupling (the sphere volume underflows)
@@ -417,6 +417,37 @@ class TestSteadyStateBlocks:
         max_real, reason, blocks, _ = steady_state_blocks(system)
         assert reason == ["gate"] and np.isfinite(max_real[0]) and len(blocks) == 0
 
+    @pytest.mark.parametrize("count", [1, 7, 257])
+    def test_one_norm_pass_judges_as_the_separate_steps(self, count):
+        # full, non-diagonal Q_x and D_x over many scales, a quarter of the D_x
+        # not symmetric, and inf, NaN and 1e200 entries in both blocks
+        rng = np.random.default_rng(38)
+        scale = 10.0 ** rng.uniform(-3.0, 9.0, (257, 1, 1))
+        damping = rng.uniform(0.0, 4.0, (257, 1, 1)) * np.eye(3)
+        drift = scale * (rng.normal(size=(257, 3, 3)) - damping)
+        root = scale * rng.normal(size=(257, 3, 3))
+        diffusion = root @ root.swapaxes(-1, -2) + (rng.uniform(size=(257, 1, 1)) < 0.25) * root
+        system = np.stack([drift, diffusion], axis=1)
+        rows = rng.choice(257, 24, replace=False)
+        for row, value in zip(rows, [np.inf, -np.inf, np.nan, 1e200] * 6):
+            system[row].flat[rng.integers(18)] = value
+        stacks = [system[k:k + 1] for k in range(40)] if count == 1 else [system[:count]]
+        for stack in stacks:
+            gates = block_gate(stack[:, 0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                cov, r_x = solve_lyapunov_stack(stack[gates, 0], stack[gates, 1])
+                residual = np.sqrt(2.0 * np.square(r_x))
+                passed = residual_accepted(
+                    residual, np.sqrt(2.0) * gaussian_module._frobenius(stack[gates, 1]))
+            verdict = iter(passed.tolist())
+            want = [(None if next(verdict) else "residual") if ok else "gate" for ok in gates]
+            _, reason, got_cov, got_residual = steady_state_blocks(stack)
+            assert reason == want
+            assert got_residual.tobytes() == residual[passed].tobytes()
+            assert got_cov.tobytes() == cov[passed].tobytes()
+        if count > 1:
+            assert {None, "gate", "residual"} <= set(reason)
+
 
 class TestPhaseCovariantBlocks:
     @pytest.mark.parametrize("seed", range(4))
@@ -443,7 +474,7 @@ class TestPhaseCovariantBlocks:
             epsilon=float(rng.uniform(0.0, 0.95)), theta=float(rng.uniform(0.0, 2.0 * np.pi)),
             temperature=float(rng.uniform(0.0, 1.0)), g_q_ratio=float(rng.uniform(0.5, 3.0)),
             diffusion_mode=mode)) for _ in range(300)])
-        _, _, blocks, _ = steady_state_blocks(system)
+        blocks = mirror_pairs(steady_state_blocks(system)[2])
         assert len(blocks) >= 150
         # a signed zero comes out as the sign flips of the mirror and of p' leave it
         zeros = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -2.0], [0.0, 3.0, -0.0]])
@@ -560,7 +591,7 @@ def model_block_pairs():
             grid = param_columns(spec.base.replace(diffusion_mode=mode),
                                  {spec.axis1.param: spec.axis1.grid()[::25]})
             system = build_blocks(grid, derive(grid)).reshape(-1, 2, 3, 3)
-            pairs.append(steady_state_blocks(system)[2])
+            pairs.append(mirror_pairs(steady_state_blocks(system)[2]))
     return np.concatenate(pairs)
 
 

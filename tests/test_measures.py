@@ -12,7 +12,7 @@ from magnonsteer import (
     default_params,
     steady_state_covariance,
 )
-from magnonsteer.gaussian import PHYSICALITY_TOL, steady_state_blocks
+from magnonsteer.gaussian import PHYSICALITY_TOL, mirror_pairs, steady_state_blocks
 from magnonsteer.measures import (
     CLASS_TOL,
     MEASURE_KEYS,
@@ -385,8 +385,8 @@ def test_negative_monogamy_residuals_sit_at_sub_vacuum_steady_states():
     negative = {}
     for mode in DIFFUSION_MODES:
         grid = param_columns(base.replace(diffusion_mode=mode), axes)
-        blocks = steady_state_blocks(build_blocks(grid, derive(grid)).reshape(-1, 2, 3, 3))[2]
-        columns = measure_blocks(blocks, MONO_KEYS + R_KEYS + ("min_symplectic_eig",))
+        cov = steady_state_blocks(build_blocks(grid, derive(grid)).reshape(-1, 2, 3, 3))[2]
+        columns = measure_blocks(mirror_pairs(cov), MONO_KEYS + R_KEYS + ("min_symplectic_eig",))
         residual = np.min([columns[key] for key in MONO_KEYS + R_KEYS], axis=0)
         sub_vacuum = np.array(columns["min_symplectic_eig"]) < 0.5 - PHYSICALITY_TOL
         negative[mode] = int((residual < -1e-12).sum())

@@ -28,6 +28,7 @@ from magnonsteer.gaussian import (
     STABILITY_TOL,
     assemble_blocks,
     hurwitz_gate,
+    mirror_pairs,
     solve_lyapunov,
     steady_state_blocks,
 )
@@ -189,6 +190,19 @@ class TestOneSteadyStatePath:
         cov = steady_state_covariance(default_params())
         assert cov.shape == (6, 6) and cov.flags.c_contiguous and cov.base is None
 
+    def test_steady_state_covariance_builds_no_block_pair(self, monkeypatch):
+        # the 6x6 is written from V_x alone; only the kernel reads the mirror
+        points = [default_params(), default_params(epsilon=0.86, diffusion_mode="consistent"),
+                  default_params(temperature=0.5, diffusion_mode="input_output")]
+        want = [steady_state_covariance(params).tobytes() for params in points]
+
+        def refuse(cov_x):
+            raise AssertionError("mirror_pairs ran for steady_state_covariance")
+
+        monkeypatch.setattr(sweep_module, "mirror_pairs", refuse)
+        monkeypatch.setattr(gaussian_module, "mirror_pairs", refuse)
+        assert [steady_state_covariance(params).tobytes() for params in points] == want
+
     def test_steady_state_covariance_is_the_pipeline_covariance(self):
         rng = np.random.default_rng(11)
         points = [default_params(epsilon=float(rng.uniform(0.0, 0.95)),
@@ -198,10 +212,10 @@ class TestOneSteadyStatePath:
                                  diffusion_mode=("paper", "consistent", "input_output")[k % 3])
                   for k in range(257)]
         system = np.stack([build_blocks(params) for params in points])
-        _, reasons, blocks, _ = steady_state_blocks(system)
+        _, reasons, cov, _ = steady_state_blocks(system)
         solved = [params for params, reason in zip(points, reasons) if reason is None]
         assert len(solved) >= 128
-        for params, expected in zip(solved, assemble_blocks(blocks)):
+        for params, expected in zip(solved, assemble_blocks(mirror_pairs(cov))):
             assert steady_state_covariance(params).tobytes() == expected.tobytes()
 
 

@@ -48,7 +48,7 @@ def accepted_blocks(points) -> np.ndarray:
     pairs = []
     for params in points:
         system = model.build_blocks(params, model.derive(params))[None]
-        pairs.extend(gaussian.steady_state_blocks(system)[2])
+        pairs.extend(gaussian.mirror_pairs(gaussian.steady_state_blocks(system)[2]))
     return np.array(pairs)
 
 
