@@ -13,18 +13,20 @@ solve of the p' block gives exactly S V_x S and the same residual as the x'
 block, and ``steady_state_blocks`` solves and returns V_x alone;
 ``mirror_pairs`` writes V_p beside it where a block pair is wanted. It
 also gates each point on Q_x alone: the spectrum of the 6x6 drift is that
-of Q_x twice, and ``block_gate`` decides from three elementwise
-Routh-Hurwitz coefficients of the shifted Q_x, with no eigen-solve; only a
-rejected point's largest eigenvalue real part takes one, of Q_x. The norms
-||Q_x||_F and ||D_x||_F of a stack are one reduction. A stack of N block
-pairs is stored as one array (N, 2, ..., n, n), V_x before V_p; only
-``x_block_matrix`` (one x' block and its mirror), ``assemble_blocks`` (a
-stack of block pairs) and ``covariance_blocks`` convert to and from 6x6.
-A stack of one, a single point's steady state, takes the norms, the gate's
-verdict, the residual bound and the accept/reject bookkeeping on Python
-floats; the norm reduction, the solve and its residual stay numpy calls,
-so the point has the same bits as inside any stack. A larger stack, an
-empty one included, solves whatever the gate passes.
+of Q_x twice, and ``block_gate``'s rule (``_gate``) decides from three
+elementwise Routh-Hurwitz coefficients of the shifted Q_x, with no
+eigen-solve; only a rejected point's largest eigenvalue real part takes one,
+of Q_x. The norms ||Q_x||_F and ||D_x||_F of a stack are one reduction
+(``_frobenius``, the one Frobenius norm here). A stack of N block pairs is
+stored as one array (N, 2, ..., n, n), V_x before V_p; only
+``x_block_matrix`` writes a 6x6 matrix from blocks, one x' block and its
+mirror, and only ``covariance_blocks`` reads blocks from 6x6 matrices,
+checking their x'p' entries in place. A stack of one, a single point's
+steady state, takes the norms, the gate's verdict, the residual bound and
+the accept/reject bookkeeping on Python floats; the norm reduction, the
+solve and its residual stay numpy calls, so the point has the same bits as
+inside any stack. A larger stack, an empty one included, solves whatever
+the gate passes.
 
 ``_max_real_part`` is the one place that decides where that largest real
 part is NaN: at an accepted point, and at a drift with a non-finite entry,
@@ -47,8 +49,8 @@ smallest as nu_min = lambda_max(X X^T)^(-1/2), X = M^-1 = A^-1 T B^-T, by one
 closed form over the block entries: the inverse Cholesky factors, the
 entries of X and X X^T, and Smith's trigonometric formula for the largest
 eigenvalue of a symmetric 3x3 matrix, applied to X X^T less its mean
-eigenvalue and scaled so that nothing overflows. Like ``block_gate`` it
-takes a stack of one on Python floats and a larger stack elementwise, with
+eigenvalue and scaled so that nothing overflows. Like the steady-state stage
+it takes a stack of one on Python floats and a larger stack elementwise, with
 the same bits either way: on a stack the inverse factors of V_x and V_p
 are one pass over both blocks, and only acos and cos run per row, mapped
 from ``math`` over the rows' floats. Only a row whose two largest
@@ -74,7 +76,6 @@ VACUUM_VARIANCE = 0.5
 
 PHYSICALITY_TOL = 1e-10
 LYAPUNOV_RESIDUAL_TOL = 1e-10
-CONDITION_CUTOFF = 1e12
 
 # Largest x'p' entry of a covariance accepted as roundoff, relative to its
 # largest entry
@@ -160,38 +161,25 @@ def block_gate(drift_x: np.ndarray) -> np.ndarray:
     with a1 = -tr A, a2 the sum of its principal 2x2 minors and a3 = -det A,
     that holds iff a1 > 0, a3 > 0 and a1 a2 > a3 (the Routh-Hurwitz
     criterion; Gantmacher, The Theory of Matrices, vol. 2, ch. XV). The
-    coefficients are elementwise over the stack; a stack of one takes them
-    on Python floats, with the same roundings and no numpy call per
-    operation. A non-finite coefficient fails.
+    coefficients are elementwise over the stack (``_gate``). A non-finite
+    coefficient fails.
     """
-    q = np.asarray(drift_x, dtype=float).reshape(-1, 9)
+    q = np.asarray(drift_x, dtype=float).reshape(-1, 3, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(q) == 1:
-            return np.array([_gate(q[0].tolist(), _flat_norms(q).item())])
-        return _gate(list(q.T), _flat_norms(q))
-
-
-def _flat_norms(flat: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each flattened matrix (..., n^2): ``_frobenius``'s sum, as a
-    contiguous run of n^2 entries sums the same over one axis or two."""
-    return np.sqrt(np.add.reduce(flat * flat, axis=-1))
+        return _gate(list(q.reshape(-1, 9).T), _frobenius(q))
 
 
 def _gate(entries, norm):
     """``block_gate``'s verdict from the nine entries of Q_x, row-major, and ||Q_x||_F:
-    Python floats, giving a bool, or arrays over a stack.
+    Python floats, giving a bool, or arrays over a stack, with the same roundings.
 
-    Runs under its caller's ``np.errstate``, like ``_routh_hurwitz``:
-    ``block_gate``'s, or the stage's.
+    a1 > 0, a3 > 0 and a1 a2 > a3 for the shifted A are tr A < 0, det A < 0 and
+    tr A a2 < det A. Runs under its caller's ``np.errstate``: ``block_gate``'s,
+    or the stage's.
     """
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = entries
     shift = _BLOCK_TOL * norm
-    return _routh_hurwitz(a00 + shift, a01, a02, a10, a11 + shift, a12, a20, a21, a22 + shift)
-
-
-def _routh_hurwitz(a00, a01, a02, a10, a11, a12, a20, a21, a22):
-    """a1 > 0, a3 > 0 and a1 a2 > a3 for the 3x3 matrix A with these entries, as
-    tr A < 0, det A < 0 and tr A a2 < det A; floats or arrays."""
+    a00, a11, a22 = a00 + shift, a11 + shift, a22 + shift
     minor0, minor1, minor2 = a11 * a22 - a12 * a21, a10 * a22 - a12 * a20, a10 * a21 - a11 * a20
     trace = a00 + a11 + a22
     a2 = minor0 + (a00 * a22 - a02 * a20) + (a00 * a11 - a01 * a10)
@@ -325,8 +313,9 @@ def steady_state_blocks(system: np.ndarray):
     """Gate, solve and judge the steady states of x' blocks (N, 2, 3, 3).
 
     ``system`` holds each point's ``model.build_blocks``. One reduction takes
-    ||Q_x||_F and ||D_x||_F of every point. ``block_gate`` decides on Q_x,
-    shifted by the first, what ``hurwitz_gate`` decides on the 6x6 drift.
+    ||Q_x||_F and ||D_x||_F of every point. ``_gate``, ``block_gate``'s rule,
+    decides on Q_x, shifted by the first, what ``hurwitz_gate`` decides on the
+    6x6 drift.
     Drifts that pass have their x' block solved; V_p is its mirror S V_x S
     (``mirror_pairs``), r_p = r_x and D_p = D_x, so the 6x6 residual is
     sqrt(2 r_x^2) and the 6x6 diffusion norm sqrt(2) ||D_x||_F, which
@@ -337,10 +326,10 @@ def steady_state_blocks(system: np.ndarray):
     This function opens one ``np.errstate`` and runs every step under it,
     the gate included, so overflowing entries give inf or NaN and no
     warning. Every point is computed alike, whatever else its stack holds.
-    A stack of one takes its own route (``_steady_state_point``), in
-    ``block_gate``'s pattern: the norms, the verdicts, the 6x6 residual, its
-    bound and the reasons are Python floats, while every numpy call that
-    makes an output's bits is the stack's.
+    A stack of one takes its own route (``_steady_state_point``): the norms,
+    the verdicts, the 6x6 residual, its bound and the reasons are Python
+    floats, while every numpy call that makes an output's bits is the
+    stack's.
 
     Returns each point's largest drift eigenvalue real part (NaN where it
     was accepted, and where a drift entry is not finite, which fails the
@@ -359,7 +348,7 @@ def steady_state_blocks(system: np.ndarray):
     count = len(system)
     flat = system.reshape(count, 2, 9)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = _flat_norms(flat)  # ||Q_x||_F and ||D_x||_F per point
+        norms = _frobenius(system)  # ||Q_x||_F and ||D_x||_F per point
         if count == 1:
             return _steady_state_point(system, flat[0, 0].tolist(), *norms[0].tolist())
         gated = _gate(list(flat[:, 0].T), norms[:, 0])
@@ -407,22 +396,14 @@ def x_block_matrix(x) -> np.ndarray:
     The block's nine floats and the mirror's nine go into a zero matrix in
     one scatter. p' entry (i, j) is f_i f_j x_ij, f = (1, -1, 1), the
     mirror's signs times those of p', written as a negation where it is -1,
-    so every bit, signed zeros included, is that of
-    ``assemble_blocks(mirror_pairs(x))``; only a NaN's sign may differ.
+    so every bit, signed zeros included, is that of the product f_i f_j x_ij;
+    only a NaN's sign may differ.
     ``x`` is an array or nested lists of floats.
     """
     (a, b, c), (d, e, f), (g, h, i) = x.tolist() if type(x) is np.ndarray else x
     matrix = np.zeros((6, 6))
     matrix.ravel()[_FLAT] = (a, b, c, d, e, f, g, h, i, a, -b, c, -d, e, -f, g, -h, i)
     return matrix
-
-
-def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The (..., 6, 6) matrices with blocks (..., 2, 3, 3) on x' and p', zero between."""
-    b = np.asarray(blocks, dtype=float)
-    out = np.zeros(b.shape[:-3] + (6, 6))
-    out[..., _ROWS, _COLS] = b * _SIGNS
-    return out
 
 
 def covariance_blocks(cov: np.ndarray) -> np.ndarray:
@@ -447,17 +428,18 @@ def covariance_blocks(cov: np.ndarray) -> np.ndarray:
         raise ValueError("expected 6x6 three-mode covariance matrices")
     if not np.isfinite(v).all():
         raise ValueError("covariance matrices must have finite entries")
-    blocks = v[..., _ROWS, _COLS] * _SIGNS
-    cross = np.abs(v - assemble_blocks(blocks)).max(axis=(-2, -1), initial=0.0)
-    if np.any(cross > PHASE_COVARIANCE_TOL * np.abs(v).max(axis=(-2, -1), initial=0.0)):
+    magnitude = np.abs(v)
+    size = magnitude[..., _ROWS, _COLS]  # the blocks' entries, unsigned
+    largest = magnitude.max(axis=(-2, -1), initial=0.0)
+    magnitude[..., _ROWS, _COLS] = 0.0  # leaves the x'p' entries
+    if np.any(magnitude.max(axis=(-2, -1), initial=0.0) > PHASE_COVARIANCE_TOL * largest):
         raise NotPhaseCovariant("covariance couples x' = (X_c, Y_q, Y_m) with "
                                 "p' = (Y_c, -X_q, -X_m)")
-    size = np.abs(blocks)
     variances = size.diagonal(0, -2, -1)
     if (size > SCALE_LIMIT).any() or ((variances > 0.0) & (variances < 1.0 / SCALE_LIMIT)).any():
         raise SingularBlock("covariance entries must be at most 1e100 in magnitude, "
                             "and nonzero variances at least 1e-100")
-    return blocks
+    return v[..., _ROWS, _COLS] * _SIGNS
 
 
 def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:

@@ -49,13 +49,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonPositiveInput, SingularBlock
-from .gaussian import CONDITION_CUTOFF, covariance_blocks, min_symplectic_eig
+from .gaussian import covariance_blocks, min_symplectic_eig
 
 # measures below this are reported as exactly zero to stabilise classification
 ZERO_CLAMP = 1e-12
 
 # threshold separating "zero" from "nonzero" in the steering taxonomy
 CLASS_TOL = 1e-9
+
+# largest condition number of a steering party's block accepted as not singular
+CONDITION_CUTOFF = 1e12
 
 
 def _clamp(value):
@@ -65,7 +68,7 @@ def _clamp(value):
 
 def classify_steering(g_ab: float, g_ba: float) -> str:
     """Four-way steering taxonomy for a pair with directed measures (ab, ba)."""
-    if g_ab < 0 or g_ba < 0:
+    if not (g_ab >= 0 and g_ba >= 0):
         raise ValueError("steering measures must be non-negative")
     a_steers = g_ab > CLASS_TOL
     b_steers = g_ba > CLASS_TOL

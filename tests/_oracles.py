@@ -183,6 +183,11 @@ def phase_covariant_cm(vx: np.ndarray, vp: np.ndarray) -> np.ndarray:
     return cov
 
 
+def phase_covariant_stack(blocks: np.ndarray) -> np.ndarray:
+    """``phase_covariant_cm`` of each block pair of a stack (N, 2, 3, 3)."""
+    return np.array([phase_covariant_cm(vx, vp) for vx, vp in blocks]).reshape(-1, 6, 6)
+
+
 def random_phase_covariant_cm(rng: np.random.Generator, nu_max: float = 2.5) -> np.ndarray:
     """Random physical phase-covariant state: V_x = M N M^T, V_p = M^-T N M^-1.
 

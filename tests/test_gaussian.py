@@ -37,7 +37,6 @@ from magnonsteer.model import (
 from magnonsteer.sweep import PRESET_IDS, grid_points, preset
 from magnonsteer.gaussian import (
     STABILITY_TOL,
-    assemble_blocks,
     block_gate,
     covariance_blocks,
     hurwitz_gate,
@@ -58,6 +57,7 @@ from _oracles import (
     omega,
     partial_transpose,
     phase_covariant_cm,
+    phase_covariant_stack,
     random_phase_covariant_cm,
     random_physical_cm,
     random_symplectic,
@@ -244,7 +244,7 @@ class TestSolveLyapunov:
 
 def gate_on_blocks_and_6x6(drift_x):
     """block_gate's decisions, and hurwitz_gate's on the assembled 6x6 drifts."""
-    return block_gate(drift_x), hurwitz_gate(assemble_blocks(mirror_pairs(drift_x)))[1]
+    return block_gate(drift_x), hurwitz_gate(phase_covariant_stack(mirror_pairs(drift_x)))[1]
 
 
 def model_drifts(points):
@@ -346,7 +346,7 @@ class TestSteadyStateBlocks:
         # the eigen-solve of Q_x, whose spectrum is the 6x6 drift's twice,
         # agrees with that of the 6x6 drift at roundoff
         assert np.array_equal(max_real, np.linalg.eigvals(system[:, 0]).real.max(axis=-1))
-        six = hurwitz_gate(assemble_blocks(mirror_pairs(system[:, 0])))[0]
+        six = hurwitz_gate(phase_covariant_stack(mirror_pairs(system[:, 0])))[0]
         assert np.abs(max_real - six).max() <= 1e-12 * np.abs(six).min()
         assert (max_real > 0).all()
         assert cov.shape == (0, 3, 3) and residual.shape == (0,)
@@ -455,7 +455,7 @@ class TestPhaseCovariantBlocks:
         cov = random_phase_covariant_cm(np.random.default_rng(seed))
         blocks = covariance_blocks(cov)
         assert blocks.shape == (2, 3, 3)
-        assert np.array_equal(assemble_blocks(blocks), cov)
+        assert np.array_equal(phase_covariant_cm(*blocks), cov)
         assert np.array_equal(covariance_blocks(cov[None])[0], blocks)
 
     def test_blocks_read_x_prime_and_p_prime(self):
@@ -479,18 +479,18 @@ class TestPhaseCovariantBlocks:
         # a signed zero comes out as the sign flips of the mirror and of p' leave it
         zeros = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -2.0], [0.0, 3.0, -0.0]])
         for x in [*system[:, 0], *system[:, 1], *blocks[:, 0], zeros, np.zeros((3, 3))]:
-            assert x_block_matrix(x).tobytes() == assemble_blocks(mirror_pairs(x)).tobytes()
+            assert x_block_matrix(x).tobytes() == phase_covariant_cm(*mirror_pairs(x)).tobytes()
         assert x_block_matrix(zeros.tolist()).tobytes() == x_block_matrix(zeros).tobytes()
 
     def test_x_block_matrix_keeps_nan_and_inf(self):
         x = np.array([[np.nan, np.inf, 1.0], [-np.inf, 2.0, np.nan], [3.0, np.inf, -np.inf]])
         matrix = x_block_matrix(x)
-        assert np.array_equal(matrix, assemble_blocks(mirror_pairs(x)), equal_nan=True)
+        assert np.array_equal(matrix, phase_covariant_cm(*mirror_pairs(x)), equal_nan=True)
         assert np.isnan(matrix).sum() == 4 and np.isinf(matrix).sum() == 8
 
     def test_steady_state_is_assembled_from_its_blocks(self):
         cov = steady_state_covariance(default_params(epsilon=0.86))
-        assert np.array_equal(assemble_blocks(covariance_blocks(cov)), cov)
+        assert np.array_equal(phase_covariant_cm(*covariance_blocks(cov)), cov)
 
     def test_coupled_state_is_rejected(self):
         with pytest.raises(NotPhaseCovariant):
@@ -507,6 +507,21 @@ class TestPhaseCovariantBlocks:
         cov[0, 1] = cov[1, 0] = 1e-11
         with pytest.raises(NotPhaseCovariant):
             covariance_blocks(cov)
+
+    def test_stack_tolerance_is_each_matrix_own(self):
+        # the x'p' tolerance is relative to each matrix's largest entry, not the stack's
+        unit = tmsv_with_spectator(0.3)  # largest entry cosh(0.6) / 2
+        large = 1e6 * random_phase_covariant_cm(np.random.default_rng(9))
+        large[0, 1] = large[1, 0] = 1e-8  # roundoff at 1e-14 of its entries
+        stack = np.array([[unit, large], [large, unit]])
+        blocks = covariance_blocks(stack)
+        want = stack[..., gaussian_module._ROWS, gaussian_module._COLS] * gaussian_module._SIGNS
+        assert blocks.shape == (2, 2, 2, 3, 3) and blocks.tobytes() == want.tobytes()
+        coupled = unit.copy()
+        coupled[0, 1] = coupled[1, 0] = 1e-11
+        for bad in ([coupled, large], [large, coupled]):
+            with pytest.raises(NotPhaseCovariant):
+                covariance_blocks(np.array(bad))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

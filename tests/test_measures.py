@@ -232,9 +232,11 @@ class TestClassifySteering:
     def test_taxonomy(self, ga, gb, expected):
         assert classify_steering(ga, gb) == expected
 
-    def test_rejects_negative(self):
+    @pytest.mark.parametrize("ga,gb", [(-0.1, 0.0), (math.nan, 0.0), (0.0, math.nan)],
+                             ids=["negative", "nan_ab", "nan_ba"])
+    def test_rejects_negative(self, ga, gb):
         with pytest.raises(ValueError):
-            classify_steering(-0.1, 0.0)
+            classify_steering(ga, gb)
 
 
 class TestSteeringMonogamy:

@@ -1,5 +1,8 @@
-"""README's Quick start runs as written, and its list of public names is the package's."""
+"""README's Quick start runs as written, its list of public names is the package's,
+and every package name it quotes with its module exists."""
 
+import importlib
+import pkgutil
 import re
 import warnings
 from pathlib import Path
@@ -33,3 +36,15 @@ def test_all_is_the_list_of_public_names():
     assert f"these {len(names)} names" in listed
     assert sorted(magnonsteer.__all__) == sorted(names)
     assert all(hasattr(magnonsteer, name) for name in names)
+
+
+def test_quoted_module_names_exist():
+    # a backticked `module.name` of a package module, such as `gaussian.block_gate`,
+    # names an attribute of that module, so a deleted helper does not linger here
+    modules = {info.name for info in pkgutil.iter_modules(magnonsteer.__path__)}
+    quoted = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", README)
+              if module in modules}
+    assert len(quoted) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(quoted)
+               if not hasattr(importlib.import_module(f"magnonsteer.{module}"), name)]
+    assert missing == []

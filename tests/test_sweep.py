@@ -26,7 +26,6 @@ from magnonsteer import (
 )
 from magnonsteer.gaussian import (
     STABILITY_TOL,
-    assemble_blocks,
     hurwitz_gate,
     mirror_pairs,
     solve_lyapunov,
@@ -52,6 +51,8 @@ from magnonsteer.sweep import (
 )
 import magnonsteer.gaussian as gaussian_module
 import magnonsteer.sweep as sweep_module
+
+from _oracles import phase_covariant_stack
 
 
 def small_spec(**axis_kwargs):
@@ -215,7 +216,7 @@ class TestOneSteadyStatePath:
         _, reasons, cov, _ = steady_state_blocks(system)
         solved = [params for params, reason in zip(points, reasons) if reason is None]
         assert len(solved) >= 128
-        for params, expected in zip(solved, assemble_blocks(mirror_pairs(cov))):
+        for params, expected in zip(solved, phase_covariant_stack(mirror_pairs(cov))):
             assert steady_state_covariance(params).tobytes() == expected.tobytes()
 
 
@@ -401,18 +402,13 @@ class TestRunSweep:
             "param": "theta", "start": 0.0, "stop": 2.0 * math.pi, "count": 64}})
         built, assembled = [], []
         check = SystemParams.__post_init__
-        assemble = gaussian_module.assemble_blocks
 
         def counting_check(self):
             built.append(self)
             check(self)
 
-        def recording_assemble(blocks):
-            assembled.append(len(blocks))
-            return assemble(blocks)
-
         monkeypatch.setattr(SystemParams, "__post_init__", counting_check)
-        monkeypatch.setattr(gaussian_module, "assemble_blocks", recording_assemble)
+        # x_block_matrix is the one writer of a 6x6 matrix from blocks
         monkeypatch.setattr(sweep_module, "x_block_matrix",
                             lambda x: assembled.append(x) or gaussian_module.x_block_matrix(x))
         # each axis is checked by its smallest and largest value, not per point
