@@ -13,15 +13,15 @@ solve of the p' block gives exactly S V_x S and the same residual as the x'
 block, and ``steady_state_blocks`` solves and returns V_x alone;
 ``mirror_pairs`` writes V_p beside it where a block pair is wanted. It
 also gates each point on Q_x alone: the spectrum of the 6x6 drift is that
-of Q_x twice, and ``block_gate``'s rule (``_gate``) decides from three
-elementwise Routh-Hurwitz coefficients of the shifted Q_x, with no
-eigen-solve; only a rejected point's largest eigenvalue real part takes one,
-of Q_x. The norms ||Q_x||_F and ||D_x||_F of a stack are one reduction
-(``_frobenius``, the one Frobenius norm here). A stack of N block pairs is
-stored as one array (N, 2, ..., n, n), V_x before V_p; only
-``x_block_matrix`` writes a 6x6 matrix from blocks, one x' block and its
-mirror, and only ``covariance_blocks`` reads blocks from 6x6 matrices,
-checking their x'p' entries in place. A stack of one, a single point's
+of Q_x twice, and the gate (``_gate``) decides from three elementwise
+Routh-Hurwitz coefficients of the shifted Q_x, with no eigen-solve; only a
+rejected point's largest eigenvalue real part takes one, of Q_x. The norms
+||Q_x||_F and ||D_x||_F of a stack are one reduction (``_frobenius``, the
+one Frobenius norm here). A stack of N block pairs is stored as one array
+(N, 2, ..., n, n), V_x before V_p; only ``x_block_matrix`` writes a 6x6
+matrix from blocks, one x' block and its mirror, and only
+``covariance_blocks`` reads blocks from 6x6 matrices, checking their x'p'
+entries in place. A stack of one, a single point's
 steady state, takes the norms, the gate's verdict, the residual bound and
 the accept/reject bookkeeping on Python floats; the norm reduction, the
 solve and its residual stay numpy calls, so the point has the same bits as
@@ -32,10 +32,11 @@ the gate passes.
 part is NaN: at an accepted point, and at a drift with a non-finite entry,
 which gets no eigen-solve. ``steady_state_blocks`` opens one
 ``np.errstate(over="ignore", invalid="ignore")`` per call and runs the
-gate's verdict (``_gate``) under it. ``block_gate`` and ``hurwitz_gate``,
-and through it ``assert_stable`` and ``solve_lyapunov``, open the same
-errstate themselves, so a drift that is not finite, or whose norm
-overflows, fails the 6x6 gate as it fails the stage's, without a warning.
+gate's verdict (``_gate``, the package's one Routh-Hurwitz rule) under it.
+``assert_stable``, the one eigen-solve rule, which ``_gate`` matches on the
+6x6 drift, opens the same errstate itself, and ``solve_lyapunov`` calls it,
+so a drift that is not finite, or whose norm overflows, fails the 6x6 rule
+as it fails the stage's, without a warning.
 
 ``solve_lyapunov_stack`` solves for the n(n+1)/2 entries of the upper
 triangle of V (its half-vectorisation, vech), six unknowns for a 3x3 block,
@@ -90,7 +91,7 @@ SCALE_LIMIT = 1e100
 # Stability margin relative to ||Q||_F, scale-free across rad/s magnitudes
 STABILITY_TOL = 1e-9
 
-# The block gate's margin on Q_x, relative to ||Q_x||_F: ||Q||_F = sqrt(2) ||Q_x||_F
+# The gate's margin on Q_x, relative to ||Q_x||_F: ||Q||_F = sqrt(2) ||Q_x||_F
 _BLOCK_TOL = STABILITY_TOL * math.sqrt(2.0)
 
 # Rows of x' and p' in the quadrature ordering, the signs of p', and S_i S_j of V_p = S V_x S
@@ -130,52 +131,35 @@ def _max_real_part(drift: np.ndarray, wanted: np.ndarray | bool = True) -> np.nd
     return max_real
 
 
-def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue real part of each drift matrix, and whether it is stable.
+def assert_stable(drift: np.ndarray) -> None:
+    """Raise UnstableDrift unless the drift matrix (n, n) is safely damped.
 
-    Stable means safely damped: the largest real part lies below
+    Safely damped means the largest eigenvalue real part lies below
     -STABILITY_TOL ||Q||_F, a margin relative to the Frobenius norm so the
-    gate is scale-free. Takes one matrix or a stack (..., n, n). A drift with
-    a non-finite entry, or whose norm overflows, fails without a warning.
+    rule is scale-free. A drift with a non-finite entry, or whose norm
+    overflows, fails without a warning.
     """
     q = np.asarray(drift, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         max_real = _max_real_part(q)
-        return max_real, max_real < -STABILITY_TOL * _frobenius(q)
-
-
-def assert_stable(drift: np.ndarray) -> None:
-    """Raise UnstableDrift unless ``hurwitz_gate`` finds the drift safely damped."""
-    max_real, stable = hurwitz_gate(drift)
-    if not stable:
-        raise UnstableDrift(float(max_real))
-
-
-def block_gate(drift_x: np.ndarray) -> np.ndarray:
-    """Whether ``hurwitz_gate`` passes the 6x6 drift of each x' drift Q_x (N, 3, 3).
-
-    The 6x6 drift Q_x (+) S Q_x S has the eigenvalues of Q_x twice and
-    ||Q||_F = sqrt(2) ||Q_x||_F, so the gate's rule is that every eigenvalue
-    of A = Q_x + m I, m = STABILITY_TOL sqrt(2) ||Q_x||_F, has a negative real
-    part. For the characteristic polynomial l^3 + a1 l^2 + a2 l + a3 of A,
-    with a1 = -tr A, a2 the sum of its principal 2x2 minors and a3 = -det A,
-    that holds iff a1 > 0, a3 > 0 and a1 a2 > a3 (the Routh-Hurwitz
-    criterion; Gantmacher, The Theory of Matrices, vol. 2, ch. XV). The
-    coefficients are elementwise over the stack (``_gate``). A non-finite
-    coefficient fails.
-    """
-    q = np.asarray(drift_x, dtype=float).reshape(-1, 3, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gate(list(q.reshape(-1, 9).T), _frobenius(q))
+        if not max_real < -STABILITY_TOL * _frobenius(q):
+            raise UnstableDrift(float(max_real))
 
 
 def _gate(entries, norm):
-    """``block_gate``'s verdict from the nine entries of Q_x, row-major, and ||Q_x||_F:
-    Python floats, giving a bool, or arrays over a stack, with the same roundings.
+    """Whether ``assert_stable`` passes the 6x6 drift of Q_x, from the nine entries of
+    Q_x, row-major, and ||Q_x||_F: Python floats, giving a bool, or arrays over a
+    stack, with the same roundings.
 
-    a1 > 0, a3 > 0 and a1 a2 > a3 for the shifted A are tr A < 0, det A < 0 and
-    tr A a2 < det A. Runs under its caller's ``np.errstate``: ``block_gate``'s,
-    or the stage's.
+    The 6x6 drift Q_x (+) S Q_x S has the eigenvalues of Q_x twice and
+    ||Q||_F = sqrt(2) ||Q_x||_F, so the rule is that every eigenvalue of
+    A = Q_x + m I, m = STABILITY_TOL sqrt(2) ||Q_x||_F, has a negative real
+    part. For the characteristic polynomial l^3 + a1 l^2 + a2 l + a3 of A,
+    with a1 = -tr A, a2 the sum of its principal 2x2 minors and a3 = -det A,
+    that holds iff a1 > 0, a3 > 0 and a1 a2 > a3 (the Routh-Hurwitz
+    criterion; Gantmacher, The Theory of Matrices, vol. 2, ch. XV), that is
+    tr A < 0, det A < 0 and tr A a2 < det A. A non-finite coefficient fails.
+    Runs under the stage's ``np.errstate``.
     """
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = entries
     shift = _BLOCK_TOL * norm
@@ -190,7 +174,7 @@ def _gate(entries, norm):
 def solve_lyapunov(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Solve Q V + V Q^T = -D for the steady-state covariance V.
 
-    The one-matrix case of ``solve_lyapunov_stack``, behind ``hurwitz_gate``.
+    The one-matrix case of ``solve_lyapunov_stack``, behind ``assert_stable``.
 
     Raises
     ------
@@ -313,9 +297,8 @@ def steady_state_blocks(system: np.ndarray):
     """Gate, solve and judge the steady states of x' blocks (N, 2, 3, 3).
 
     ``system`` holds each point's ``model.build_blocks``. One reduction takes
-    ||Q_x||_F and ||D_x||_F of every point. ``_gate``, ``block_gate``'s rule,
-    decides on Q_x, shifted by the first, what ``hurwitz_gate`` decides on the
-    6x6 drift.
+    ||Q_x||_F and ||D_x||_F of every point. ``_gate`` decides on Q_x, shifted
+    by the first, what ``assert_stable`` decides on the 6x6 drift.
     Drifts that pass have their x' block solved; V_p is its mirror S V_x S
     (``mirror_pairs``), r_p = r_x and D_p = D_x, so the 6x6 residual is
     sqrt(2 r_x^2) and the 6x6 diffusion norm sqrt(2) ||D_x||_F, which
@@ -475,12 +458,13 @@ def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:
         If a block is not positive definite.
     """
     b = np.asarray(blocks, dtype=float)
+    signs = np.asarray(signs, dtype=float)
     if len(b) == 1:
         vx, vp = b.reshape(2, 9).tolist()
         parts = _gram_parts(*_inverse_factor(*_LOWER(vx)), *_inverse_factor(*_LOWER(vp)))
         return np.array([[_nu_min(*parts, t0 * t1, t0 * t2) for t0, t1, t2 in signs.tolist()]])
     v = b.reshape(-1, 2, 9).transpose(2, 1, 0)[..., None]  # (9, 2, N, 1): broadcast over rows
-    t0, t1, t2 = np.asarray(signs, dtype=float).T
+    t0, t1, t2 = signs.T
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse_x, inverse_p = zip(*_inverse_factor(*_LOWER(v)))  # both blocks in one pass
         return _nu_min(*_gram_parts(*inverse_x, *inverse_p), t0 * t1, t0 * t2)

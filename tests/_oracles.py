@@ -20,6 +20,8 @@ from magnonsteer.errors import NonPositiveInput, SingularBlock
 ZERO_CLAMP = 1e-12
 PAIRING_TOL = 1e-9
 CONDITION_CUTOFF = 1e12
+# the drift's stability margin, relative to its Frobenius norm
+STABILITY_TOL = 1e-9
 
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -47,6 +49,22 @@ def tmsv_cm(r: float) -> np.ndarray:
     s = np.sinh(2.0 * r) / 2.0
     z = np.diag([s, -s])
     return np.block([[c * np.eye(2), z], [z, c * np.eye(2)]])
+
+
+def hurwitz_gate(drift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue real part of each drift matrix (..., n, n), and whether
+    it lies below the margin -STABILITY_TOL ||Q||_F.
+
+    A direct eigen-solve of each whole matrix, the 6x6 reference for the
+    package's gate. A drift with a non-finite entry gets NaN and fails, as
+    does one whose norm overflows, without a warning.
+    """
+    q = np.asarray(drift, dtype=float)
+    finite = np.isfinite(q).all(axis=(-2, -1))
+    max_real = np.full(finite.shape, np.nan)
+    max_real[finite] = np.linalg.eigvals(q[finite]).real.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_real, max_real < -STABILITY_TOL * np.linalg.norm(q, axis=(-2, -1))
 
 
 def direct_symplectic_spectrum(cov: np.ndarray) -> np.ndarray:

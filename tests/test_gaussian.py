@@ -37,9 +37,7 @@ from magnonsteer.model import (
 from magnonsteer.sweep import PRESET_IDS, grid_points, preset
 from magnonsteer.gaussian import (
     STABILITY_TOL,
-    block_gate,
     covariance_blocks,
-    hurwitz_gate,
     min_symplectic_eig,
     mirror_pairs,
     residual_accepted,
@@ -53,6 +51,7 @@ from _oracles import (
     Bipartition,
     direct_symplectic_spectrum,
     extract_submatrix,
+    hurwitz_gate,
     mp_symplectic_eigenvalues,
     omega,
     partial_transpose,
@@ -242,9 +241,15 @@ class TestSolveLyapunov:
         assert cov.dtype == residual.dtype == np.float64
 
 
+def stage_gate(drift_x):
+    """Whether the steady-state stage's gate passes each x' drift (N, 3, 3), given a unit D_x."""
+    system = np.stack([drift_x, np.broadcast_to(np.eye(3), drift_x.shape)], axis=1)
+    return np.array([reason != "gate" for reason in steady_state_blocks(system)[1]])
+
+
 def gate_on_blocks_and_6x6(drift_x):
-    """block_gate's decisions, and hurwitz_gate's on the assembled 6x6 drifts."""
-    return block_gate(drift_x), hurwitz_gate(phase_covariant_stack(mirror_pairs(drift_x)))[1]
+    """The stage's gate decisions, and the oracle's on the assembled 6x6 drifts."""
+    return stage_gate(drift_x), hurwitz_gate(phase_covariant_stack(mirror_pairs(drift_x)))[1]
 
 
 def model_drifts(points):
@@ -323,14 +328,14 @@ class TestBlockGate:
         drifts = model_drifts([default_params(epsilon=float(rng.uniform(0.0, 0.95)),
                                               theta=float(rng.uniform(0.0, 2.0 * np.pi)))
                                for _ in range(200)])
-        alone = [bool(block_gate(drift[None])[0]) for drift in drifts]
-        assert alone == block_gate(drifts).tolist()
+        alone = [bool(stage_gate(drift[None])[0]) for drift in drifts]
+        assert alone == stage_gate(drifts).tolist()
 
     def test_non_finite_drift_fails(self):
         drift = -np.eye(3)[None].repeat(3, axis=0)
         drift[0, 0, 1], drift[1, 2, 2] = np.nan, -np.inf
-        assert block_gate(drift).tolist() == [False, False, True]
-        assert not block_gate(drift[:1])[0]
+        assert stage_gate(drift).tolist() == [False, False, True]
+        assert not stage_gate(drift[:1])[0]
 
 
 class TestSteadyStateBlocks:
@@ -389,26 +394,43 @@ class TestSteadyStateBlocks:
             accepted += 1
         assert accepted == len(cov) == 3
 
-    def test_non_finite_drift_has_no_eigen_solve(self, monkeypatch):
+    @pytest.fixture
+    def eigen_solves(self, monkeypatch):
+        """The drifts of each eigen-solve, as gaussian looks it up, below
+        ``_max_real_part``'s NaN rule."""
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(gaussian_module.np.linalg, "eigvals",
+                            lambda drift: solved.append(drift.copy()) or eigvals(drift))
+        return solved
+
+    def test_non_finite_drift_has_no_eigen_solve(self, eigen_solves):
         # an infinite optomagnonic coupling (the sphere volume underflows)
         system = np.stack([build_blocks(default_params(epsilon=0.9, theta=0.3)),
                            build_blocks(default_params(sphere_radius=1e-200, g_q=1e6))])
         assert np.isinf(system[1, 0]).any()
-        solved = []
-        eigvals = np.linalg.eigvals
-
-        def finite_only(drift):
-            assert np.isfinite(drift).all()
-            solved.append(len(drift))
-            return eigvals(drift)
-
-        # the eigen-solve as gaussian looks it up, below _max_real_part's NaN rule
-        monkeypatch.setattr(gaussian_module.np.linalg, "eigvals", finite_only)
         max_real, reason, blocks, _ = steady_state_blocks(system)
-        assert reason == ["gate", "gate"] and solved == [1] and len(blocks) == 0
+        assert reason == ["gate", "gate"] and len(blocks) == 0
         assert max_real[0] > 0 and np.isnan(max_real[1])
         assert steady_state_blocks(system[1:])[0].tobytes() == max_real[1:].tobytes()
-        assert solved == [1]
+        assert np.concatenate(eigen_solves).tobytes() == system[:1, 0].tobytes()
+
+    def test_accepted_points_have_no_eigen_solve(self, eigen_solves):
+        assert steady_state_blocks(build_blocks(default_params())[None])[1] == [None]
+        grid = np.stack([build_blocks(p) for p in grid_points(preset("fig3a"))])
+        assert steady_state_blocks(grid)[1] == [None] * len(grid)
+        assert eigen_solves == []
+
+    def test_mixed_stack_solves_only_its_rejected_rows(self, eigen_solves):
+        # ok, gate and residual points, each rejected row solved once, in order
+        points = [default_params(), default_params(epsilon=0.9, theta=0.3),
+                  default_params(epsilon=0.4947298263, theta=0.0), default_params(epsilon=0.3),
+                  default_params(epsilon=0.9, theta=0.1), default_params(temperature=1e300)]
+        system = np.stack([build_blocks(p) for p in points])
+        reason = steady_state_blocks(system)[1]
+        assert reason == [None, "gate", "residual", None, "gate", "residual"]
+        rejected = [index for index, why in enumerate(reason) if why is not None]
+        assert np.concatenate(eigen_solves).tobytes() == system[rejected, 0].tobytes()
 
     def test_overflowing_drift_is_rejected_without_a_warning(self):
         # pytest turns RuntimeWarning into an error: the squares of the drift
@@ -433,8 +455,10 @@ class TestSteadyStateBlocks:
             system[row].flat[rng.integers(18)] = value
         stacks = [system[k:k + 1] for k in range(40)] if count == 1 else [system[:count]]
         for stack in stacks:
-            gates = block_gate(stack[:, 0])
+            q = stack[:, 0]
             with np.errstate(over="ignore", invalid="ignore"):
+                gates = gaussian_module._gate(list(q.reshape(-1, 9).T),
+                                              gaussian_module._frobenius(q))
                 cov, r_x = solve_lyapunov_stack(stack[gates, 0], stack[gates, 1])
                 residual = np.sqrt(2.0 * np.square(r_x))
                 passed = residual_accepted(
@@ -702,6 +726,14 @@ class TestMinSymplecticEig:
         assert 0 < sum(solved) < stacked.size
         alone = np.concatenate([min_symplectic_eig(pair[None], CUT_SIGNS) for pair in pairs])
         assert np.array_equal(stacked, alone)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_sign_rows_as_lists(self, count):
+        # sign rows given as nested lists, of floats or of ints, give the array's bits
+        pairs = random_block_pairs()[:count]
+        want = min_symplectic_eig(pairs, CUT_SIGNS)
+        for signs in (CUT_SIGNS.tolist(), CUT_SIGNS.astype(int).tolist()):
+            assert min_symplectic_eig(pairs, signs).tobytes() == want.tobytes()
 
     def test_is_the_physicality_check(self):
         for cov in (vacuum_cm(3), tmsv_with_spectator(0.5),

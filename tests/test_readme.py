@@ -39,7 +39,7 @@ def test_all_is_the_list_of_public_names():
 
 
 def test_quoted_module_names_exist():
-    # a backticked `module.name` of a package module, such as `gaussian.block_gate`,
+    # a backticked `module.name` of a package module, such as `gaussian._gate`,
     # names an attribute of that module, so a deleted helper does not linger here
     modules = {info.name for info in pkgutil.iter_modules(magnonsteer.__path__)}
     quoted = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", README)

@@ -26,7 +26,6 @@ from magnonsteer import (
 )
 from magnonsteer.gaussian import (
     STABILITY_TOL,
-    hurwitz_gate,
     mirror_pairs,
     solve_lyapunov,
     steady_state_blocks,
@@ -52,7 +51,7 @@ from magnonsteer.sweep import (
 import magnonsteer.gaussian as gaussian_module
 import magnonsteer.sweep as sweep_module
 
-from _oracles import phase_covariant_stack
+from _oracles import hurwitz_gate, phase_covariant_stack
 
 
 def small_spec(**axis_kwargs):
