@@ -259,10 +259,10 @@ def solve_lyapunov_stack(drift: np.ndarray,
     table, upper, gather = _vech_tables(n)
     coeff = (q.reshape(count, n * n) @ table).reshape(count, len(upper), len(upper))
     try:
-        vech = np.linalg.solve(coeff, d.reshape(count, n * n)[:, upper])
+        vech = np.linalg.solve(coeff, d.reshape(count, n * n).take(upper, axis=1))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    cov = vech[:, gather, 0].reshape(count, n, n)
+    cov = vech.reshape(count, len(upper)).take(gather, axis=1).reshape(count, n, n)
     return cov, lyapunov_residual(q, cov, d)
 
 

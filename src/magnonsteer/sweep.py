@@ -35,6 +35,7 @@ on each access.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
@@ -378,6 +379,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
+# The characters a CSV field would have to be quoted for
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]').search
+
+
 def format_csv(columns: dict[str, list]) -> str:
     """Render sweep columns, as ``sweep_columns`` returns them, as CSV text.
 
@@ -387,12 +392,23 @@ def format_csv(columns: dict[str, list]) -> str:
     is typed once: a column of floats or of strings goes into one row
     template as ``%.12g`` (the text of ``format(value, ".12g")``) or ``%s``,
     and any other column is formatted cell by cell first. A table without
-    rows renders as the empty string.
+    rows renders as the empty string. No field is quoted, so no header or
+    text cell may need it.
+
+    Raises
+    ------
+    ValueError
+        If the columns differ in length, or a header or a text cell holds a
+        comma, a double quote, CR or LF.
     """
     header = list(columns)
     cells = list(columns.values())
+    if len(set(map(len, cells))) > 1:
+        raise ValueError("CSV columns must all have the same length")
     if not cells or not cells[0]:
         return ""
+    if _NEEDS_QUOTING("".join(header)):
+        raise ValueError("a CSV header holds a comma, a double quote or a line break")
     specs = []
     for index, values in enumerate(cells):
         types = set(map(type, values))
@@ -400,7 +416,10 @@ def format_csv(columns: dict[str, list]) -> str:
             specs.append("%.12g")
             continue
         if types != {str}:
-            cells[index] = [_cell(value) for value in values]
+            cells[index] = values = [_cell(value) for value in values]
+        if _NEEDS_QUOTING("".join(values)):
+            raise ValueError(f"CSV column {header[index]} has a cell holding a comma, "
+                             "a double quote or a line break")
         specs.append("%s")
     template = ",".join(specs) + "\n"
     return ",".join(header) + "\n" + "".join([template % row for row in zip(*cells)])

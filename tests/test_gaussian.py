@@ -102,6 +102,21 @@ class TestSolveLyapunov:
             solve_lyapunov(drift, np.eye(2))
         assert info.value.max_real_part == pytest.approx(0.1)
 
+    # the symmetry check's absolute tolerance is 1e-12 max(1, max|D|): with the
+    # mirror entry zero, its relative term adds nothing, so an asymmetry at half
+    # the tolerance passes and one at 1.5 times it raises, below and above 1
+    @pytest.mark.parametrize("scale", [0.25, 4.0, 1e6])
+    @pytest.mark.parametrize("factor, passes", [(0.5, True), (1.5, False)])
+    def test_symmetry_tolerance_boundary(self, scale, factor, passes):
+        diffusion = scale * np.eye(2)
+        diffusion[0, 1] = factor * 1e-12 * max(1.0, scale)
+        if passes:
+            cov = solve_lyapunov(-np.eye(2), diffusion)
+            assert np.array_equal(cov.diagonal(), [scale / 2] * 2)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                solve_lyapunov(-np.eye(2), diffusion)
+
     def test_rejects_asymmetric_diffusion(self):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -568,6 +583,27 @@ class TestPhaseCovariantBlocks:
                      check_physicality):
             with pytest.raises(error, match=match):
                 call(cov)
+
+    # the accepted scale's limits, 1e-100 for a nonzero variance and 1e100 for
+    # any block entry, a variance or a correlation, each fall between half and
+    # 1.5 times the value read
+    @pytest.mark.parametrize("value, entry, accepted", [
+        (0.5e-100, "variance", False), (1.5e-100, "variance", True),
+        (0.5e100, "variance", True), (1.5e100, "variance", False),
+        (0.5e100, "correlation", True), (1.5e100, "correlation", False),
+    ])
+    def test_scale_limit_boundaries(self, value, entry, accepted):
+        if entry == "variance":
+            cov = value * np.eye(6)
+        else:  # X_c and Y_q, both x' quadratures
+            cov = np.eye(6)
+            cov[0, 3] = cov[3, 0] = value
+        if accepted:
+            blocks = covariance_blocks(cov)
+            assert np.abs(blocks).max() == value
+        else:
+            with pytest.raises(SingularBlock, match="at most 1e100"):
+                covariance_blocks(cov)
 
 
 class TestSymplecticSpectrum:

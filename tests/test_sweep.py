@@ -570,6 +570,26 @@ class TestRunSweep:
         assert format_csv({"count": [3, None]}) == "count\n3\n\n"
         assert format_csv({"temperature": [], "status": []}) == ""
 
+    # columns of unequal length would lose rows, and an unquoted comma, quote
+    # or line break would shift or split a row's fields
+    @pytest.mark.parametrize("columns, match", [
+        ({"a": [1.0, 2.0], "b": [3.0]}, "same length"),
+        ({"a": [], "b": [3.0]}, "same length"),
+        ({"a": [1.0], "b": []}, "same length"),
+        ({"a": [1.0], "b": ["x,y"]}, "column b"),
+        ({"a": [1.0, 2.0], "b": ["ok", 'say "hi"']}, "column b"),
+        ({"a": [1.0], "b": ["line\nbreak"]}, "column b"),
+        ({"a": [1.0], "b": ["cr\r"]}, "column b"),
+        ({"a": [1.0, 2.0], "b": [None, "x,y"]}, "column b"),
+        ({"a,b": [1.0]}, "header"),
+        ({"a": [1.0], 'b"': ["ok"]}, "header"),
+        ({"a\n": [1.0]}, "header"),
+    ], ids=["longer-first", "empty-first", "empty-last", "comma", "quote", "lf", "cr",
+            "mixed-column", "header-comma", "header-quote", "header-lf"])
+    def test_csv_rejects_what_it_cannot_write(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            format_csv(columns)
+
     def test_rows_pass_physicality_without_feedback(self):
         rows = run_sweep(small_spec(count=4))
         for row in rows:
