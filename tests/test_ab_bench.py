@@ -41,6 +41,9 @@ def test_last_line_is_the_record_and_failures_raise():
     assert ab_bench.last_record(text)["metrics"]["rate"]["value"] == 1.0
     with pytest.raises(ab_bench.RunFailed, match="1 of 10 operations failed"):
         ab_bench.last_record(json.dumps(record(failed=1, rate=1.0)))
+    for stdout in ("", "a summary line\n", json.dumps(record(rate=1.0)) + "\ntrailing text\n"):
+        with pytest.raises(ab_bench.RunFailed, match="no JSON record"):
+            ab_bench.last_record(stdout)
 
 
 def test_end_to_end_metrics_are_the_declared_ones():

@@ -38,7 +38,10 @@ def end_to_end(checkout: Path) -> list[tuple[str, str]]:
 
 def last_record(stdout: str) -> dict:
     """The JSON object on the last line of a run's output, checked for failed operations."""
-    record = json.loads(stdout.strip().splitlines()[-1])
+    try:
+        record = json.loads(stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError) as exc:
+        raise RunFailed(f"no JSON record on the last line of the output ({exc})") from exc
     if record["failed"] > 0:
         raise RunFailed(f"{record['failed']} of {record['attempted']} operations failed")
     return record
