@@ -96,7 +96,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     spec = _spec(args)
     try:
-        value = find_threshold(spec, args.measure, args.direction)
+        value = find_threshold(spec, args.measure)
     except (NoCrossing, NonMonotone) as exc:
         print(json.dumps({"measure": args.measure, "error": type(exc).__name__,
                           "detail": str(exc)}))
@@ -144,12 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_preset.set_defaults(func=cmd_sweep, spec=None)
 
-    p_thr = sub.add_parser("threshold", help="locate where a measure reaches zero")
+    p_thr = sub.add_parser("threshold", help="locate where a measure crosses zero")
     group = p_thr.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", help="JSON sweep specification")
     group.add_argument("--preset", help="preset id to scan")
     p_thr.add_argument("--measure", required=True)
-    p_thr.add_argument("--direction", choices=("falling", "rising"), default="falling")
     p_thr.set_defaults(func=cmd_threshold)
 
     return parser

@@ -52,7 +52,10 @@ class UnknownPreset(MagnonSteerError):
 
 
 class NoCrossing(MagnonSteerError):
-    """The scanned measure never reaches zero inside the sweep window."""
+    """The scanned measure does not cross zero inside the sweep window.
+
+    It is positive at both ends of the window, or zero at both.
+    """
 
 
 class NonMonotone(MagnonSteerError):

@@ -452,13 +452,19 @@ def min_symplectic_eig(blocks: np.ndarray, signs: np.ndarray) -> np.ndarray:
     cos through ``math``, one element at a time, so a block pair gets the
     same bits whatever its stack holds.
 
+    One sign row may be given as a (3,) array, read as (1, 3).
+
     Raises
     ------
+    ValueError
+        If ``blocks`` is not (N, 2, 3, 3) or ``signs`` is not (k, 3).
     NonPositiveInput
         If a block is not positive definite.
     """
-    b = np.asarray(blocks, dtype=float)
-    signs = np.asarray(signs, dtype=float)
+    b, signs = np.asarray(blocks, dtype=float), np.array(signs, dtype=float, ndmin=2)
+    if b.shape[1:] != (2, 3, 3) or signs.shape[1:] != (3,):
+        raise ValueError(f"min_symplectic_eig needs blocks of shape (N, 2, 3, 3) and signs "
+                         f"of shape (k, 3), not {b.shape} and {signs.shape}")
     if len(b) == 1:
         vx, vp = b.reshape(2, 9).tolist()
         parts = _gram_parts(*_inverse_factor(*_LOWER(vx)), *_inverse_factor(*_LOWER(vp)))

@@ -330,8 +330,8 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     Raises
     ------
     ValueError
-        If ``outputs`` is a string, or an output is neither in MEASURE_KEYS
-        nor ``min_symplectic_eig``.
+        If ``outputs`` is a string, an output is neither in MEASURE_KEYS
+        nor ``min_symplectic_eig``, or ``blocks`` is not (N, 2, 3, 3).
     NonPositiveInput
         If a block a requested measure reads is not positive definite.
     SingularBlock
@@ -345,6 +345,8 @@ def measure_blocks(blocks: np.ndarray, outputs=MEASURE_KEYS) -> dict[str, list]:
     if not plan.columns:
         return {}
     b = np.asarray(blocks, dtype=float)
+    if b.shape[1:] != (2, 3, 3):
+        raise ValueError(f"blocks must have shape (N, 2, 3, 3), not {b.shape}")
     spectra, tail = [], []  # nu of the slots (nu_min if two are steered) and cuts; nu_max
     with np.errstate(divide="ignore", invalid="ignore"):
         if plan.slots is not None:

@@ -17,7 +17,9 @@ returns it, and takes the same path.
 ``find_threshold`` is a one-axis sweep plus refinement: its grid, and then
 each bisection step as a stack of one, go through ``param_columns`` and the
 same pipeline, with the scanned measure as the kernel's one output and no
-cut pass; the bisection stops when its bracket is at most 1/256 of the grid
+cut pass. The grid's two ends say on which side the measure is positive, so
+one search finds a death (positive, then zero) or an onset (zero, then
+positive); the bisection stops when its bracket is at most 1/256 of the grid
 step or its midpoint rounds onto an end.
 
 ``sweep_columns`` returns a sweep as the evaluated columns, in the CSV's
@@ -431,13 +433,16 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else f"{value:.12g}"
 
 
-def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") -> float:
-    """Axis value at which the measure first reaches zero.
+def find_threshold(spec: SweepSpec, measure: str) -> float:
+    """Axis value at which the measure crosses zero, on whichever side it is positive.
 
-    The measure must be monotone-to-zero along axis1 inside the scanned
-    window: scanning in the given direction it is positive, reaches zero
-    once, and stays zero. The grid, and then each bisection step as a stack
-    of one, go through ``param_columns`` and the sweep pipeline, which
+    The grid scan's two ends give the side: a measure positive at the start
+    of the window and zero at its end falls to zero (a death temperature),
+    and one zero at the start and positive at the end rises from zero (an
+    onset); the rising one is searched from the end of the window. Read
+    from its positive end, the measure must be positive, reach zero once,
+    and stay zero. The grid, and then each bisection step as a stack of
+    one, go through ``param_columns`` and the sweep pipeline, which
     computes only the scanned measure. The bisection refines the grid
     crossing until the bracket is at most 1/256 of the grid step, or until
     its midpoint rounds onto one of its ends, and returns that midpoint.
@@ -445,31 +450,25 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
     Raises
     ------
     SpecError
-        If the sweep is two-dimensional, the direction is unknown, the
-        measure is unknown or a steering class, or the axis1 values are not
-        strictly increasing.
+        If the sweep is two-dimensional, the measure is unknown or a
+        steering class, or the axis1 values are not strictly increasing.
     UnstableDrift
         If a point on the grid or a bisection step is unstable; its
         ``reason`` says whether it failed the gate or the residual bound.
     NoCrossing
-        If the measure never reaches zero (or is zero everywhere) in the
-        window.
+        If the measure is positive at both ends of the window, or zero at
+        both.
     NonMonotone
         If the measure revives after reaching zero.
     """
     if spec.axis2 is not None:
         raise SpecError("threshold search requires a one-dimensional sweep")
-    if direction not in ("falling", "rising"):
-        raise SpecError("direction must be 'falling' or 'rising'")
     if measure not in MEASURE_KEYS:
         raise SpecError(f"unknown measure key {measure!r}")
     if measure.startswith("class_"):
         raise SpecError(f"threshold search needs a numeric measure, not {measure!r}")
 
     param, grid = spec.axis1.param, spec.axis1.grid()
-    increasing = bool((np.diff(grid) > 0.0).all())
-    if direction == "rising":
-        grid = grid[::-1]
 
     def evaluate(points) -> list[float]:
         reasons, max_real, columns = _evaluate(points, (measure,))
@@ -479,15 +478,15 @@ def find_threshold(spec: SweepSpec, measure: str, direction: str = "falling") ->
         return columns[measure]
 
     on_grid = param_columns(spec.base, {param: grid})  # checks the axis values first
-    if not increasing:
+    if not (np.diff(grid) > 0.0).all():
         # bisection refines between neighbouring grid values
         raise SpecError("threshold search needs axis1 values in strictly increasing order")
-    values = np.array(evaluate(on_grid))
-    positive = values > 0.0
-    if not positive[0]:
-        raise NoCrossing("measure is zero at the start of the window")
-    if positive[-1]:
-        raise NoCrossing("measure never reaches zero inside the window")
+    positive = np.array(evaluate(on_grid)) > 0.0
+    if positive[0] == positive[-1]:
+        raise NoCrossing("measure never reaches zero inside the window" if positive[0]
+                         else "measure is zero at both ends of the window")
+    if positive[-1]:  # a rising measure: read the window from its end
+        grid, positive = grid[::-1], positive[::-1]
     crossing = int(np.argmin(positive))  # first zero
     if positive[crossing:].any():
         raise NonMonotone("measure revives after reaching zero")

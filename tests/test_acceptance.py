@@ -177,17 +177,20 @@ ONSET_WINDOW_K = 6.0
 def _vanishing_temperature(base, measure: str, stop: float = ONSET_WINDOW_K) -> float:
     """Temperature at which a directed steering first vanishes.
 
-    A measure already zero at T = 0 vanishes at 0 K; one still positive at
-    ``stop`` is reported as ``inf``, beyond the scanned window. Any other
-    error (an unstable point, a revival) fails the test with its own message.
+    A measure already zero at T = 0 vanishes at 0 K, whatever it does when
+    warmer, so T = 0 is read first and only a measure positive there is
+    searched for its death; one still positive at ``stop`` is reported as
+    ``inf``, beyond the scanned window. Any other error (an unstable point,
+    a revival) fails the test with its own message.
     """
+    if run_point(base.replace(temperature=0.0)).to_flat_dict()[measure] <= 0.0:
+        return 0.0
     spec = SweepSpec(base=base, axis1=Axis("temperature", 0.0, stop, 120),
                      outputs=(measure,))
     try:
         return find_threshold(spec, measure)
     except NoCrossing:
-        cold = run_point(base.replace(temperature=0.0)).to_flat_dict()[measure]
-        return 0.0 if cold <= 0.0 else math.inf
+        return math.inf
 
 
 def _format_onset(onset: float) -> str:

@@ -536,8 +536,8 @@ def test_command_line_never_loads_the_closed_form():
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--diffusion", "paper"], "unrecognized arguments: --diffusion paper"),
     (["validate-oracle"], "invalid choice: 'validate-oracle'"),
-    (["threshold", "--preset", "fig3a", "--measure", "LN_qm", "--direction", "sideways"],
-     "invalid choice: 'sideways'"),
+    (["threshold", "--preset", "fig6", "--measure", "LN_cm", "--direction", "rising"],
+     "unrecognized arguments: --direction rising"),
     (["sweep"], "the following arguments are required: --spec"),
 ])
 def test_usage_error_exit_code(capsys, argv, message):

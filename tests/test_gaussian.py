@@ -2,6 +2,7 @@
 generic 6x6 oracle helpers in _oracles that the block kernel is checked
 against."""
 
+import re
 import warnings
 
 import numpy as np
@@ -765,11 +766,30 @@ class TestMinSymplecticEig:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_sign_rows_as_lists(self, count):
-        # sign rows given as nested lists, of floats or of ints, give the array's bits
+        # sign rows given as nested lists, of floats or of ints, give the array's
+        # bits, and one row given as a (3,) array is read as (1, 3)
         pairs = random_block_pairs()[:count]
         want = min_symplectic_eig(pairs, CUT_SIGNS)
         for signs in (CUT_SIGNS.tolist(), CUT_SIGNS.astype(int).tolist()):
             assert min_symplectic_eig(pairs, signs).tobytes() == want.tobytes()
+        one_row = min_symplectic_eig(pairs, CUT_SIGNS[-1])
+        assert one_row.tobytes() == min_symplectic_eig(pairs, CUT_SIGNS[-1:]).tobytes()
+        assert one_row.shape == (count, 1)
+
+    # four blocks with no pair axis would be read as two (V_x, V_p) pairs, and
+    # one as a reshape error; a sign row of the wrong length names its shape
+    @pytest.mark.parametrize("blocks_shape, signs_shape", [
+        ((4, 3, 3), (4, 3)), ((1, 3, 3), (4, 3)), ((2, 2, 6, 6), (4, 3)), ((3, 2, 3), (4, 3)),
+        ((2, 2, 3, 3), (4, 2)), ((2, 2, 3, 3), (2,)), ((1, 2, 3, 3), (1, 3, 3)),
+    ], ids=["unpaired-blocks", "one-unpaired-block", "6x6-blocks", "no-pair-axis",
+            "short-sign-rows", "short-sign-row", "3d-signs"])
+    def test_rejects_wrong_shapes(self, blocks_shape, signs_shape):
+        blocks = np.resize(np.eye(3), blocks_shape)  # unit blocks where the shape allows
+        with pytest.raises(ValueError, match=re.escape("(N, 2, 3, 3) and signs of shape (k, 3)")):
+            min_symplectic_eig(blocks, np.ones(signs_shape))
+        if signs_shape == (4, 3):
+            with pytest.raises(ValueError, match=re.escape("(N, 2, 3, 3)")):
+                measure_blocks(blocks, MEASURE_KEYS)
 
     def test_is_the_physicality_check(self):
         for cov in (vacuum_cm(3), tmsv_with_spectator(0.5),

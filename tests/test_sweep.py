@@ -60,6 +60,61 @@ def small_spec(**axis_kwargs):
                      outputs=("LN_qm", "LN_cm"))
 
 
+# find_threshold on each of the 45 numeric outputs of the six one-dimensional
+# presets: the threshold, with the number of _evaluate calls behind it (the
+# grid, then one per bisection step), or the NoCrossing message. Thresholds
+# are pinned to 1e-12 relative, not to their bits, as numpy is not pinned.
+_NEVER = "measure never reaches zero inside the window"
+_BOTH_ZERO = "measure is zero at both ends of the window"
+PRESET_THRESHOLDS = [
+    ("fig3a", "LN_cm", _BOTH_ZERO),
+    ("fig3a", "LN_cq", _BOTH_ZERO),
+    ("fig3a", "LN_qm", (0.20297581658291464, 9)),
+    ("fig3b", "LN_cm", _NEVER),
+    ("fig3b", "LN_cq", _NEVER),
+    ("fig3b", "LN_qm", (0.7303745288944724, 10)),
+    ("fig2", "LN_cq", _NEVER),
+    ("fig2", "LN_cm", _NEVER),
+    ("fig2", "LN_qm", _NEVER),
+    ("fig2", "G_c_to_q", (0.2846844083699749, 10)),
+    ("fig2", "G_q_to_c", _NEVER),
+    ("fig2", "G_c_to_m", (0.03260590059673367, 9)),
+    ("fig2", "G_m_to_c", _NEVER),
+    ("fig2", "G_q_to_m", (0.08492781289258794, 10)),
+    ("fig2", "G_m_to_q", _NEVER),
+    ("fig2", "asym_cq", _NEVER),
+    ("fig2", "asym_cm", _NEVER),
+    ("fig2", "asym_qm", _NEVER),
+    ("fig6", "LN_cm", (0.004540770257537689, 9)),
+    ("fig6", "LN_cq", (0.025239969378140704, 9)),
+    ("fig6", "LN_qm", _NEVER),
+    ("fig10", "G_c_to_q", (0.18918125785175877, 10)),
+    ("fig10", "G_c_to_m", (0.059544794283919594, 10)),
+    ("fig10", "G_c_to_qm", _NEVER),
+    ("fig10", "G_m_to_c", _NEVER),
+    ("fig10", "G_m_to_q", (0.3631929177135679, 9)),
+    ("fig10", "G_m_to_cq", _NEVER),
+    ("fig10", "G_q_to_c", _NEVER),
+    ("fig10", "G_q_to_m", (0.03948158762562814, 10)),
+    ("fig10", "G_q_to_cm", _NEVER),
+    ("fig10", "mono_out_c", _NEVER),
+    ("fig10", "mono_out_q", _NEVER),
+    ("fig10", "mono_out_m", _NEVER),
+    ("fig11", "G_q_to_c", _NEVER),
+    ("fig11", "G_m_to_c", _NEVER),
+    ("fig11", "G_qm_to_c", _NEVER),
+    ("fig11", "G_c_to_m", (0.059544794283919594, 10)),
+    ("fig11", "G_q_to_m", (0.03948158762562814, 10)),
+    ("fig11", "G_cq_to_m", _NEVER),
+    ("fig11", "G_c_to_q", (0.18918125785175877, 10)),
+    ("fig11", "G_m_to_q", (0.3631929177135679, 9)),
+    ("fig11", "G_cm_to_q", _NEVER),
+    ("fig11", "mono_in_c", (0.5350639918341709, 9)),
+    ("fig11", "mono_in_q", _NEVER),
+    ("fig11", "mono_in_m", _NEVER),
+]
+
+
 class TestRunPoint:
     def test_no_feedback_defaults(self):
         flat = run_point(default_params(epsilon=0.0)).to_flat_dict()
@@ -652,11 +707,12 @@ class TestFindThreshold:
         with pytest.raises(NonMonotone):
             find_threshold(spec, "LN_qm")
 
-    @pytest.mark.parametrize("direction", ["falling", "rising"])
+    @pytest.mark.parametrize("side", ["falling", "rising"])
     @pytest.mark.parametrize("width", [1, 100, 255])
-    def test_bisection_ends_in_a_narrow_bracket(self, monkeypatch, width, direction):
+    def test_bisection_ends_in_a_narrow_bracket(self, monkeypatch, width, side):
         # the two grid values are `width` floats apart and the measure changes
-        # sign halfway between them, so a midpoint soon rounds onto an end
+        # sign halfway between them, so a midpoint soon rounds onto an end;
+        # the search reads the side from the grid's ends
         lo = 0.2
         hi = float((np.array(lo).view(np.int64) + width).view(np.float64))
         calls = []
@@ -667,7 +723,7 @@ class TestFindThreshold:
                 raise AssertionError("the bisection does not end")
             temperatures = np.atleast_1d(points.temperature)
             steps = (temperatures.view(np.int64) - np.array(lo).view(np.int64)).tolist()
-            alive = [s < (width + 1) // 2 if direction == "falling" else s > width // 2
+            alive = [s < (width + 1) // 2 if side == "falling" else s > width // 2
                      for s in steps]
             return [None] * len(steps), [math.nan] * len(steps), {
                 "LN_qm": [1.0 if a else 0.0 for a in alive]}
@@ -675,7 +731,7 @@ class TestFindThreshold:
         monkeypatch.setattr(sweep_module, "_evaluate", fake_evaluate)
         spec = SweepSpec(base=default_params(epsilon=0.0),
                          axis1=Axis("temperature", values=(lo, hi)), outputs=("LN_qm",))
-        assert lo <= find_threshold(spec, "LN_qm", direction) <= hi
+        assert lo <= find_threshold(spec, "LN_qm") <= hi
 
     def test_computes_only_the_scanned_measure(self, monkeypatch):
         kernel_keys, measure_blocks = [], sweep_module.measure_blocks
@@ -719,9 +775,8 @@ class TestFindThreshold:
         monkeypatch.setattr(sweep_module, "_evaluate", no_evaluation)
         spec = SweepSpec(base=default_params(epsilon=0.86, diffusion_mode="input_output"),
                          axis1=Axis("temperature", values=values), outputs=("LN_qm",))
-        for direction in ("falling", "rising"):
-            with pytest.raises(SpecError, match="strictly increasing"):
-                find_threshold(spec, "LN_qm", direction)
+        with pytest.raises(SpecError, match="strictly increasing"):
+            find_threshold(spec, "LN_qm")
 
     def test_sorted_explicit_values_find_the_threshold(self):
         spec = SweepSpec(base=default_params(epsilon=0.86, diffusion_mode="input_output"),
@@ -730,11 +785,12 @@ class TestFindThreshold:
         assert 0.08 < find_threshold(spec, "LN_qm") < 0.12
 
     def test_rising_direction(self):
-        # cavity-magnon entanglement turns on as the reflectivity grows
+        # cavity-magnon entanglement turns on as the reflectivity grows: zero at
+        # the start of the window and positive at its end, an onset
         spec = SweepSpec(base=default_params(temperature=10e-3),
                          axis1=Axis("epsilon", 0.0, 0.95, 40),
                          outputs=("LN_cm",))
-        onset = find_threshold(spec, "LN_cm", direction="rising")
+        onset = find_threshold(spec, "LN_cm")
         assert 0.0 < onset < 0.95
         above = run_point(spec.base.replace(epsilon=onset + 0.05)).to_flat_dict()
         below = run_point(spec.base.replace(epsilon=max(onset - 0.05, 0.0))).to_flat_dict()
@@ -748,11 +804,9 @@ class TestFindThreshold:
         with pytest.raises(SpecError):
             find_threshold(spec, "LN_qm")
 
-    def test_rejects_unknown_measure_and_direction(self):
+    def test_rejects_unknown_measure(self):
         with pytest.raises(SpecError):
             find_threshold(small_spec(), "LN_zz")
-        with pytest.raises(SpecError):
-            find_threshold(small_spec(), "LN_qm", direction="sideways")
 
     @pytest.mark.parametrize("measure", ["class_cq", "class_cm", "class_qm"])
     def test_rejects_steering_class_before_evaluating(self, monkeypatch, measure):
@@ -762,6 +816,25 @@ class TestFindThreshold:
         monkeypatch.setattr(sweep_module, "_evaluate", no_evaluation)
         with pytest.raises(SpecError, match="numeric measure"):
             find_threshold(preset("fig3a"), measure)
+
+    @pytest.mark.parametrize("preset_id, measure, outcome", PRESET_THRESHOLDS,
+                             ids=[f"{p}-{m}" for p, m, _ in PRESET_THRESHOLDS])
+    def test_every_preset_output(self, monkeypatch, preset_id, measure, outcome):
+        calls, evaluate = [], sweep_module._evaluate
+
+        def counted(points, outputs):
+            calls.append(outputs)
+            return evaluate(points, outputs)
+
+        monkeypatch.setattr(sweep_module, "_evaluate", counted)
+        if isinstance(outcome, str):
+            with pytest.raises(NoCrossing) as info:
+                find_threshold(preset(preset_id), measure)
+            assert str(info.value) == outcome
+            return
+        threshold, evaluations = outcome
+        assert find_threshold(preset(preset_id), measure) == pytest.approx(threshold, rel=1e-12)
+        assert len(calls) == evaluations
 
 
 class TestPresets:

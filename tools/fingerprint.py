@@ -10,8 +10,8 @@ Five digests, each over the exact bits of what it reads:
 - ``oracle_check``: ``steady_state_covariance`` and ``analytic_covariance``
   on the first 500 ``oracle_check`` inputs at seed 0;
 - ``thresholds``: ``find_threshold`` on every numeric output of every
-  preset, falling and rising: the threshold, or the class and message of
-  the error it raises;
+  preset: the threshold, on whichever side the output is positive, or the
+  class and message of the error it raises;
 - ``input_output``: ``run_point`` as for ``point_stream``, on the same
   inputs rebuilt in the ``input_output`` diffusion mode, and
   ``analytic_covariance`` on each of them that is ``ok``. No other digest
@@ -86,19 +86,18 @@ def oracle_digest(count: int = ORACLE_POINTS) -> str:
 
 
 def threshold_digest(preset_ids: tuple[str, ...] = PRESET_IDS) -> str:
-    """The digest of ``find_threshold`` on each numeric output of each preset, both ways."""
+    """The digest of ``find_threshold`` on each numeric output of each preset."""
     digest = hashlib.sha256()
     for preset_id in preset_ids:
         spec = sweep.preset(preset_id)
         for measure in spec.outputs:
             if measure.startswith("class_"):
                 continue
-            for direction in ("falling", "rising"):
-                try:
-                    result = sweep.find_threshold(spec, measure, direction)
-                except errors.MagnonSteerError as exc:
-                    result = [type(exc).__name__, str(exc)]
-                digest.update(json.dumps([preset_id, measure, direction, result]).encode())
+            try:
+                result = sweep.find_threshold(spec, measure)
+            except errors.MagnonSteerError as exc:
+                result = [type(exc).__name__, str(exc)]
+            digest.update(json.dumps([preset_id, measure, result]).encode())
     return digest.hexdigest()
 
 
