@@ -98,11 +98,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     try:
         value = find_threshold(spec, args.measure)
     except (NoCrossing, NonMonotone) as exc:
-        print(json.dumps({"measure": args.measure, "error": type(exc).__name__,
-                          "detail": str(exc)}))
+        print(_dumps({"measure": args.measure, "error": type(exc).__name__,
+                      "detail": str(exc)}))
         return EXIT_SPEC
-    print(json.dumps({"measure": args.measure, "axis": spec.axis1.param,
-                      "threshold": value}))
+    print(_dumps({"measure": args.measure, "axis": spec.axis1.param, "threshold": value}))
     return EXIT_OK
 
 

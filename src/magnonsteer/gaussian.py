@@ -338,7 +338,7 @@ def steady_state_blocks(system: np.ndarray):
         gates = gated.tolist()
         solved, norms = (system, norms) if all(gates) else (system[gated], norms[gated])
         cov, residual = solve_lyapunov_stack(solved[:, 0], solved[:, 1])
-        residual = np.sqrt(2.0 * np.square(residual))
+        residual = np.sqrt(2.0 * (residual * residual))
         passed = residual_accepted(residual, math.sqrt(2.0) * norms[:, 1])
         verdicts = passed.tolist()
         if len(verdicts) == count and all(verdicts):

@@ -162,7 +162,7 @@ def _residual(terms):
 # signed like R_*.
 _FORMULAS = {
     "asym": lambda g: np.abs(g[0] - g[1]),
-    "R": lambda ln: _residual(np.square(ln)),
+    "R": lambda ln: _residual(ln * ln),
     "R_min": lambda r: r.min(axis=0),
     "mono": _residual,
 }

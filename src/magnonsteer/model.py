@@ -11,11 +11,12 @@ The formulas take one point, a ``SystemParams``, or a grid of points from
 fields stay floats; every derived quantity and block entry then broadcasts
 over the grid. A grid gives bit for bit the values of its points taken one
 at a time, by one rule: on arrays numpy does +, -, * and /, which round
-alike in numpy and in Python, and everything whose float form rounds
-differently or can raise (powers, cos and sin, roots, the quotients that
-can underflow to a zero denominator, and the ``math.expm1`` of
-``thermal_occupation``) runs element by element on Python floats through
-``_pointwise``. That is the formulas' switch between a point and a grid;
+alike in numpy and in Python (so a square is a product, x * x), and
+everything whose float form rounds differently or can raise (the cube, cos
+and sin, roots, the quotients that can underflow to a zero denominator,
+and the ``math.expm1`` of ``thermal_occupation``) runs element by element
+on Python floats through ``_pointwise``. That is the formulas' switch
+between a point and a grid;
 ``thermal_occupation`` has its own, which does its arithmetic and its
 cases (T = 0, an exponent past 700, a zero exponent) on the arrays and
 maps only ``math.expm1``, and ``build_blocks`` has the last, and writes a
@@ -174,14 +175,6 @@ def _quotient(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else numerator * math.inf
 
 
-def _square(x):
-    return _pointwise(pow, x, 2)
-
-
-def _cos(x):
-    return _pointwise(math.cos, x)
-
-
 def _cube(x: float) -> float:
     """``pow(x, 3)`` of a positive x, and inf where that overflows instead of OverflowError."""
     try:
@@ -209,10 +202,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
             # math.expm1 takes only the x that reach it on floats: it overflows past 709
             occupation = 1.0 / _pointwise(math.expm1, np.where(zero | (x == 0.0), 1.0, x))
         return np.where(zero, 0.0, np.where(x == 0.0, math.inf, occupation))
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+    if omega < 0 or temperature < 0:
+        raise ValueError("omega and temperature must be non-negative")
     if temperature == 0.0:
         return 0.0
     # divided in this order so that a subnormal temperature gives x = inf,
@@ -278,16 +269,18 @@ def feedback(params: SystemParams) -> tuple[float, float]:
     that shift is taken as absorbed into the operating point delta_fb = -omega_m.
     """
     u2 = _transmittance(params)
+    eps, cos = params.epsilon, _pointwise(math.cos, params.theta)
     if params.diffusion_mode == "input_output":
         # |1 + epsilon e^{i theta}|^2 as (1 + epsilon cos theta)^2 + (epsilon sin theta)^2,
         # a sum of squares that does not cancel when it is small (epsilon near 1, theta near pi)
-        gain = (_square(1.0 + params.epsilon * _cos(params.theta))
-                + _square(params.epsilon * _pointwise(math.sin, params.theta)))
+        real, imag = 1.0 + eps * cos, eps * _pointwise(math.sin, params.theta)
+        gain = real * real + imag * imag
         return params.kappa_c * u2 / gain, u2 / gain
-    first_order = 1.0 - 2.0 * params.epsilon * _cos(params.theta)
+    first_order = 1.0 - 2.0 * eps * cos
     if params.diffusion_mode == "paper":
-        return params.kappa_c * first_order, u2 * _square(1.0 - params.epsilon)
-    return params.kappa_c * first_order, u2 * (first_order + _square(params.epsilon))
+        loss = 1.0 - eps
+        return params.kappa_c * first_order, u2 * (loss * loss)
+    return params.kappa_c * first_order, u2 * (first_order + eps * eps)
 
 
 def derive(params: SystemParams) -> DerivedQuantities:

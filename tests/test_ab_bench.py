@@ -1,15 +1,12 @@
 """The summary of tools/ab_bench.py on synthetic run records, with no benchmark run."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("ab_bench", _ROOT / "tools" / "ab_bench.py")
-ab_bench = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab_bench)
+from _tools import ROOT, load_tool
+
+ab_bench = load_tool("ab_bench")
 
 
 def record(failed=0, **metrics):
@@ -47,5 +44,5 @@ def test_last_line_is_the_record_and_failures_raise():
 
 
 def test_end_to_end_metrics_are_the_declared_ones():
-    metrics = dict(ab_bench.end_to_end(_ROOT))
+    metrics = dict(ab_bench.end_to_end(ROOT))
     assert metrics["points_per_s"] == "higher" and metrics["wall_s"] == "lower"

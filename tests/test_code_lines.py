@@ -1,12 +1,8 @@
 """The code-line rule of tools/code_lines.py, on a sample that has each kind of line."""
 
-import importlib.util
-from pathlib import Path
+from _tools import load_tool
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+code_lines = load_tool("code_lines")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""

@@ -1,13 +1,10 @@
 """tools/cut_accuracy.py on a few of its states, small enough for tier-1."""
 
-import importlib.util
 import itertools
-from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "cut_accuracy.py"
-_SPEC = importlib.util.spec_from_file_location("cut_accuracy", _PATH)
-cut_accuracy = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(cut_accuracy)
+from _tools import load_tool
+
+cut_accuracy = load_tool("cut_accuracy")
 
 
 def test_first_point_stream_states_meet_the_bound(capsys):

@@ -1,12 +1,8 @@
 """The output digests of tools/fingerprint.py, on inputs small enough for tier-1."""
 
-import importlib.util
-from pathlib import Path
+from _tools import load_tool
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
-_SPEC = importlib.util.spec_from_file_location("fingerprint", _PATH)
-fingerprint = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(fingerprint)
+fingerprint = load_tool("fingerprint")
 
 
 def small_digests():

@@ -92,15 +92,16 @@ class TestThermalOccupation:
         assert run_point(default_params(temperature=5e-324)).status == "ok"
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            thermal_occupation(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            thermal_occupation(1e9, -0.1)
-        # and so do arrays with one negative entry
-        with pytest.raises(ValueError):
-            thermal_occupation(np.array([1e9, -1.0]), 1.0)
-        with pytest.raises(ValueError):
-            thermal_occupation(1e9, np.array([0.1, -0.1]))
+        # one message for a negative omega or T: on floats, on arrays with one
+        # negative entry, and on an array and a float
+        for omega, temperature in [
+                (-1.0, 1.0), (1e9, -0.1),
+                (np.array([1e9, -1.0]), np.array([1.0, 1.0])),
+                (np.array([1e9, 1e9]), np.array([0.1, -0.1])),
+                (np.array([1e9, -1.0]), 1.0), (-1.0, np.array([1.0])),
+                (1e9, np.array([0.1, -0.1])), (np.array([1e9]), -0.1)]:
+            with pytest.raises(ValueError, match="^omega and temperature must be non-negative$"):
+                thermal_occupation(omega, temperature)
 
 
 class TestCouplings:
@@ -184,6 +185,46 @@ class TestDerive:
             result = run_point(params)
         assert result.status == "ok"
         assert result.min_symplectic_eig > 0.5
+
+
+def _products(eps: float, theta: float, mode: str, kappa_c: float) -> tuple[float, float]:
+    """k_fb and w_c of ``feedback``, every square formed as a product x * x."""
+    u2 = (1.0 - eps) * (1.0 + eps)
+    cos = math.cos(theta)
+    if mode == "input_output":
+        real, imag = 1.0 + eps * cos, eps * math.sin(theta)
+        gain = real * real + imag * imag
+        return kappa_c * u2 / gain, u2 / gain
+    first_order = 1.0 - 2.0 * eps * cos
+    if mode == "paper":
+        return kappa_c * first_order, u2 * ((1.0 - eps) * (1.0 - eps))
+    return kappa_c * first_order, u2 * (first_order + eps * eps)
+
+
+# (epsilon, theta) where a libm pow(x, 2) of a squared term can round
+# otherwise than x * x, which IEEE arithmetic rounds correctly
+MISROUNDED_SQUARES = {
+    "paper": [(0.342077, math.pi), (0.758293, math.pi), (0.068259, math.pi)],
+    "consistent": [(0.121264, math.pi), (0.88343, math.pi), (0.94714, math.pi)],
+    "input_output": [(0.6094, 0.3063), (0.3456, 3.9211), (0.3068, 3.4522)],
+}
+
+
+class TestSquaresAreProducts:
+    """``feedback`` squares by multiplication, on a point and on a grid alike."""
+
+    @pytest.mark.parametrize("mode", DIFFUSION_MODES)
+    def test_feedback_squares_are_products(self, mode):
+        base = default_params(diffusion_mode=mode)
+        inputs = MISROUNDED_SQUARES[mode]
+        expected = [_products(eps, theta, mode, base.kappa_c) for eps, theta in inputs]
+        for (eps, theta), (k_fb, w_c) in zip(inputs, expected):
+            derived = derive(base.replace(epsilon=eps, theta=theta))
+            assert (derived.k_fb.hex(), derived.w_c.hex()) == (k_fb.hex(), w_c.hex())
+        grid = derive(param_columns(base, {"epsilon": np.array([e for e, _ in inputs]),
+                                           "theta": np.array([t for _, t in inputs])}))
+        assert [(k.hex(), w.hex()) for k, w in zip(grid.k_fb.tolist(), grid.w_c.tolist())] == [
+            (k.hex(), w.hex()) for k, w in expected]
 
 
 class TestBuildDrift:
